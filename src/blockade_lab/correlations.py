@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooLargeError  # noqa: F401  (re-raised from evolve paths)
-from .lindblad import _check_step, _rk4_span, unvectorize, vectorize
+from .lindblad import RK4Propagator, _check_step, unvectorize, vectorize
 from .quantum_core import HilbertConfig, SystemParams, lowering_operators, partial_trace_cavity
 
 
@@ -83,7 +82,8 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
 
     G2(tau) = Tr[a'a exp(L tau)(a rho_ss a')], normalized by the stationary
     <a'a>^2. The collapsed state is propagated once, sequentially through the
-    ascending grid, each delay reusing the segment before it.
+    ascending grid, each delay reusing the segment before it; one RK4
+    propagator, and so one set of step-matrix powers, serves the whole grid.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 1:
@@ -99,12 +99,13 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
         raise ValueError(f"mean photon number {nbar:.3e} too small for g2")
     norm = nbar**2
 
+    propagator = RK4Propagator(liou, dt)
     vec = vectorize(a @ rho_ss @ a.conj().T)
     values = np.empty(tau_grid.size, dtype=float)
     previous = 0.0
     for k, tau in enumerate(tau_grid):
         if tau > previous:
-            vec = _rk4_span(liou, vec, tau - previous, dt)
+            vec = propagator.advance(vec, tau - previous)
             previous = tau
         val = complex(np.trace(num_op @ unvectorize(vec, h.dim))) / norm
         if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):

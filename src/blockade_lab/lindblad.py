@@ -186,28 +186,51 @@ def _check_step(liou: np.ndarray, dt: float) -> None:
         )
 
 
-def _rk4_span(liou: np.ndarray, vec: np.ndarray, duration: float, dt: float) -> np.ndarray:
-    """Advance vec(rho) by `duration` with fixed RK4 steps of size dt.
+def _rk4_step(gen: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of size h for x' = gen x, applied to x.
 
-    A shortened final step lands exactly on the requested time.
+    For a constant linear generator the four stages collapse to the Taylor
+    polynomial sum_{k<=4} (h gen)^k / k!, evaluated here by Horner. x may be a
+    vector (one step of that vector) or the identity (the step matrix itself).
     """
-    n_full = int(duration / dt)
-    remainder = duration - n_full * dt
-    if remainder <= 1e-9 * dt:
-        remainder = 0.0
-    for _ in range(n_full):
-        k1 = liou @ vec
-        k2 = liou @ (vec + 0.5 * dt * k1)
-        k3 = liou @ (vec + 0.5 * dt * k2)
-        k4 = liou @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if remainder > 0.0:
-        k1 = liou @ vec
-        k2 = liou @ (vec + 0.5 * remainder * k1)
-        k3 = liou @ (vec + 0.5 * remainder * k2)
-        k4 = liou @ (vec + remainder * k3)
-        vec = vec + (remainder / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return vec
+    y = x
+    for k in (4, 3, 2, 1):
+        y = x + (h / k) * (gen @ y)
+    return y
+
+
+class RK4Propagator:
+    """Fixed-step RK4 for a constant linear generator, as powers of its step matrix.
+
+    n full steps of size dt are the matrix P^n, P = _rk4_step(gen, I, dt),
+    applied through the binary powers P^(2^j). Those are squared on demand,
+    only up to the bit length of the longest span asked for, and kept for the
+    life of the object, so one propagator serves every span of a delay grid.
+    This is the RK4 map itself, not a matrix exponential, so its step-size
+    error and its stability bound are those of RK4. dt must be positive.
+    """
+
+    def __init__(self, gen: np.ndarray, dt: float):
+        self.gen = gen
+        self.dt = dt
+        self._powers = [_rk4_step(gen, np.eye(gen.shape[0], dtype=gen.dtype), dt)]
+
+    def advance(self, vec: np.ndarray, duration: float) -> np.ndarray:
+        """Advance vec by `duration`: full steps of dt, then one shortened step.
+
+        The shortened final step lands exactly on the requested time; one
+        shorter than 1e-9 dt is skipped.
+        """
+        n_full = int(duration / self.dt)
+        remainder = duration - n_full * self.dt
+        for j in range(n_full.bit_length()):
+            if j == len(self._powers):
+                self._powers.append(self._powers[-1] @ self._powers[-1])
+            if (n_full >> j) & 1:
+                vec = self._powers[j] @ vec
+        if remainder > 1e-9 * self.dt:
+            vec = _rk4_step(self.gen, vec, remainder)
+        return vec
 
 
 def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
@@ -223,7 +246,7 @@ def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
     trace0 = complex(np.trace(rho0))
-    vec = _rk4_span(liou, vectorize(rho0), t_final, dt)
+    vec = RK4Propagator(liou, dt).advance(vectorize(rho0), t_final)
     rho = unvectorize(vec, d)
     drift = abs(complex(np.trace(rho)) - trace0)
     if drift > 1e-8 * max(1.0, abs(trace0)):

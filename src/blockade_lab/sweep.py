@@ -110,6 +110,14 @@ def set_param(base: SystemParams, name: str, value: float) -> SystemParams:
     return replace(base, **{name: value})
 
 
+def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
+    """Per-row coordinates of the row-major grid, first axis outer."""
+    values = [ax.values() for ax in axes]
+    if len(axes) == 1:
+        return [values[0]]
+    return [np.repeat(values[0], axes[1].count), np.tile(values[1], axes[0].count)]
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point through the requested branches.
 
@@ -119,11 +127,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     class name in the status column; the sweep continues.
     """
     axes = spec.axes
-    values = [ax.values() for ax in axes]
-    if len(axes) == 1:
-        mesh = [values[0]]
-    else:
-        mesh = [np.repeat(values[0], axes[1].count), np.tile(values[1], axes[0].count)]
+    mesh = _mesh(axes)
     n_rows = mesh[0].size
 
     want_numeric = any(name in _NUMERIC_COLUMNS for name in spec.outputs)
@@ -230,6 +234,7 @@ class BranchReport:
     max_gap_steps: float
     dark_ratio: float
     passed: bool
+    missing: int  # rows with a non-finite g2 or coherence value
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,14 @@ class CorrespondenceReport:
                     f"{coh_max.coordinate:+.6g} (value {coh_max.value:.6g}); "
                     f"gap {gap:.3g} steps"
                 )
-            lines.append(
+            summary = (
                 f"{rep.branch}: dark-point coherence ratio {rep.dark_ratio:.6g}; "
                 f"max gap {rep.max_gap_steps:.3g} steps; "
                 f"{'PASS' if rep.passed else 'FAIL'} at threshold {self.gap_threshold:g}"
             )
+            if rep.missing:
+                summary += f"; missing points: {rep.missing} (non-finite g2 or coherence)"
+            lines.append(summary)
         lines.append(f"correspondence: {'PASS' if self.passed else 'FAIL'}")
         return lines
 
@@ -271,8 +279,11 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
     between its bunching peaks, and those say nothing about blockade. If no
     minimum dips below 1 every minimum is paired, so degraded parameter sets
     still produce a report. A branch passes when every pairing gap is at most
-    gap_threshold grid steps. The dark-point ratio (coherence at Delta = 0
-    over the coherence grid maximum) is reported, not gated.
+    gap_threshold grid steps and none of its g2 or coherence values is
+    missing (non-finite): a failed point can hide an extremum, so it fails the
+    branch and its summary line counts the missing points. The dark-point
+    ratio (coherence at Delta = 0 over the coherence grid maximum) is
+    reported, not gated.
     """
     if len(result.axes) != 1 or result.axes[0].name != "Delta":
         raise ConfigError("correspondence check needs a 1d sweep over Delta")
@@ -300,12 +311,15 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
         coh_vals = result.column(coh_name)
         dark = float(coh_vals[np.argmin(np.abs(x))])
         ratio = dark / float(np.max(coh_vals))
+        finite = np.isfinite(result.column(g2_name)) & np.isfinite(coh_vals)
+        missing = int(np.count_nonzero(~finite))
         reports.append(BranchReport(
             branch=branch,
             pairs=tuple(pairs),
             max_gap_steps=max_gap,
             dark_ratio=ratio,
-            passed=bool(max_gap <= gap_threshold),
+            passed=bool(max_gap <= gap_threshold and missing == 0),
+            missing=missing,
         ))
     if not reports:
         raise ConfigError("result has no complete (g2, coherence) column pair")
@@ -350,7 +364,9 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
     """Parse a file produced by write_sweep_csv back into a SweepResult.
 
     Axes are reconstructed from the coordinate columns; values round-trip
-    exactly since they were written in shortest round-trip form.
+    exactly since they were written in shortest round-trip form. The
+    coordinates must form the full row-major linspace grid that run_sweep
+    writes, to within 1e-9 of a step; anything else raises ConfigError.
     """
     lines = [line.rstrip("\n") for line in stream if line.strip()]
     if not lines:
@@ -382,6 +398,15 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
     if not axes:
         raise ConfigError("no coordinate column found")
     coords = {name: np.array(table[name]) for name in coord_names}
+    # Only the full grid gives each axis its true step; a file with rows
+    # missing would otherwise pass as a coarser axis and mis-scale every gap.
+    for ax, want in zip(axes, _mesh(tuple(axes))):
+        got = coords[ax.name]
+        if got.shape != want.shape or np.max(np.abs(got - want)) > 1e-9 * ax.step:
+            raise ConfigError(
+                f"coordinates do not form the full row-major grid of axis "
+                f"{ax.name} ({ax.count} values from {ax.start!r} to {ax.stop!r})"
+            )
     columns = {
         name: np.array(table[name])
         for name in data_names

@@ -21,12 +21,15 @@ from blockade_lab import (
     unvectorize,
     vectorize,
 )
+from blockade_lab.analytic import _ode_matrix, integrate_amplitude_odes
+from blockade_lab.cli import fig2_params
 from blockade_lab.errors import (
     DegenerateSteadyStateError,
     NoDissipationError,
     SolverError,
     StepTooLargeError,
 )
+from blockade_lab.lindblad import RK4Propagator
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -231,3 +234,64 @@ def test_default_step_resolves_fastest_scale():
     assert default_step(p) == 0.01 / 35.0
     slow = SystemParams(g=0.2, kappa=0.1, gamma=0.1, eta=0.01, delta_a=0.0, delta=0.0)
     assert default_step(slow) == 0.01  # never coarser than the unit rate
+
+
+def stage_loop_rk4(gen, vec, duration, dt, drive=0.0):
+    """Reference: the stage-by-stage RK4 loop for x' = gen x + drive.
+
+    Full steps of dt, then a shortened step landing on `duration` unless it
+    is shorter than 1e-9 dt.
+    """
+    n_full = int(duration / dt)
+    remainder = duration - n_full * dt
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-9 * dt else [])
+    for h in steps:
+        k1 = gen @ vec + drive
+        k2 = gen @ (vec + 0.5 * h * k1) + drive
+        k3 = gen @ (vec + 0.5 * h * k2) + drive
+        k4 = gen @ (vec + h * k3) + drive
+        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vec
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_propagator_is_the_stage_loop_rk4_map():
+    import scipy.linalg as sla
+
+    p = fig2_params()
+    liou = build_liouvillian(model_for(p, H4))
+    a, _ = lowering_operators(H4)
+    rho = steady_state(liou)
+    vec0 = vectorize(a @ rho @ a.conj().T)  # the state g2(tau) propagates
+    dt = 2.0**-11  # a power of two, so n * dt / dt is exactly n
+    assert np.linalg.norm(liou, np.inf) * dt < 0.1
+    propagator = RK4Propagator(liou, dt)
+    for n in (0, 1, 7, 1024):
+        want = stage_loop_rk4(liou, vec0, n * dt, dt)
+        assert relative_gap(propagator.advance(vec0, n * dt), want) <= 1e-12
+    # a span that ends in a shortened step, after the powers above are cached
+    duration = 1000.37 * dt
+    want = stage_loop_rk4(liou, vec0, duration, dt)
+    got = propagator.advance(vec0, duration)
+    assert relative_gap(got, want) <= 1e-12
+    assert relative_gap(RK4Propagator(liou, dt).advance(vec0, duration), want) <= 1e-12
+    # the 1e-12 tolerance tells the RK4 map from the exact propagator, which
+    # is 2.3e-11 away here
+    exact = sla.expm(liou * duration) @ vec0
+    assert relative_gap(got, exact) > 1e-11
+
+
+def test_augmented_affine_propagation_is_the_affine_stage_loop():
+    p = fig2_params()
+    mat, drive = _ode_matrix(p)
+    dt = default_step(p)
+    t_final = 2.0 / p.kappa  # a transient, with a shortened step in each half
+    t_mark = 0.9 * t_final
+    u_mark = stage_loop_rk4(mat, np.zeros(4, dtype=complex), t_mark, dt, drive)
+    want = stage_loop_rk4(mat, u_mark, t_final - t_mark, dt, drive)
+    amps = integrate_amplitude_odes(p, t_final, dt, check_convergence=False)
+    got = np.array([amps.c1g, amps.c0e, amps.c2g, amps.c1e])
+    assert relative_gap(got, want) <= 1e-12

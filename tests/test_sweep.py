@@ -1,6 +1,7 @@
 """Sweep execution, extremum location, correspondence check, CSV and config I/O."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from blockade_lab import (
     run_sweep,
     write_sweep_csv,
 )
+from blockade_lab.cli import fig1_spec
 from blockade_lab.errors import ConfigError, NoInteriorExtremumError
 from blockade_lab.sweep import csv_columns, set_param
 
@@ -31,6 +33,11 @@ def synthetic_result(rows):
     """Build a SweepResult by round-tripping handwritten CSV rows."""
     header = "Delta,g2_analytic,g2_numeric,coh_analytic,coh_numeric,status"
     return read_sweep_csv(io.StringIO("\n".join([header] + rows) + "\n"))
+
+
+@pytest.fixture(scope="module")
+def fig1_result():
+    return run_sweep(fig1_spec())
 
 
 def rows_from_curves(deltas, g2, coh):
@@ -202,6 +209,32 @@ def test_correspondence_falls_back_to_shallow_minima():
     assert all(len(b.pairs) == 2 for b in report.branches)
 
 
+def test_correspondence_fails_on_a_missing_point(fig1_result):
+    complete = check_correspondence(fig1_result)
+    assert complete.passed
+    assert not any("missing" in line for line in complete.format_lines())
+
+    g2 = fig1_result.column("g2_numeric").copy()
+    deltas = fig1_result.coords["Delta"]
+    left = np.flatnonzero(deltas < 0)
+    i_min = left[np.argmin(g2[left])]  # the blockade minimum near Delta = -1
+    g2[i_min + 1] = np.nan
+    broken = replace(fig1_result, columns={**fig1_result.columns, "g2_numeric": g2})
+    # the gap hides that minimum from the extremum scan ...
+    minima = [e for e in locate_extrema(broken, "g2_numeric") if e.kind == "min" and e.value < 1]
+    assert all(e.coordinate > 0 for e in minima)
+    # ... so the branch must fail on the missing point itself
+    report = check_correspondence(broken)
+    numeric = {b.branch: b for b in report.branches}["numeric"]
+    assert numeric.missing == 1 and not numeric.passed
+    assert {b.branch: b for b in report.branches}["analytic"].passed
+    lines = report.format_lines()
+    summary = [line for line in lines if line.startswith("numeric: dark-point")]
+    assert len(summary) == 1
+    assert "FAIL" in summary[0] and "missing points: 1" in summary[0]
+    assert lines[-1] == "correspondence: FAIL"
+
+
 # --- CSV round trip
 
 
@@ -240,6 +273,14 @@ def test_csv_reader_rejects_malformed_input():
         read_sweep_csv(io.StringIO(header + "\n0.0,abc,ok\n"))
     with pytest.raises(ConfigError):
         read_sweep_csv(io.StringIO(header + "\n0.0,1.0\n"))  # ragged row
+
+
+def test_csv_reader_rejects_a_partial_grid(fig1_result):
+    lines = _dump(fig1_result).splitlines(keepends=True)
+    assert read_sweep_csv(io.StringIO("".join(lines))).axes[0] == Axis("Delta", -2.0, 2.0, 401)
+    partial = lines[:101] + lines[111:]  # ten rows gone from the middle
+    with pytest.raises(ConfigError):
+        read_sweep_csv(io.StringIO("".join(partial)))
 
 
 def test_two_axis_csv_round_trip():
