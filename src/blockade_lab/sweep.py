@@ -378,6 +378,8 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
     data_names = [name for name in header[:-1] if name not in coord_names]
 
     rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise ConfigError("CSV has a header but no data rows")
     if any(len(r) != len(header) for r in rows):
         raise ConfigError("ragged CSV row")
     table = {name: [] for name in header[:-1]}

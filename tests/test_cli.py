@@ -130,6 +130,14 @@ def test_bad_config_exits_2(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_check_on_a_header_only_csv_exits_2(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("Delta,g2_numeric,status\n")
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+
+
 def test_missing_file_exits_2(tmp_path):
     proc = run_cli("check", str(tmp_path / "never_written.csv"))
     assert proc.returncode == 2

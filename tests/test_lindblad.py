@@ -1,7 +1,11 @@
 """Master-equation engine: generator construction, steady states, propagation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockade_lab import (
     HilbertConfig,
@@ -22,14 +26,15 @@ from blockade_lab import (
     vectorize,
 )
 from blockade_lab.analytic import _ode_matrix, integrate_amplitude_odes
-from blockade_lab.cli import fig2_params
+from blockade_lab.cli import fig1_spec, fig2_params, fig3_spec
 from blockade_lab.errors import (
     DegenerateSteadyStateError,
     NoDissipationError,
     SolverError,
     StepTooLargeError,
 )
-from blockade_lab.lindblad import RK4Propagator
+from blockade_lab.lindblad import RK4Propagator, _dissipator_superop, _hamiltonian_superop
+from blockade_lab.sweep import _mesh, set_param
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -136,6 +141,102 @@ def test_degenerate_null_space_raises():
     p = SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.0, delta_a=0.5, delta=0.2)
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(build_liouvillian(model_for(p, H4)))
+
+
+def test_driven_decoupled_lossless_atom_is_caught_only_by_the_gap_check():
+    # with the drive on, the bordered system stays invertible, so the solve
+    # alone returns one of the many fixed points without complaint; only the
+    # uniqueness gate sees that the atom's populations are still conserved
+    p = SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.05, delta_a=0.5, delta=0.2)
+    liou = build_liouvillian(model_for(p, H4))
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(liou)
+    rho = steady_state(liou, gap_check=False)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+def passes_singular_value_gap_test(liou):
+    """The uniqueness test the inverse-based certificate must never be laxer than."""
+    s = np.linalg.svd(liou, compute_uv=False)
+    return s[-2] >= 1e6 * s[-1] and s[-2] > 1e-12 * s[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_g=st.floats(-12.0, 1.0),
+    log_kappa=st.floats(-12.0, 1.0),
+    log_gamma=st.one_of(st.none(), st.floats(-12.0, 1.0)),
+    eta=st.floats(0.0, 0.5),
+    delta=st.floats(-2.0, 2.0),
+    nmax=st.sampled_from((1, 2, 4)),
+)
+def test_certificate_is_never_laxer_than_the_singular_value_gap(
+    log_g, log_kappa, log_gamma, eta, delta, nmax
+):
+    gamma = 0.0 if log_gamma is None else 10.0**log_gamma
+    p = SystemParams(g=10.0**log_g, kappa=10.0**log_kappa, gamma=gamma, eta=eta,
+                     delta_a=delta, delta=delta)
+    liou = build_liouvillian(model_for(p, HilbertConfig(nmax)))
+    try:
+        steady_state(liou)
+    except (DegenerateSteadyStateError, SolverError):
+        return
+    assert passes_singular_value_gap_test(liou)
+
+
+def bordered_solve_state(liou):
+    """Reference steady state: the bordered system solved for one right-hand side."""
+    d2 = liou.shape[0]
+    d = int(round(np.sqrt(d2)))
+    mat = liou.copy()
+    mat[0, :] = 0.0
+    mat[0, np.arange(d) * d + np.arange(d)] = 1.0
+    rhs = np.zeros(d2, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvectorize(np.linalg.solve(mat, rhs), d)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
+                         ids=["fig1", "fig3_5x5_nmax10"])
+def test_certificate_accepts_every_preset_point(spec):
+    basis = LiouvillianBasis(spec.hilbert)
+    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis1, spec.axis2)
+    for point in zip(*_mesh(axes)):
+        p = spec.base
+        for ax, value in zip(axes, point):
+            p = set_param(p, ax.name, float(value))
+        liou = basis.assemble(p)
+        rho = steady_state(liou)
+        assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
+
+
+def dense_fixed_order_sum(p, h):
+    """Reference assembly: every dense unit superoperator, weighted, in field order."""
+    zero = SystemParams(g=0, kappa=0, gamma=0, eta=0, delta_a=0, delta=0)
+    parts = [
+        (field, _hamiltonian_superop(build_hamiltonian(replace(zero, **{field: 1.0}), h)))
+        for field in ("delta_a", "delta", "g", "eta")
+    ]
+    a, sm = lowering_operators(h)
+    parts += [("kappa", _dissipator_superop(a)), ("gamma", _dissipator_superop(sm))]
+    liou = np.zeros_like(parts[0][1])
+    for field, part in parts:
+        liou += getattr(p, field) * part
+    return liou
+
+
+@pytest.mark.parametrize("nmax", [4, 10])
+def test_sparse_basis_is_the_dense_sum_bit_for_bit(nmax):
+    h = HilbertConfig(nmax)
+    basis = LiouvillianBasis(h)
+    for p in (
+        FIG1,
+        SystemParams(g=2.5, kappa=0.3, gamma=0.0, eta=0.05, delta_a=-1.3, delta=-0.7),
+        SystemParams(g=0.0, kappa=1.7, gamma=0.45, eta=0.0, delta_a=0.0, delta=-3.1),
+        SystemParams(g=17.3, kappa=1e-9, gamma=0.6, eta=0.3, delta_a=-40.0, delta=12.5),
+    ):
+        assert np.array_equal(basis.assemble(p), dense_fixed_order_sum(p, h))
 
 
 def test_gap_check_off_matches_default_on_regular_problem():

@@ -275,6 +275,11 @@ def test_csv_reader_rejects_malformed_input():
         read_sweep_csv(io.StringIO(header + "\n0.0,1.0\n"))  # ragged row
 
 
+def test_csv_reader_rejects_a_header_without_rows():
+    with pytest.raises(ConfigError):
+        read_sweep_csv(io.StringIO("Delta,g2_numeric,status\n"))
+
+
 def test_csv_reader_rejects_a_partial_grid(fig1_result):
     lines = _dump(fig1_result).splitlines(keepends=True)
     assert read_sweep_csv(io.StringIO("".join(lines))).axes[0] == Axis("Delta", -2.0, 2.0, 401)
