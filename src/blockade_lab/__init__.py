@@ -38,6 +38,7 @@ from .lindblad import (
     build_liouvillian,
     default_step,
     evolve,
+    liouvillian,
     model_for,
     steady_state,
     unvectorize,

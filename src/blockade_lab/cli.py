@@ -1,7 +1,7 @@
 """Command line front end: figure presets, free-form sweeps, and checks.
 
-Exit codes: 0 success, 2 configuration problem, 3 solver failure,
-4 failed correspondence check.
+Exit codes: 0 success, 2 configuration problem (any ValueError, ConfigError
+included), 3 solver failure, 4 failed correspondence check.
 """
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 
 from .correlations import default_tau_grid, g2_tau
 from .errors import ConfigError, NoInteriorExtremumError, SolverError
-from .lindblad import build_liouvillian, default_step, model_for, steady_state
+from .lindblad import default_step, liouvillian, steady_state
 from .quantum_core import HilbertConfig, SystemParams
 from . import analytic, correlations
 from .sweep import (
@@ -96,7 +97,7 @@ def _cmd_figure_sweep(spec: SweepSpec, out: str | None) -> int:
 def _cmd_fig2(args) -> int:
     params = fig2_params()
     h = HilbertConfig(args.nmax)
-    liou = build_liouvillian(model_for(params, h))
+    liou = liouvillian(params, h)
     rho = steady_state(liou)
     grid = default_tau_grid(params, args.grid or 200)
     curve = g2_tau(rho, liou, h, grid, default_step(params))
@@ -120,14 +121,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_point(args) -> int:
     delta_a = args.delta_cavity if args.delta_cavity is not None else args.delta
     delta = args.delta_atom if args.delta_atom is not None else args.delta
-    try:
-        params = SystemParams(g=args.g, kappa=args.kappa, gamma=args.gamma,
-                              eta=args.eta, delta_a=delta_a, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = SystemParams(g=args.g, kappa=args.kappa, gamma=args.gamma,
+                          eta=args.eta, delta_a=delta_a, delta=delta)
     h = HilbertConfig(args.nmax)
-    liou = build_liouvillian(model_for(params, h))
-    rho = steady_state(liou)
+    rho = steady_state(liouvillian(params, h))
     lines = [
         f"g2_analytic = {repr(analytic.g2_zero_analytic(params))}",
         f"g2_numeric = {repr(correlations.g2_zero_numeric(rho, h))}",
@@ -198,8 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on the first call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "fig1":
             return _cmd_figure_sweep(fig1_spec(args.nmax, args.grid or 401), args.out)
@@ -216,7 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # ConfigError is a ValueError, and so is every rejection of an
+        # out-of-range input by the library (n_max, grid size, an empty cavity).
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, NoInteriorExtremumError) as exc:

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .lindblad import RK4Propagator, _check_step, unvectorize, vectorize
-from .quantum_core import HilbertConfig, SystemParams, lowering_operators, partial_trace_cavity
+from .quantum_core import (
+    HilbertConfig,
+    SystemParams,
+    _read_only,
+    lowering_operators,
+    partial_trace_cavity,
+)
 
 
 @dataclass(frozen=True)
@@ -19,17 +26,29 @@ class CorrelationCurve:
     normalization: float
 
 
+@cache
+def _photon_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only a'a and a'a'aa on truncation h, built once per truncation.
+
+    The products are taken left to right, as in the expressions
+    Tr(a'a rho) and Tr(a'a'aa rho) they stand for, so each observable keeps
+    the bits of that expression.
+    """
+    a, _ = lowering_operators(h)
+    ad = a.conj().T
+    return _read_only(ad @ a), _read_only(ad @ ad @ a @ a)
+
+
 def mean_photon(rho: np.ndarray, h: HilbertConfig) -> float:
     """Stationary intracavity photon number Tr(rho a'a)."""
-    a, _ = lowering_operators(h)
-    val = complex(np.trace(a.conj().T @ a @ rho))
+    number, _ = _photon_operators(h)
+    val = complex(np.trace(number @ rho))
     return float(val.real)
 
 
 def _g2_numerator(rho: np.ndarray, h: HilbertConfig) -> complex:
-    a, _ = lowering_operators(h)
-    ad = a.conj().T
-    return complex(np.trace(ad @ ad @ a @ a @ rho))
+    _, pairs = _photon_operators(h)
+    return complex(np.trace(pairs @ rho))
 
 
 def g2_zero_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
@@ -93,7 +112,7 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     _check_step(liou, dt)
 
     a, _ = lowering_operators(h)
-    num_op = a.conj().T @ a
+    num_op, _ = _photon_operators(h)
     nbar = mean_photon(rho_ss, h)
     if nbar <= 1e-14:
         raise ValueError(f"mean photon number {nbar:.3e} too small for g2")

@@ -1,4 +1,4 @@
-"""Dense Liouvillian assembly, steady-state solving, and time evolution.
+"""Liouvillian assembly, steady-state solving, and time evolution.
 
 Vectorization is column-stacking: vec(rho) concatenates the columns of rho,
 so vec(A rho B) = (B^T kron A) vec(rho). The master equation used everywhere
@@ -13,6 +13,7 @@ under which an undriven empty cavity loses photon number at exactly kappa.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -66,46 +67,90 @@ def model_for(p: SystemParams, h: HilbertConfig) -> LindbladModel:
     return LindbladModel(build_hamiltonian(p, h), ((a, p.kappa), (sm, p.gamma)))
 
 
-def _hamiltonian_superop(ham: np.ndarray) -> np.ndarray:
-    d = ham.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
+def _kron_nonzeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices and values of the nonzero products in np.kron(a, b).
+
+    a and b are d x d; an index addresses the row-major d^2 x d^2 product.
+    Each value is the product a[i, j] * b[k, l] that np.kron forms, built
+    from the nonzeros of a and b alone, with no dense d^4 intermediate.
+    """
+    d = a.shape[0]
+    ai, aj = np.nonzero(a)
+    bk, bl = np.nonzero(b)
+    rows = ai[:, None] * d + bk
+    cols = aj[:, None] * d + bl
+    vals = a[ai, aj][:, None] * b[bk, bl]
+    return (rows * (d * d) + cols).reshape(-1), vals.reshape(-1)
 
 
-def _dissipator_superop(c: np.ndarray) -> np.ndarray:
-    d = c.shape[0]
-    eye = np.eye(d, dtype=complex)
+def _combine(terms, expr) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of expr applied entrywise to sparse terms, as flat indices and values.
+
+    Every term is laid out on the sorted union of the terms' indices, with
+    zeros where it has none, and expr sees those aligned value arrays. Each
+    nonzero entry is thus the same arithmetic on the same operands as the
+    dense expression, and the indices come out ascending like np.flatnonzero.
+    """
+    idx = np.sort(np.concatenate([i for i, _ in terms]))
+    idx = idx[np.diff(idx, prepend=-1) != 0]
+    aligned = []
+    for i, v in terms:
+        full = np.zeros(idx.size, dtype=complex)
+        full[np.searchsorted(idx, i)] = v
+        aligned.append(full)
+    vals = expr(*aligned)
+    keep = vals != 0
+    return idx[keep], vals[keep]
+
+
+def _hamiltonian_superop(ham: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of -i (I kron H - H^T kron I), the commutator part of L."""
+    eye = np.eye(ham.shape[0], dtype=complex)
+    return _combine((_kron_nonzeros(eye, ham), _kron_nonzeros(ham.T, eye)),
+                    lambda left, right: -1j * (left - right))
+
+
+def _dissipator_superop(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of conj(c) kron c - (I kron c'c) / 2 - ((c'c)^T kron I) / 2."""
+    eye = np.eye(c.shape[0], dtype=complex)
     cdc = c.conj().T @ c
-    return np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+    return _combine(
+        (_kron_nonzeros(c.conj(), c), _kron_nonzeros(eye, cdc), _kron_nonzeros(cdc.T, eye)),
+        lambda jump, left, right: jump - 0.5 * left - 0.5 * right,
+    )
+
+
+def _weighted_sum(dim: int, terms) -> np.ndarray:
+    """Dense superoperator sum of weight * part over (weight, part) terms.
+
+    The parts are scatter-added in the order given and zero weights are
+    skipped. Adding a part's absent zeros would not change a bit, so the
+    result equals the dense sum in the same order exactly.
+    """
+    n = dim * dim
+    liou = np.zeros((n, n), dtype=complex)
+    flat = liou.reshape(-1)
+    for weight, (idx, vals) in terms:
+        if weight != 0.0:
+            flat[idx] += weight * vals
+    return liou
 
 
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
     """Superoperator L with vec(drho/dt) = L vec(rho)."""
-    liou = _hamiltonian_superop(model.hamiltonian)
-    for op, rate in model.channels:
-        if rate != 0.0:
-            liou = liou + rate * _dissipator_superop(op)
-    return liou
-
-
-def _nonzeros(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices and values of the nonzero entries of a matrix."""
-    flat = part.reshape(-1)
-    idx = np.flatnonzero(flat)
-    return idx, flat[idx]
+    terms = [(1.0, _hamiltonian_superop(model.hamiltonian))]
+    terms += [(rate, _dissipator_superop(op)) for op, rate in model.channels]
+    return _weighted_sum(model.hamiltonian.shape[0], terms)
 
 
 class LiouvillianBasis:
     """Per-truncation cache of the six unit-parameter superoperators.
 
-    L is linear in every field of SystemParams, so a sweep can assemble the
-    Liouvillian at each grid point as a weighted sum of fixed matrices instead
-    of rebuilding Kronecker products. Each unit superoperator is kept as the
+    L is linear in every field of SystemParams, so the Liouvillian at any
+    point is a weighted sum of six fixed superoperators. Each is kept as the
     flat indices and values of its nonzeros (at most 3.2% of the entries at
-    n_max 4, 0.75% at n_max 10), and assemble scatter-adds them in a fixed
-    field order. Adding the skipped zeros would not change a bit, so the
-    result equals the dense fixed-order sum exactly and sweep output stays
-    bit-reproducible.
+    n_max 4, 0.75% at n_max 10), built sparsely, and assemble scatter-adds
+    them in a fixed field order, so the result is bit-reproducible.
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -116,21 +161,28 @@ class LiouvillianBasis:
         self._parts = {}
         for field in self._H_FIELDS:
             unit = replace(zero, **{field: 1.0})
-            self._parts[field] = _nonzeros(_hamiltonian_superop(build_hamiltonian(unit, h)))
+            self._parts[field] = _hamiltonian_superop(build_hamiltonian(unit, h))
         a, sm = lowering_operators(h)
-        self._parts["kappa"] = _nonzeros(_dissipator_superop(a))
-        self._parts["gamma"] = _nonzeros(_dissipator_superop(sm))
+        self._parts["kappa"] = _dissipator_superop(a)
+        self._parts["gamma"] = _dissipator_superop(sm)
 
     def assemble(self, p: SystemParams) -> np.ndarray:
-        n = self.hilbert.dim**2
-        liou = np.zeros((n, n), dtype=complex)
-        flat = liou.reshape(-1)
-        for field in (*self._H_FIELDS, "kappa", "gamma"):
-            weight = getattr(p, field)
-            if weight != 0.0:
-                idx, vals = self._parts[field]
-                flat[idx] += weight * vals
-        return liou
+        return _weighted_sum(self.hilbert.dim, ((getattr(p, field), part)
+                                                for field, part in self._parts.items()))
+
+
+@cache
+def _basis(h: HilbertConfig) -> LiouvillianBasis:
+    return LiouvillianBasis(h)
+
+
+def liouvillian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
+    """Superoperator L of the model at p on truncation h, as a new array.
+
+    Assembled from the basis built once per truncation and kept for the life
+    of the process, so every caller gets the same bits for the same point.
+    """
+    return _basis(h).assemble(p)
 
 
 def steady_state(liou: np.ndarray, gap_check: bool = True) -> np.ndarray:

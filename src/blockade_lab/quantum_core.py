@@ -9,6 +9,7 @@ i * (n_max + 1) + n. Every operator here is a dense complex numpy array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -97,15 +98,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+@cache
 def lowering_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     """Composite-space (cavity annihilation, atomic lowering) pair.
 
     These are the two collapse operators of the model and the building blocks
-    of every observable used here.
+    of every observable used here. They are built once per truncation and
+    shared by every caller, so the arrays are read-only.
     """
     a = tensor(np.eye(2, dtype=complex), annihilation(h.n_max))
     sm = tensor(atom_lowering(), np.eye(h.cavity_dim, dtype=complex))
-    return a, sm
+    return _read_only(a), _read_only(sm)
+
+
+def _read_only(op: np.ndarray) -> np.ndarray:
+    """Mark an operator that is cached and shared as read-only, and return it."""
+    op.setflags(write=False)
+    return op
 
 
 def build_hamiltonian(p: SystemParams, h: HilbertConfig) -> np.ndarray:

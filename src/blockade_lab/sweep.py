@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import atom_coherence_analytic, g2_zero_analytic
 from .correlations import atom_coherence_numeric, g2_zero_numeric, mean_photon
 from .errors import ConfigError, NoInteriorExtremumError, SolverError
-from .lindblad import LiouvillianBasis, steady_state
+from .lindblad import liouvillian, steady_state
 from .quantum_core import HilbertConfig, SystemParams
 
 # Axis names: the six physical parameters plus the linked detuning "Delta"
@@ -121,10 +121,11 @@ def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point through the requested branches.
 
-    The numeric branch assembles each point's Liouvillian from a per-sweep
-    basis of unit-parameter superoperators rather than rebuilding Kronecker
-    products. A failed point gets NaN in the affected columns and the error
-    class name in the status column; the sweep continues.
+    The numeric branch assembles each point's Liouvillian with liouvillian,
+    from the basis of unit-parameter superoperators cached for the
+    truncation, so a row carries the same bits as a point query. A failed
+    point gets NaN in the affected columns and the error class name in the
+    status column; the sweep continues.
     """
     axes = spec.axes
     mesh = _mesh(axes)
@@ -132,7 +133,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     want_numeric = any(name in _NUMERIC_COLUMNS for name in spec.outputs)
     want_analytic = any(name in _ANALYTIC_COLUMNS for name in spec.outputs)
-    basis = LiouvillianBasis(spec.hilbert) if want_numeric else None
 
     columns = {name: np.full(n_rows, np.nan) for name in spec.outputs}
     status: list[str] = []
@@ -151,7 +151,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 flag = type(exc).__name__
         if want_numeric:
             try:
-                rho = steady_state(basis.assemble(params))
+                rho = steady_state(liouvillian(params, spec.hilbert))
                 if "g2_numeric" in columns:
                     columns["g2_numeric"][row] = g2_zero_numeric(rho, spec.hilbert)
                 if "coh_numeric" in columns:

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from blockade_lab import SystemParams, g2_zero_analytic
+from blockade_lab import SystemParams, cli, g2_zero_analytic
+
+FIG1_POINT = ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01")
 
 
 def run_cli(*args, **kwargs):
@@ -143,3 +145,44 @@ def test_missing_file_exits_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("sweep", "--config", str(tmp_path / "nope.cfg"))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("fig1", "--nmax", "0"),
+    ("fig2", "--grid", "2"),
+    ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0"),
+], ids=["nmax_0", "tau_grid_2", "empty_cavity"])
+def test_out_of_range_input_exits_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_point_prints_the_bits_of_its_fig1_row(tmp_path):
+    csv, point = tmp_path / "fig1.csv", tmp_path / "point.txt"
+    assert cli.main(["fig1", "--grid", "41", "--out", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    for line in rows:
+        row = dict(zip(header.split(","), line.split(",")))
+        assert cli.main([*FIG1_POINT, "--delta", row["Delta"], "--out", str(point)]) == 0
+        values = dict(line.split(" = ") for line in point.read_text().splitlines())
+        for name in ("g2_analytic", "g2_numeric", "coh_analytic", "coh_numeric"):
+            assert values[name] == row[name], (row["Delta"], name)
+
+
+def test_point_output_is_unchanged_by_earlier_calls_in_the_process(tmp_path, capsys):
+    out = tmp_path / "point.txt"
+
+    def point_bytes():
+        assert cli.main([*FIG1_POINT, "--delta", "0.7", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    first = point_bytes()
+    assert cli.main(["fig1", "--grid", "41", "--out", str(tmp_path / "fig1.csv")]) == 0
+    assert point_bytes() == first
+    assert cli.main([*FIG1_POINT, "--nmax", "0"]) == 2
+    assert point_bytes() == first
+    with pytest.raises(SystemExit):
+        cli.main(["point", "--g", "1"])
+    assert point_bytes() == first

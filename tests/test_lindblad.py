@@ -18,6 +18,7 @@ from blockade_lab import (
     default_step,
     evolve,
     g2_zero_numeric,
+    liouvillian,
     lowering_operators,
     mean_photon,
     model_for,
@@ -33,7 +34,8 @@ from blockade_lab.errors import (
     SolverError,
     StepTooLargeError,
 )
-from blockade_lab.lindblad import RK4Propagator, _dissipator_superop, _hamiltonian_superop
+from blockade_lab.correlations import _photon_operators
+from blockade_lab.lindblad import RK4Propagator
 from blockade_lab.sweep import _mesh, set_param
 
 H4 = HilbertConfig(4)
@@ -211,19 +213,64 @@ def test_certificate_accepts_every_preset_point(spec):
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
 
 
-def dense_fixed_order_sum(p, h):
-    """Reference assembly: every dense unit superoperator, weighted, in field order."""
+def dense_hamiltonian_superop(ham):
+    """-i [H, .] as a dense column-stacking superoperator, from np.kron."""
+    eye = np.eye(ham.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
+
+
+def dense_dissipator_superop(c):
+    """D[c] as a dense column-stacking superoperator, from np.kron."""
+    eye = np.eye(c.shape[0], dtype=complex)
+    cdc = c.conj().T @ c
+    return np.kron(c.conj(), c) - 0.5 * np.kron(eye, cdc) - 0.5 * np.kron(cdc.T, eye)
+
+
+def dense_unit_parts(h):
+    """The six dense unit superoperators of the basis, in its field order."""
     zero = SystemParams(g=0, kappa=0, gamma=0, eta=0, delta_a=0, delta=0)
     parts = [
-        (field, _hamiltonian_superop(build_hamiltonian(replace(zero, **{field: 1.0}), h)))
+        (field, dense_hamiltonian_superop(build_hamiltonian(replace(zero, **{field: 1.0}), h)))
         for field in ("delta_a", "delta", "g", "eta")
     ]
     a, sm = lowering_operators(h)
-    parts += [("kappa", _dissipator_superop(a)), ("gamma", _dissipator_superop(sm))]
+    return parts + [("kappa", dense_dissipator_superop(a)), ("gamma", dense_dissipator_superop(sm))]
+
+
+def dense_fixed_order_sum(p, h):
+    """Reference assembly: every dense unit superoperator, weighted, in field order."""
+    parts = dense_unit_parts(h)
     liou = np.zeros_like(parts[0][1])
     for field, part in parts:
         liou += getattr(p, field) * part
     return liou
+
+
+@pytest.mark.parametrize("nmax", [1, 4, 10])
+def test_sparse_unit_parts_are_the_nonzeros_of_the_dense_parts(nmax):
+    h = HilbertConfig(nmax)
+    parts = LiouvillianBasis(h)._parts
+    dense_parts = dense_unit_parts(h)
+    assert list(parts) == [field for field, _ in dense_parts]
+    for field, dense in dense_parts:
+        flat = dense.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        idx, vals = parts[field]
+        assert np.array_equal(idx, nonzero), field
+        assert np.array_equal(vals, flat[nonzero]), field
+
+
+def test_build_liouvillian_is_the_dense_formula_bit_for_bit():
+    for nmax in (1, 4, 10):
+        h = HilbertConfig(nmax)
+        for p in (FIG1, SystemParams(g=2.5, kappa=0.3, gamma=0.0, eta=0.05,
+                                     delta_a=-1.3, delta=-0.7)):
+            model = model_for(p, h)
+            want = dense_hamiltonian_superop(model.hamiltonian)
+            for op, rate in model.channels:
+                if rate != 0.0:
+                    want = want + rate * dense_dissipator_superop(op)
+            assert np.array_equal(build_liouvillian(model), want)
 
 
 @pytest.mark.parametrize("nmax", [4, 10])
@@ -237,6 +284,31 @@ def test_sparse_basis_is_the_dense_sum_bit_for_bit(nmax):
         SystemParams(g=17.3, kappa=1e-9, gamma=0.6, eta=0.3, delta_a=-40.0, delta=12.5),
     ):
         assert np.array_equal(basis.assemble(p), dense_fixed_order_sum(p, h))
+
+
+def test_liouvillian_is_the_basis_sum_in_a_fresh_array_each_call():
+    h = HilbertConfig(5)
+    first = liouvillian(FIG1, h)
+    assert np.array_equal(first, LiouvillianBasis(h).assemble(FIG1))
+    assert first.flags.writeable
+    kept = first.copy()
+    first[:] = 7.0
+    second = liouvillian(FIG1, h)
+    assert second is not first
+    assert np.array_equal(second, kept)
+
+
+def test_cached_operators_are_read_only():
+    h = HilbertConfig(3)
+    a, sm = lowering_operators(h)
+    assert lowering_operators(h)[0] is a
+    for op in (a, sm, *_photon_operators(h)):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    number, pairs = _photon_operators(h)
+    ad = a.conj().T
+    assert np.array_equal(number, ad @ a)
+    assert np.array_equal(pairs, ad @ ad @ a @ a)
 
 
 def test_gap_check_off_matches_default_on_regular_problem():
