@@ -1,14 +1,16 @@
 """Command line front end: figure presets, free-form sweeps, and checks.
 
 Exit codes: 0 success, 2 configuration problem (any ValueError, ConfigError
-included), 3 solver failure, 4 failed correspondence check.
+included), 3 solver failure, 4 failed correspondence check, 141 standard
+output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 
@@ -75,10 +77,16 @@ def fig4_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
     )
 
 
+@contextmanager
 def _out_stream(path: str | None):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w", newline="\n")
+    if path is not None:
+        with open(path, "w", newline="\n") as stream:
+            yield stream
+        return
+    yield sys.stdout
+    # A reader that closed early shows here, inside main, and not in the
+    # interpreter's flush at exit.
+    sys.stdout.flush()
 
 
 def _write_curve_csv(curve, stream) -> None:
@@ -219,6 +227,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         raise ConfigError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        # `blockade-lab fig1 | head -1`: end quietly, with the status of a
+        # process killed by SIGPIPE. No SIGPIPE handler is installed, since
+        # main also runs inside other programs. What is left in the buffer of
+        # stdout goes to devnull, so the interpreter's flush at exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         # ConfigError is a ValueError, and so is every rejection of an
         # out-of-range input by the library (n_max, grid size, an empty cavity).

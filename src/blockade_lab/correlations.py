@@ -7,7 +7,7 @@ from functools import cache
 
 import numpy as np
 
-from .lindblad import RK4Propagator, _check_step, unvectorize, vectorize
+from .lindblad import RK4Propagator, _check_step, vectorize
 from .quantum_core import (
     HilbertConfig,
     SystemParams,
@@ -46,23 +46,28 @@ def mean_photon(rho: np.ndarray, h: HilbertConfig) -> float:
     return float(val.real)
 
 
-def _g2_numerator(rho: np.ndarray, h: HilbertConfig) -> complex:
+def _g2_numerator(rho: np.ndarray, h: HilbertConfig) -> float:
     _, pairs = _photon_operators(h)
-    return complex(np.trace(pairs @ rho))
+    return float(np.trace(pairs @ rho).real)
+
+
+def _require_two_photons(h: HilbertConfig) -> None:
+    if h.n_max < 2:
+        raise ValueError(f"g2 needs n_max >= 2: a'a'aa is the zero operator at n_max {h.n_max}")
 
 
 def g2_zero_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
     """Equal-time second-order correlation Tr(rho a'a'aa) / Tr(rho a'a)^2.
 
-    Undefined for an empty cavity; requires Tr(rho a'a) > 1e-14.
+    rho_ss is Hermitian, so both traces are real. Undefined for an empty
+    cavity, where Tr(rho a'a) <= 1e-14, and for n_max < 2, where no two
+    photons fit in the cavity; both raise ValueError.
     """
+    _require_two_photons(h)
     nbar = mean_photon(rho_ss, h)
     if nbar <= 1e-14:
         raise ValueError(f"mean photon number {nbar:.3e} too small for g2")
-    val = _g2_numerator(rho_ss, h) / nbar**2
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"g2 imaginary residue {val.imag:.3e} too large")
-    return float(val.real)
+    return _g2_numerator(rho_ss, h) / nbar**2
 
 
 def atom_coherence_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
@@ -100,9 +105,12 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     """Delayed second-order correlation via the regression theorem.
 
     G2(tau) = Tr[a'a exp(L tau)(a rho_ss a')], normalized by the stationary
-    <a'a>^2. The collapsed state is propagated once, sequentially through the
-    ascending grid, each delay reusing the segment before it; one RK4
-    propagator, and so one set of step-matrix powers, serves the whole grid.
+    <a'a>^2. The collapsed state a rho_ss a' is Hermitian, so its real
+    coordinates are propagated by the real Liouvillian liou, and the trace
+    is their dot product with the coordinates of a'a. The state is propagated
+    once, sequentially through the ascending grid, each delay reusing the
+    segment before it; one RK4 propagator, and so one set of step-matrix
+    powers, serves the whole grid. Raises ValueError for n_max < 2.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 1:
@@ -110,6 +118,7 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     if tau_grid[0] != 0.0 or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must ascend strictly from 0")
     _check_step(liou, dt)
+    _require_two_photons(h)
 
     a, _ = lowering_operators(h)
     num_op, _ = _photon_operators(h)
@@ -119,6 +128,7 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     norm = nbar**2
 
     propagator = RK4Propagator(liou, dt)
+    number = vectorize(num_op)
     vec = vectorize(a @ rho_ss @ a.conj().T)
     values = np.empty(tau_grid.size, dtype=float)
     previous = 0.0
@@ -126,8 +136,5 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
         if tau > previous:
             vec = propagator.advance(vec, tau - previous)
             previous = tau
-        val = complex(np.trace(num_op @ unvectorize(vec, h.dim))) / norm
-        if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-            raise ValueError(f"g2(tau={tau:g}) imaginary residue {val.imag:.3e} too large")
-        values[k] = val.real
+        values[k] = (number @ vec) / norm
     return CorrelationCurve(tau=tau_grid, values=values, normalization=norm)

@@ -8,6 +8,7 @@ i * (n_max + 1) + n. Every operator here is a dense complex numpy array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -44,6 +45,9 @@ class SystemParams:
     delta: float
 
     def __post_init__(self):
+        for name in ("g", "kappa", "gamma", "eta", "delta_a", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("g", "kappa", "gamma", "eta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")

@@ -45,6 +45,7 @@ from blockade_lab import (
     run_sweep,
     steady_amplitudes,
     steady_state,
+    vectorize,
 )
 
 H4 = HilbertConfig(4)
@@ -263,7 +264,7 @@ def test_c08_solver_invariants_randomized():
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-8
-        assert np.max(np.abs(liou @ rho.reshape(-1, order="F"))) <= 1e-9
+        assert np.max(np.abs(liou @ vectorize(rho))) <= 1e-9
         direct = g2_zero_numeric(rho, H4)
         # Zero delay needs no propagation, but the step guard still applies;
         # halving keeps the worst draw clear of it.

@@ -145,13 +145,20 @@ def test_missing_file_exits_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("sweep", "--config", str(tmp_path / "nope.cfg"))
     assert proc.returncode == 2
+    # an --out that cannot be opened stays a config problem, unlike a closed stdout
+    proc = run_cli("fig1", "--grid", "5", "--out", str(tmp_path / "no_such_dir" / "out.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
 
 
 @pytest.mark.parametrize("args", [
     ("fig1", "--nmax", "0"),
     ("fig2", "--grid", "2"),
     ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0"),
-], ids=["nmax_0", "tau_grid_2", "empty_cavity"])
+    ("point", "--g", "nan", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01"),
+    ("point", "--g", "inf", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01"),
+    ("fig3", "--grid", "3", "--nmax", "1"),
+], ids=["nmax_0", "tau_grid_2", "empty_cavity", "g_nan", "g_inf", "g2_at_nmax_1"])
 def test_out_of_range_input_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
@@ -186,3 +193,26 @@ def test_point_output_is_unchanged_by_earlier_calls_in_the_process(tmp_path, cap
     with pytest.raises(SystemExit):
         cli.main(["point", "--g", "1"])
     assert point_bytes() == first
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader goes away before anything is written, as `| head -1` does
+    # once it has its line
+    proc = subprocess.Popen([sys.executable, "-m", "blockade_lab.cli", "fig1", "--grid", "41"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
+def test_check_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
+    csv = tmp_path / "fig1.csv"
+    assert cli.main(["fig1", "--grid", "41", "--out", str(csv)]) == 0
+    script = ("import sys\n"
+              "from blockade_lab import cli\n"
+              f"status = cli.main(['check', {str(csv)!r}, '--out', {str(tmp_path / 'report')!r}])\n"
+              "print(status, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

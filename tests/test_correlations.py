@@ -13,6 +13,7 @@ from blockade_lab import (
     default_tau_grid,
     g2_tau,
     g2_zero_numeric,
+    liouvillian,
     mean_photon,
     model_for,
     steady_state,
@@ -45,6 +46,18 @@ def test_g2_two_photon_fock():
 def test_g2_vacuum_raises():
     with pytest.raises(ValueError):
         g2_zero_numeric(fock_state(0), H4)
+
+
+def test_g2_needs_room_for_two_photons():
+    # at n_max 1 a'a'aa is the zero operator, so g2 would read 0 at any state
+    h = HilbertConfig(1)
+    liou = liouvillian(FIG2, h)
+    rho = steady_state(liou)
+    with pytest.raises(ValueError, match="n_max >= 2"):
+        g2_zero_numeric(rho, h)
+    with pytest.raises(ValueError, match="n_max >= 2"):
+        g2_tau(rho, liou, h, np.array([0.0, 0.1]), default_step(FIG2))
+    assert mean_photon(rho, h) > 0
 
 
 def test_g2_coherent_state_is_one():

@@ -178,12 +178,14 @@ def test_certificate_is_never_laxer_than_the_singular_value_gap(
     gamma = 0.0 if log_gamma is None else 10.0**log_gamma
     p = SystemParams(g=10.0**log_g, kappa=10.0**log_kappa, gamma=gamma, eta=eta,
                      delta_a=delta, delta=delta)
-    liou = build_liouvillian(model_for(p, HilbertConfig(nmax)))
+    h = HilbertConfig(nmax)
     try:
-        steady_state(liou)
+        steady_state(build_liouvillian(model_for(p, h)))
     except (DegenerateSteadyStateError, SolverError):
         return
-    assert passes_singular_value_gap_test(liou)
+    # the test is taken on L in the column-stacking basis, whose singular
+    # values the real Liouvillian shares
+    assert passes_singular_value_gap_test(dense_weighted_sum(p, dense_unit_parts(h)))
 
 
 def bordered_solve_state(liou):
@@ -192,11 +194,10 @@ def bordered_solve_state(liou):
     d = int(round(np.sqrt(d2)))
     mat = liou.copy()
     mat[0, :] = 0.0
-    mat[0, np.arange(d) * d + np.arange(d)] = 1.0
-    rhs = np.zeros(d2, dtype=complex)
+    mat[0, np.flatnonzero(vectorize(np.eye(d)))] = 1.0
+    rhs = np.zeros(d2)
     rhs[0] = 1.0
-    rho = unvectorize(np.linalg.solve(mat, rhs), d)
-    return 0.5 * (rho + rho.conj().T)
+    return unvectorize(np.linalg.solve(mat, rhs), d)
 
 
 @pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
@@ -211,6 +212,52 @@ def test_certificate_accepts_every_preset_point(spec):
         liou = basis.assemble(p)
         rho = steady_state(liou)
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
+
+
+def complex_basis_state(liou):
+    """Reference steady state in the column-stacking basis.
+
+    liou is a dense complex L; its first row is replaced by the trace row,
+    which is one at the d entries of vec(rho) on the diagonal, and the system
+    is solved by np.linalg.solve.
+    """
+    d2 = liou.shape[0]
+    d = int(round(np.sqrt(d2)))
+    mat = liou.copy()
+    mat[0, :] = 0.0
+    mat[0, np.arange(d) * (d + 1)] = 1.0
+    rhs = np.zeros(d2, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(mat, rhs).reshape((d, d), order="F")
+
+
+def test_real_solve_keeps_the_accuracy_of_the_complex_basis():
+    # The coordinate order is part of the numerics: with the diagonal
+    # coordinates first, the same real solve is up to 2.7e-5 off in g2 on
+    # these points, while the lower-triangle order agrees with the complex
+    # solve to 2.8e-12.
+    spec = fig3_spec(nmax=10, grid=5)
+    h = spec.hilbert
+    points = [set_param(set_param(spec.base, "g", float(g)), "Delta", float(delta))
+              for g, delta in zip(*_mesh(spec.axes))]
+    points += [SystemParams(g=21.5, kappa=1.0, gamma=0.5, eta=0.1, delta_a=delta, delta=delta)
+               for delta in (37.0, -37.0)]
+    parts = dense_unit_parts(h)
+    observables = (g2_zero_numeric, atom_coherence_numeric, mean_photon)
+    for p in points:
+        rho = steady_state(liouvillian(p, h))
+        want = complex_basis_state(dense_weighted_sum(p, parts))
+        for observable in observables:
+            got, ref = observable(rho, h), observable(want, h)
+            assert abs(got - ref) <= 1e-9 * abs(ref), (p, observable.__name__, got, ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_steady_state_refuses_a_non_finite_liouvillian(bad):
+    liou = liouvillian(FIG1, H4)
+    liou[3, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        steady_state(liou)
 
 
 def dense_hamiltonian_superop(ham):
@@ -237,13 +284,104 @@ def dense_unit_parts(h):
     return parts + [("kappa", dense_dissipator_superop(a)), ("gamma", dense_dissipator_superop(sm))]
 
 
-def dense_fixed_order_sum(p, h):
-    """Reference assembly: every dense unit superoperator, weighted, in field order."""
-    parts = dense_unit_parts(h)
+# The factor of T on the diagonal and off it, and exactly 0.5 where two
+# off-diagonal factors meet, as the library takes them.
+SCALES = np.array([1.0, np.sqrt(0.5), 0.5])
+
+
+def real_coordinates(d):
+    """T coordinate by coordinate, written out from its definition.
+
+    The coordinates run over the lower triangle column by column: E_cc, then
+    for each r > c the symmetric element (E_rc + E_cr)/sqrt2 and the
+    antisymmetric element i(E_cr - E_rc)/sqrt2. For each coordinate this
+    gives the column-stacking index of its lower and its upper element, the
+    phase of T at each (0 for the absent upper element of the diagonal) and
+    the number of 1/sqrt2 factors.
+    """
+    lower, upper, phase_lower, phase_upper, halves = [], [], [], [], []
+    for c in range(d):
+        for r in range(c, d):
+            if r == c:
+                kinds = [(1.0, 0.0, 0)]
+            else:
+                kinds = [(1.0, 1.0, 1), (-1j, 1j, 1)]
+            for at_lower, at_upper, half in kinds:
+                lower.append(c * d + r)
+                upper.append(r * d + c)
+                phase_lower.append(at_lower)
+                phase_upper.append(at_upper)
+                halves.append(half)
+    return (np.array(lower), np.array(upper), np.array(phase_lower, dtype=complex),
+            np.array(phase_upper, dtype=complex), np.array(halves))
+
+
+def dense_real_part(part):
+    """T' P T of a dense column-stacking superoperator, entry by entry.
+
+    Entry (k, l) sums Re(conj(T[p, k]) T[q, l] P[p, q]) over the lower and
+    upper elements p of k and q of l, in the order (lower, lower),
+    (lower, upper), (upper, lower), (upper, upper): the library's formula,
+    on every entry of P rather than on its nonzeros.
+    """
+    d = int(round(np.sqrt(part.shape[0])))
+    lower, upper, phase_lower, phase_upper, halves = real_coordinates(d)
+    scale = SCALES[halves[:, None] + halves[None, :]]
+    terms = []
+    for p, phase_p in ((lower, phase_lower), (upper, phase_upper)):
+        for q, phase_q in ((lower, phase_lower), (upper, phase_upper)):
+            weight = phase_p.conj()[:, None] * phase_q[None, :] * scale
+            terms.append((weight * part[np.ix_(p, q)]).real)
+    ll, lu, ul, uu = terms
+    return ll + lu + ul + uu
+
+
+def dense_weighted_sum(p, parts):
+    """Every dense unit superoperator, weighted, in field order."""
     liou = np.zeros_like(parts[0][1])
     for field, part in parts:
         liou += getattr(p, field) * part
     return liou
+
+
+def dense_fixed_order_sum(p, h):
+    """Reference assembly: the real part of every dense unit superoperator, weighted."""
+    return dense_weighted_sum(p, [(field, dense_real_part(part))
+                                  for field, part in dense_unit_parts(h)])
+
+
+def test_real_coordinates_are_those_of_the_unitary_change_of_basis():
+    h = HilbertConfig(3)
+    d = h.dim
+    lower, upper, phase_lower, phase_upper, halves = real_coordinates(d)
+    t = np.zeros((d * d, d * d), dtype=complex)
+    columns = np.arange(d * d)
+    t[upper, columns] = phase_upper / np.sqrt(2.0) ** halves
+    t[lower, columns] = phase_lower / np.sqrt(2.0) ** halves
+    assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) < 1e-15
+    # unvectorize gives each basis element, and vectorize is T'
+    for k in range(d * d):
+        unit = np.zeros(d * d)
+        unit[k] = 1.0
+        assert np.max(np.abs(unvectorize(unit, d).reshape(-1, order="F") - t[:, k])) < 1e-15
+    rho = random_density(np.random.default_rng(3), d)
+    assert np.max(np.abs(vectorize(rho) - t.conj().T @ rho.reshape(-1, order="F"))) < 1e-15
+    # the real Liouvillian is T' L T, whose imaginary part vanishes
+    p = SystemParams(g=2.5, kappa=0.3, gamma=0.2, eta=0.05, delta_a=-1.3, delta=-0.7)
+    rotated = t.conj().T @ dense_weighted_sum(p, dense_unit_parts(h)) @ t
+    liou = liouvillian(p, h)
+    assert np.max(np.abs(rotated.imag)) < 1e-14
+    assert np.max(np.abs(rotated.real - liou)) < 1e-14 * np.max(np.abs(liou))
+    assert liou.dtype == np.float64
+
+
+def test_vectorize_refuses_a_matrix_that_is_not_hermitian():
+    rho = random_density(np.random.default_rng(5), H4.dim)
+    rho[2, 0] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        vectorize(rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        vectorize(np.full((3, 3), np.nan))
 
 
 @pytest.mark.parametrize("nmax", [1, 4, 10])
@@ -253,7 +391,7 @@ def test_sparse_unit_parts_are_the_nonzeros_of_the_dense_parts(nmax):
     dense_parts = dense_unit_parts(h)
     assert list(parts) == [field for field, _ in dense_parts]
     for field, dense in dense_parts:
-        flat = dense.reshape(-1)
+        flat = dense_real_part(dense).reshape(-1)
         nonzero = np.flatnonzero(flat)
         idx, vals = parts[field]
         assert np.array_equal(idx, nonzero), field
@@ -266,10 +404,10 @@ def test_build_liouvillian_is_the_dense_formula_bit_for_bit():
         for p in (FIG1, SystemParams(g=2.5, kappa=0.3, gamma=0.0, eta=0.05,
                                      delta_a=-1.3, delta=-0.7)):
             model = model_for(p, h)
-            want = dense_hamiltonian_superop(model.hamiltonian)
+            want = dense_real_part(dense_hamiltonian_superop(model.hamiltonian))
             for op, rate in model.channels:
                 if rate != 0.0:
-                    want = want + rate * dense_dissipator_superop(op)
+                    want = want + rate * dense_real_part(dense_dissipator_superop(op))
             assert np.array_equal(build_liouvillian(model), want)
 
 

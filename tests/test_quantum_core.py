@@ -118,6 +118,15 @@ def test_params_reject_negative_rates():
     SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.01, delta_a=-2.0, delta=-2.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["g", "kappa", "gamma", "eta", "delta_a", "delta"])
+def test_params_reject_non_finite_values(field, value):
+    kwargs = dict(g=1.0, kappa=0.1, gamma=0.1, eta=0.01, delta_a=0.0, delta=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams(**kwargs)
+
+
 def test_weak_drive_threshold():
     p = SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.09, delta_a=0.0, delta=0.0)
     assert p.is_weak_drive()

@@ -8,6 +8,7 @@ import pytest
 
 from blockade_lab import (
     Axis,
+    HilbertConfig,
     SweepSpec,
     SystemParams,
     check_correspondence,
@@ -79,6 +80,18 @@ def test_spec_validation():
         SweepSpec(base=BASE, axis1=ax, outputs=("g2_numeric", "bogus"))
     with pytest.raises(ConfigError):
         SweepSpec(base=BASE, axis1=ax, axis2=Axis("Delta", 0.0, 1.0, 5))
+
+
+def test_numeric_g2_needs_n_max_2_but_the_other_numeric_columns_do_not():
+    ax = Axis("Delta", -1.0, 1.0, 3)
+    with pytest.raises(ConfigError, match="n_max >= 2"):
+        SweepSpec(base=BASE, axis1=ax, hilbert=HilbertConfig(1))
+    spec = SweepSpec(base=BASE, axis1=ax, hilbert=HilbertConfig(1),
+                     outputs=("coh_numeric", "mean_photon"))
+    res = run_sweep(spec)
+    assert res.status == ["ok"] * 3
+    assert np.all(res.column("coh_numeric") > 0)
+    assert np.all(res.column("mean_photon") > 0)
 
 
 # --- sweep execution
