@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvergedError, SingularDenominatorError
+from .errors import NotConvergedError, SingularDenominatorError, first_failures
 from .lindblad import RK4Propagator
 from .quantum_core import HilbertConfig, SystemParams, basis_ket
 
@@ -92,15 +92,82 @@ def ansatz_ket(amps: AmplitudeSet, h: HilbertConfig) -> np.ndarray:
     )
 
 
-def _denominators(p: SystemParams) -> tuple[complex, complex, complex, complex]:
-    alpha, beta = alpha_beta(p)
-    d1 = p.g**2 + alpha * beta
-    d2 = p.g**2 + beta**2 + alpha * beta
-    if min(abs(d1), abs(d2)) < 1e-12:
-        raise SingularDenominatorError(
-            f"|D1|={abs(d1):.3e}, |D2|={abs(d2):.3e}; lossless parameters"
-        )
-    return alpha, beta, d1, d2
+def _mul(a, b):
+    """Product of complex numbers held as (real, imaginary) pairs of arrays.
+
+    The two parts are formed as Python's complex product forms them, so the
+    closed forms below carry the bits of the same expressions written with
+    Python complex scalars.
+    """
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _abs2(a):
+    """|a|^2 as the real part of a conj(a): re re - im (-im), that is re re + im im."""
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _denominators(rows: np.ndarray):
+    """alpha, beta, g^2, D1, |D1| and D2 at each (N, 6) parameter row, and the singular rows.
+
+    Each complex quantity is a (real, imaginary) pair of arrays. g^2 is
+    taken with the C library's pow, as Python's float power takes it. The
+    singular rows are a (mask, make) case of first_failures: those where
+    |D1| or |D2| is below 1e-12, with a SingularDenominatorError each.
+    """
+    g, kappa, gamma, _, delta_a, delta = rows.T
+    alpha, beta = (gamma / 2.0, delta), (kappa / 2.0, delta_a)
+    gg = np.float_power(g, 2.0)
+    ab = _mul(alpha, beta)
+    bb = _mul(beta, beta)
+    d1 = (gg + ab[0], ab[1])
+    d2 = (gg + bb[0] + ab[0], bb[1] + ab[1])
+    abs1, abs2 = np.hypot(*d1), np.hypot(*d2)
+    singular = (np.minimum(abs1, abs2) < 1e-12, lambda r: SingularDenominatorError(
+        f"|D1|={abs1[r]:.3e}, |D2|={abs2[r]:.3e}; lossless parameters"))
+    return alpha, beta, gg, d1, abs1, d2, singular
+
+
+def closed_forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """Closed-form weak-drive g2(0) and atomic coherence at each (N, 6) parameter row.
+
+    Returns g2 and coherence arrays, NaN where they fail, and for each a dict
+    from each failed row to its error: SingularDenominatorError where a
+    denominator vanishes (lossless parameters, or alpha ~ 0 for g2), and
+    OverflowError where an intermediate or the result is not finite in
+    double precision. The formulas are those of g2_zero_analytic and
+    atom_coherence_analytic, which evaluate this function on one row. The
+    arithmetic is elementwise, so a row's bits do not depend on the other
+    rows, and it runs with floating-point warnings off.
+    """
+    g, eta = rows[:, 0], rows[:, 3]
+    with np.errstate(all="ignore"):
+        alpha, beta, gg, d1, abs1, d2, singular = _denominators(rows)
+        aab = _mul(alpha, (alpha[0] + beta[0], alpha[1] + beta[1]))
+        aa = _abs2(alpha)
+        x, y, z = _abs2(d1), _abs2((gg - aab[0], -aab[1])), aa * aa * _abs2(d2)
+        xy = x * y
+        g2 = xy / z
+        coh = 2.0 * g * eta / abs1
+        # x, y and z are not negative. If x or y overflows, so does g2, and
+        # if z does, g2 is NaN or 0; the finite z test catches the 0.
+        tiny = z < 1e-300 * np.maximum(1.0, xy)
+        g2_overflow = ~(np.isfinite(g2) & np.isfinite(z))
+        coh_overflow = ~(np.isfinite(coh) & np.isfinite(abs1))
+
+    def overflow(r):
+        return OverflowError("closed form is not finite in double precision at these parameters")
+
+    g2_failures = first_failures(
+        singular,
+        (tiny, lambda r: SingularDenominatorError(f"|z|={z[r]:.3e} too small (alpha ~ 0)")),
+        (g2_overflow, overflow),
+    )
+    coh_failures = first_failures(singular, (coh_overflow, overflow))
+    if g2_failures or coh_failures:
+        g2[list(g2_failures)] = np.nan
+        coh[list(coh_failures)] = np.nan
+    return g2, coh, g2_failures, coh_failures
 
 
 def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
@@ -108,8 +175,23 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
 
     The g = 0 limit reproduces a coherent state up to two photons:
     c1g = -i eta / beta and c2g = c1g^2 / sqrt(2).
+
+    Raises
+    ------
+    OverflowError
+        If D1 or D2 is not finite in double precision.
+    SingularDenominatorError
+        If D1 or D2 vanishes.
     """
-    alpha, beta, d1, d2 = _denominators(p)
+    with np.errstate(all="ignore"):
+        *_, d1, _, d2, singular = _denominators(p.row())
+    if not np.isfinite([*d1, *d2]).all():
+        raise OverflowError("D1 or D2 is not finite in double precision at these parameters")
+    failures = first_failures(singular)
+    if failures:
+        raise failures[0]
+    alpha, beta = alpha_beta(p)
+    d1, d2 = complex(d1[0][0], d1[1][0]), complex(d2[0][0], d2[1][0])
     eta = p.eta
     c1g = -1j * eta * alpha / d1
     c0e = -p.g * eta / d1
@@ -175,20 +257,22 @@ def g2_zero_analytic(p: SystemParams) -> float:
     """Closed-form weak-drive g2(0).
 
     Assembled as x*y/z with x = |D1|^2, y = |g^2 - alpha(alpha+beta)|^2 and
-    z = |alpha|^4 |D2|^2, kept as complex products so cancellation is explicit.
-    Each factor is a number times its own conjugate, whose imaginary part is
-    exactly zero in floating point (a b - b a), so the quotient is real. The
-    drive amplitude cancels exactly. Equals 2 p2 / p1^2 of the closed-form
-    amplitudes, and reduces to 1 identically at g = 0.
+    z = |alpha|^4 |D2|^2, each factor a number times its own conjugate, so
+    the quotient is real. The drive amplitude cancels exactly. Equals
+    2 p2 / p1^2 of the closed-form amplitudes, and reduces to 1 identically
+    at g = 0. Evaluated by closed_forms on one row.
+
+    Raises
+    ------
+    SingularDenominatorError
+        If D1, D2 or z vanishes.
+    OverflowError
+        If the value is not finite in double precision.
     """
-    alpha, beta, d1, d2 = _denominators(p)
-    x = d1 * d1.conjugate()
-    w = p.g**2 - alpha * (alpha + beta)
-    y = w * w.conjugate()
-    z = (alpha * alpha.conjugate()) ** 2 * (d2 * d2.conjugate())
-    if abs(z) < 1e-300 * max(1.0, abs(x * y)):
-        raise SingularDenominatorError(f"|z|={abs(z):.3e} too small (alpha ~ 0)")
-    return float((x * y / z).real)
+    g2, _, failures, _ = closed_forms(p.row())
+    if failures:
+        raise failures[0]
+    return float(g2[0])
 
 
 def atom_rho_from_amplitudes(amps: AmplitudeSet) -> np.ndarray:
@@ -204,7 +288,11 @@ def atom_coherence_analytic(p: SystemParams) -> float:
     """Leading-order l1 coherence of the atom, 2 g eta / |D1|.
 
     Linear in the drive amplitude by construction; vanishes at g = 0 (the
-    atom decouples) and at eta = 0 (nothing to excite).
+    atom decouples) and at eta = 0 (nothing to excite). Evaluated by
+    closed_forms on one row, and raises as g2_zero_analytic does, except
+    that z does not enter.
     """
-    _, _, d1, _ = _denominators(p)
-    return float(2.0 * p.g * p.eta / abs(d1))
+    _, coh, _, failures = closed_forms(p.row())
+    if failures:
+        raise failures[0]
+    return float(coh[0])

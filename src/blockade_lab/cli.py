@@ -1,8 +1,8 @@
 """Command line front end: figure presets, free-form sweeps, and checks.
 
 Exit codes: 0 success, 2 configuration problem (any ValueError, ConfigError
-included), 3 solver failure, 4 failed correspondence check, 141 standard
-output closed by its reader.
+included, or a closed form that overflows), 3 solver failure, 4 failed
+correspondence check, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from .correlations import default_tau_grid, g2_tau
 from .errors import ConfigError, NoInteriorExtremumError, SolverError
 from .lindblad import default_step, liouvillian, steady_state
 from .quantum_core import HilbertConfig, SystemParams
-from . import analytic, correlations
 from .sweep import (
+    OUTPUT_COLUMNS,
     Axis,
     SweepSpec,
     check_correspondence,
+    evaluate,
     parse_sweep_config,
     read_sweep_csv,
     run_sweep,
@@ -131,15 +132,12 @@ def _cmd_point(args) -> int:
     delta = args.delta_atom if args.delta_atom is not None else args.delta
     params = SystemParams(g=args.g, kappa=args.kappa, gamma=args.gamma,
                           eta=args.eta, delta_a=delta_a, delta=delta)
-    h = HilbertConfig(args.nmax)
-    rho = steady_state(liouvillian(params, h))
-    lines = [
-        f"g2_analytic = {repr(analytic.g2_zero_analytic(params))}",
-        f"g2_numeric = {repr(correlations.g2_zero_numeric(rho, h))}",
-        f"coh_analytic = {repr(analytic.atom_coherence_analytic(params))}",
-        f"coh_numeric = {repr(correlations.atom_coherence_numeric(rho, h))}",
-        f"mean_photon = {repr(correlations.mean_photon(rho, h))}",
-    ]
+    # The sweep's kernel on one row: the same bits as the matching sweep row.
+    values, failures = evaluate(params.row(), HilbertConfig(args.nmax), OUTPUT_COLUMNS)
+    for name in ("steady_state", *OUTPUT_COLUMNS):
+        if 0 in failures[name]:
+            raise failures[name][0]
+    lines = [f"{name} = {float(values[name][0])!r}" for name in OUTPUT_COLUMNS]
     with _out_stream(args.out) as stream:
         stream.write("\n".join(lines) + "\n")
     return 0
@@ -236,9 +234,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         # ConfigError is a ValueError, and so is every rejection of an
-        # out-of-range input by the library (n_max, grid size, an empty cavity).
+        # out-of-range input by the library (n_max, grid size, an empty
+        # cavity). A closed form beyond double precision is out of range too.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, NoInteriorExtremumError) as exc:

@@ -7,13 +7,13 @@ from functools import cache
 
 import numpy as np
 
+from .errors import first_failures
 from .lindblad import RK4Propagator, _check_step, vectorize
 from .quantum_core import (
     HilbertConfig,
     SystemParams,
     _read_only,
     lowering_operators,
-    partial_trace_cavity,
 )
 
 
@@ -30,30 +30,65 @@ class CorrelationCurve:
 def _photon_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only a'a and a'a'aa on truncation h, built once per truncation.
 
-    The products are taken left to right, as in the expressions
-    Tr(a'a rho) and Tr(a'a'aa rho) they stand for, so each observable keeps
-    the bits of that expression.
+    The products are taken left to right; both operators are diagonal with
+    integer entries, so they are exact.
     """
     a, _ = lowering_operators(h)
     ad = a.conj().T
     return _read_only(ad @ a), _read_only(ad @ ad @ a @ a)
 
 
+@cache
+def _functionals(h: HilbertConfig) -> np.ndarray:
+    """Read-only (4, n) matrix whose rows read observables off real coordinates.
+
+    For a Hermitian operator O, Tr(O rho) is the dot product of the real
+    coordinates of O and of rho, since the basis of the coordinates is
+    orthonormal and real. The rows are those of a'a, a'a'aa and the two
+    Hermitian halves of s+ = |e><g| (x) 1, (s+ + s-)/2 and (s+ - s-)/2i,
+    whose expectations are the real and imaginary parts of
+    Tr(s+ rho) = rho_atom[0, 1].
+    """
+    _, sm = lowering_operators(h)
+    sp = sm.conj().T
+    ops = (*_photon_operators(h), (sp + sm) / 2, (sp - sm) / 2j)
+    return _read_only(np.array([vectorize(op) for op in ops]))
+
+
+def steady_observables(vecs: np.ndarray, h: HilbertConfig) -> tuple[dict[str, np.ndarray], dict]:
+    """The numeric outputs at each row of (N, n) steady-state coordinates.
+
+    Returns the columns mean_photon (Tr(rho a'a)), g2_numeric
+    (Tr(rho a'a'aa) / Tr(rho a'a)^2) and coh_numeric (the l1-norm coherence
+    of the reduced atomic state, 2 |rho_atom[0, 1]|), and a dict from each row
+    where g2 is undefined to its ValueError. g2 is undefined for an empty
+    cavity, where Tr(rho a'a) <= 1e-14, and at n_max < 2, where no two photons
+    fit in the cavity; it is NaN there. Each expectation is an elementwise
+    product with the functionals, summed along the row, so a row's bits do
+    not depend on the rows evaluated with it.
+    """
+    number, pairs, re, im = np.sum(vecs[:, None, :] * _functionals(h), axis=-1).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = pairs / number**2
+    failures = first_failures(
+        (np.full(len(vecs), h.n_max < 2), lambda r: ValueError(
+            f"g2 needs n_max >= 2: a'a'aa is the zero operator at n_max {h.n_max}")),
+        (number <= 1e-14, lambda r: ValueError(
+            f"mean photon number {number[r]:.3e} too small for g2")),
+    )
+    if failures:
+        g2[list(failures)] = np.nan
+    return {"mean_photon": number, "g2_numeric": g2, "coh_numeric": 2.0 * np.hypot(re, im)}, failures
+
+
+def _observables(rho: np.ndarray, h: HilbertConfig) -> tuple[dict[str, float], dict]:
+    values, failures = steady_observables(vectorize(rho)[None], h)
+    return {name: float(column[0]) for name, column in values.items()}, failures
+
+
 def mean_photon(rho: np.ndarray, h: HilbertConfig) -> float:
-    """Stationary intracavity photon number Tr(rho a'a)."""
-    number, _ = _photon_operators(h)
-    val = complex(np.trace(number @ rho))
-    return float(val.real)
-
-
-def _g2_numerator(rho: np.ndarray, h: HilbertConfig) -> float:
-    _, pairs = _photon_operators(h)
-    return float(np.trace(pairs @ rho).real)
-
-
-def _require_two_photons(h: HilbertConfig) -> None:
-    if h.n_max < 2:
-        raise ValueError(f"g2 needs n_max >= 2: a'a'aa is the zero operator at n_max {h.n_max}")
+    """Stationary intracavity photon number Tr(rho a'a) of a Hermitian rho."""
+    return _observables(rho, h)[0]["mean_photon"]
 
 
 def g2_zero_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
@@ -63,22 +98,20 @@ def g2_zero_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
     cavity, where Tr(rho a'a) <= 1e-14, and for n_max < 2, where no two
     photons fit in the cavity; both raise ValueError.
     """
-    _require_two_photons(h)
-    nbar = mean_photon(rho_ss, h)
-    if nbar <= 1e-14:
-        raise ValueError(f"mean photon number {nbar:.3e} too small for g2")
-    return _g2_numerator(rho_ss, h) / nbar**2
+    values, failures = _observables(rho_ss, h)
+    if failures:
+        raise failures[0]
+    return values["g2_numeric"]
 
 
 def atom_coherence_numeric(rho_ss: np.ndarray, h: HilbertConfig) -> float:
-    """l1-norm coherence of the reduced atomic state.
+    """l1-norm coherence of the reduced atomic state of a Hermitian rho.
 
     For a 2x2 Hermitian state this is twice the modulus of the off-diagonal
     element. Tiny negative eigenvalues from numerics are left alone; the
     off-diagonal is used as is.
     """
-    rho_atom = partial_trace_cavity(rho_ss, h)
-    return float(2.0 * abs(rho_atom[0, 1]))
+    return _observables(rho_ss, h)[0]["coh_numeric"]
 
 
 def default_tau_grid(p: SystemParams, n_points: int = 200) -> np.ndarray:
@@ -110,7 +143,8 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     is their dot product with the coordinates of a'a. The state is propagated
     once, sequentially through the ascending grid, each delay reusing the
     segment before it; one RK4 propagator, and so one set of step-matrix
-    powers, serves the whole grid. Raises ValueError for n_max < 2.
+    powers, serves the whole grid. Raises ValueError where g2_zero_numeric
+    does: for an empty cavity and for n_max < 2.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 1:
@@ -118,17 +152,14 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     if tau_grid[0] != 0.0 or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau_grid must ascend strictly from 0")
     _check_step(liou, dt)
-    _require_two_photons(h)
-
+    stationary, failures = _observables(rho_ss, h)
+    if failures:
+        raise failures[0]
+    norm = stationary["mean_photon"]**2
     a, _ = lowering_operators(h)
-    num_op, _ = _photon_operators(h)
-    nbar = mean_photon(rho_ss, h)
-    if nbar <= 1e-14:
-        raise ValueError(f"mean photon number {nbar:.3e} too small for g2")
-    norm = nbar**2
 
     propagator = RK4Propagator(liou, dt)
-    number = vectorize(num_op)
+    number = _functionals(h)[0]
     vec = vectorize(a @ rho_ss @ a.conj().T)
     values = np.empty(tau_grid.size, dtype=float)
     previous = 0.0

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the failures of a stack.
 
 Solver-side failures derive from SolverError so the command line front end
-can map them to one exit code without inspecting messages.
+can map them to one exit code without inspecting messages. Code that works
+on a stack of points reports each failed row with the error a single point
+would raise (first_failures).
 """
+
+import numpy as np
 
 
 class SolverError(RuntimeError):
@@ -35,3 +39,20 @@ class NoInteriorExtremumError(RuntimeError):
 
 class ConfigError(ValueError):
     """Malformed configuration input (file, flag combination, or sweep spec)."""
+
+
+def first_failures(*cases) -> dict:
+    """Map each row where a case holds to the error of the first such case.
+
+    Each case is a boolean mask over the rows of a stack and a function that
+    makes the error for one row. The cases are the gates of a computation in
+    the order a single point meets them, so a row fails at its first gate.
+    """
+    failures = {}
+    if not any(np.count_nonzero(mask) for mask, _ in cases):
+        return failures
+    for mask, make in cases:
+        for r in np.nonzero(mask)[0].tolist():
+            if r not in failures:
+                failures[r] = make(r)
+    return failures

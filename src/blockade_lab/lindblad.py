@@ -33,6 +33,7 @@ reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -43,8 +44,10 @@ from .errors import (
     NoDissipationError,
     SolverError,
     StepTooLargeError,
+    first_failures,
 )
 from .quantum_core import (
+    PARAM_FIELDS,
     HilbertConfig,
     SystemParams,
     _read_only,
@@ -167,21 +170,29 @@ def _kron_nonzeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (rows * (d * d) + cols).reshape(-1), vals.reshape(-1)
 
 
-def _combine(terms, expr) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzeros of expr applied entrywise to sparse terms, as flat indices and values.
+def _align(terms) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the sparse terms' indices, and each term's values laid out on it.
 
-    Every term is laid out on the sorted union of the terms' indices, with
-    zeros where it has none, and expr sees those aligned value arrays. Each
-    nonzero entry is thus the same arithmetic on the same operands as the
-    dense expression, and the indices come out ascending like np.flatnonzero.
+    Returns idx and a (len(terms), idx.size) array whose row k holds term k's
+    values at its own indices and zeros elsewhere.
     """
     idx = np.sort(np.concatenate([i for i, _ in terms]))
     idx = idx[np.diff(idx, prepend=-1) != 0]
-    aligned = []
-    for i, v in terms:
-        full = np.zeros(idx.size, dtype=v.dtype)
-        full[np.searchsorted(idx, i)] = v
-        aligned.append(full)
+    aligned = np.zeros((len(terms), idx.size), dtype=np.result_type(*[v for _, v in terms]))
+    for row, (i, v) in zip(aligned, terms):
+        row[np.searchsorted(idx, i)] = v
+    return idx, aligned
+
+
+def _combine(terms, expr) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzeros of expr applied entrywise to sparse terms, as flat indices and values.
+
+    expr sees the terms' values aligned on the sorted union of their indices
+    (_align). Each nonzero entry is thus the same arithmetic on the same
+    operands as the dense expression, and the indices come out ascending like
+    np.flatnonzero.
+    """
+    idx, aligned = _align(terms)
     vals = expr(*aligned)
     keep = vals != 0
     return idx[keep], vals[keep]
@@ -258,28 +269,36 @@ def _real_part(part, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _combine(terms, lambda ll, lu, ul, uu: ll + lu + ul + uu)
 
 
-def _weighted_sum(dim: int, terms) -> np.ndarray:
-    """Dense superoperator sum of weight * part over (weight, part) terms.
+def _weighted_sum(dim: int, idx: np.ndarray, aligned: np.ndarray,
+                  weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dense superoperators sum_k weights[r, k] * part_k, one for each row r of weights.
 
-    The parts are scatter-added in the order given and zero weights are
-    skipped. Adding a part's absent zeros would not change a bit, so the
-    result equals the dense sum in the same order exactly.
+    The parts come aligned on the union idx of their nonzeros (_align) and
+    are added in order, entry by entry, as ((0 + w_0 v_0) + w_1 v_1) + ...,
+    by elementwise products and not by a matrix product, so a row's bits do
+    not depend on the rows stacked with it. A part absent at an entry adds
+    w * 0, a signed zero, to a running sum that starts at +0 and so is never
+    -0; that changes no bit. Each row therefore equals the dense sum of the
+    parts in the same order exactly, whatever its weights. Returns a
+    (rows, dim^2, dim^2) array: out, if given, else a new one.
     """
     n = dim * dim
-    liou = np.zeros((n, n))
-    flat = liou.reshape(-1)
-    for weight, (idx, vals) in terms:
-        if weight != 0.0:
-            flat[idx] += weight * vals
+    acc = np.zeros((weights.shape[0], idx.size))
+    for k, part in enumerate(aligned):
+        acc += weights[:, k, None] * part
+    liou = np.empty((weights.shape[0], n, n)) if out is None else out
+    liou.fill(0.0)
+    liou.reshape(-1, n * n)[:, idx] = acc
     return liou
 
 
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
     """Real superoperator L_r with vectorize(drho/dt) = L_r vectorize(rho)."""
     d = model.hamiltonian.shape[0]
-    terms = [(1.0, _real_part(_hamiltonian_superop(model.hamiltonian), d))]
-    terms += [(rate, _real_part(_dissipator_superop(op), d)) for op, rate in model.channels]
-    return _weighted_sum(d, terms)
+    parts = [_real_part(_hamiltonian_superop(model.hamiltonian), d)]
+    parts += [_real_part(_dissipator_superop(op), d) for op, _ in model.channels]
+    weights = np.array([[1.0] + [rate for _, rate in model.channels]])
+    return _weighted_sum(d, *_align(parts), weights)[0]
 
 
 class LiouvillianBasis:
@@ -289,8 +308,9 @@ class LiouvillianBasis:
     point is a weighted sum of six fixed superoperators. Each is built
     sparsely in the column-stacking basis, taken once to real coordinates,
     and kept as the flat indices and values of its nonzeros (at most 2.9% of
-    the entries at n_max 4, 0.72% at n_max 10). assemble scatter-adds them in
-    a fixed field order, so the result is bit-reproducible.
+    the entries at n_max 4, 0.72% at n_max 10), also laid out on their
+    common index set. assemble_rows adds them in a fixed field order, so the
+    result is bit-reproducible and the same for a row alone or in a stack.
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -306,10 +326,21 @@ class LiouvillianBasis:
         a, sm = lowering_operators(h)
         self._parts["kappa"] = _real_part(_dissipator_superop(a), d)
         self._parts["gamma"] = _real_part(_dissipator_superop(sm), d)
+        self._columns = [PARAM_FIELDS.index(field) for field in self._parts]
+        self._aligned = _align(list(self._parts.values()))
 
     def assemble(self, p: SystemParams) -> np.ndarray:
-        return _weighted_sum(self.hilbert.dim, ((getattr(p, field), part)
-                                                for field, part in self._parts.items()))
+        return self.assemble_rows(p.row())[0]
+
+    def assemble_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real Liouvillians of (N, 6) parameter rows, as an (N, n, n) array.
+
+        Written into out if it is given, else into a new array. An entry that
+        overflows is left non-finite, without a warning, for steady_states to
+        refuse.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _weighted_sum(self.hilbert.dim, *self._aligned, rows[:, self._columns], out)
 
 
 @cache
@@ -326,23 +357,66 @@ def liouvillian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
     return _basis(h).assemble(p)
 
 
+def liouvillians(rows: np.ndarray, h: HilbertConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Real Liouvillians of (N, 6) parameter rows on truncation h, as a stack.
+
+    Row r of the result carries the bits of liouvillian at the parameters of
+    row r, so a sweep row and a point query agree bit for bit. The stack is
+    written into out if it is given, else into a new array.
+    """
+    return _basis(h).assemble_rows(rows, out)
+
+
 def _require_real(liou: np.ndarray) -> None:
     if np.iscomplexobj(liou):
         raise ValueError("expected the real Liouvillian of liouvillian() or build_liouvillian()")
 
 
-def steady_state(liou: np.ndarray, gap_check: bool = True) -> np.ndarray:
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, from the BLAS dot product as np.linalg.norm takes it."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def steady_state(liou: np.ndarray, gap_check: bool = True,
+                 coordinates: bool = False) -> np.ndarray:
     """Unique trace-one fixed point of the real Liouvillian, as a Hermitian matrix.
 
-    The first row of L_r, the balance of the coordinate of rho_00, is
+    The solve of steady_states on a stack of one; see there for the method,
+    the certificate of uniqueness and the gates. With coordinates on, the
+    real coordinates of the state are returned instead of the matrix, with
+    the bits steady_states gives them (vectorize of the matrix may differ in
+    the last bit off the diagonal). Raises the error of the first gate that
+    refuses liou, or ValueError if liou is complex or not of size d^2.
+    """
+    liou = np.array(liou)  # steady_states works in place; the caller's array stays as it is
+    vecs, failures = steady_states(liou[None], gap_check)
+    if failures:
+        raise failures[0]
+    return vecs[0] if coordinates else unvectorize(vecs[0], math.isqrt(liou.shape[0]))
+
+
+def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray, dict]:
+    """Steady-state coordinates of a stack of real Liouvillians, and the rows that failed.
+
+    liou has shape (N, n, n) with n = d^2. Returns vecs, of shape (N, n),
+    whose row r holds the real coordinates of the unique trace-one fixed
+    point of liou[r] (NaN if it failed), and a dict from each failed row to
+    the error it raised: the first of the gates below that refused it.
+
+    In each L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, which is one at the d diagonal coordinates and
     zero elsewhere. This gives the bordered matrix M, and the coordinates of
-    rho, M^-1 e0, are the first column of M's inverse. That one factorization
-    also certifies, when gap_check is on, that the null space of L_r is one
-    dimensional. T is unitary and maps the bordered matrix of the
-    column-stacking basis to M, so L_r and M have the singular values of L
-    and of its bordered matrix, and the argument is that of the complex
-    basis. With n = d^2:
+    rho, M^-1 e0, are the first column of M's inverse. One stacked
+    np.linalg.inv inverts the whole stack, with the identity in place of each
+    M already refused by the first two gates; it calls LAPACK once per
+    matrix, so a row's bits do not depend on the rows stacked with it. If it
+    raises LinAlgError, the stack is inverted again one matrix at a time,
+    which is the same call, to tell the singular rows from the others. That
+    one factorization also certifies, when gap_check is on, that the null
+    space of L_r is one dimensional. T is unitary and maps the
+    bordered matrix of the column-stacking basis to M, so L_r and M have the
+    singular values of L and of its bordered matrix, and the argument is that
+    of the complex basis:
 
     - M differs from L_r in one row, a rank-one update, so by Weyl's
       interlacing s[-2](L) >= s_min(M) >= lo = 1 / (sqrt(n) ||M^-1||_1);
@@ -361,57 +435,93 @@ def steady_state(liou: np.ndarray, gap_check: bool = True) -> np.ndarray:
     about 1e-7 s[0]; the points of the fig1 to fig4 presets clear the bound
     by a factor above 1e3.
 
+    The gates, in order, and the error each raises:
+
+    - ValueError: L_r has a non-finite entry;
+    - NoDissipationError: L_r is antisymmetric (purely unitary generator,
+      all rates zero);
+    - DegenerateSteadyStateError: M is singular, or the certificate fails;
+    - SolverError: the residual max |L_r x| exceeds 1e-6 max(1, max |L_r|).
+
+    Each gate accepts only when its test holds, so a NaN never passes one.
+    The bordered matrices are formed in liou itself, which is restored before
+    the return: a stack-sized copy would cost memory and, at a few hundred
+    kilobytes, page faults on every call.
+
     Raises
     ------
     ValueError
-        If L_r is complex, not of size d^2, or has a non-finite entry.
-    NoDissipationError
-        If L_r is antisymmetric (purely unitary generator, all rates zero).
-    DegenerateSteadyStateError
-        If M is singular, or the certificate above cannot show a null space
-        of dimension one.
-    SolverError
-        If the solve succeeds but the residual is not small.
+        If liou is complex or not a stack of square matrices of size d^2.
     """
     _require_real(liou)
-    d2 = liou.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2:
-        raise ValueError("Liouvillian dimension is not a perfect square")
+    count, n = liou.shape[0], liou.shape[-1]
+    d = math.isqrt(n)
+    if liou.shape != (count, n, n) or d * d != n:
+        raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # max |L| of each matrix, without a stack-sized temporary for |L|
+        scale = np.maximum(liou.max(axis=(1, 2)), -liou.min(axis=(1, 2)))
+        top_hi = _norms(liou.reshape(count, -1))
+        non_finite = ~np.isfinite(scale)
+        # (L + L^T)_ii = 2 L_ii exactly, so a diagonal entry above the bound
+        # settles the test; only the other rows need the full L + L^T.
+        diagonal = np.abs(np.diagonal(liou, axis1=1, axis2=2)).max(axis=1)
+        no_dissipation = ~(2.0 * diagonal > 1e-12 * scale)
+        for r in np.nonzero(no_dissipation)[0]:
+            skew = np.max(np.abs(liou[r] + liou[r].T))
+            no_dissipation[r] = scale[r] == 0.0 or skew <= 1e-12 * scale[r]
 
-    scale = float(np.max(np.abs(liou)))
-    if not np.isfinite(scale):
-        # NaN compares false against every gate below, so it would pass them all.
-        raise ValueError("Liouvillian has a non-finite entry")
-    if scale == 0.0 or float(np.max(np.abs(liou + liou.T))) <= 1e-12 * scale:
-        raise NoDissipationError("no dissipative part; steady state is not unique")
+        # M is formed in liou itself, and liou is put back before the return.
+        # A row refused already gets the identity, so the stack stays
+        # invertible. M x and L x differ only in entry 0, taken from the
+        # saved first rows.
+        _, _, off, first = _layout(d)
+        balance = liou[:, 0, :].copy()
+        refused = np.flatnonzero(non_finite | no_dissipation)
+        saved = liou[refused] if refused.size else None
+        liou[:, 0, :] = 0.0
+        liou[:, 0, first[~off]] = 1.0
+        if refused.size:
+            liou[refused] = np.eye(n)
+        singular = np.zeros(count, dtype=bool)
+        reasons = {}
+        try:
+            inv = np.linalg.inv(liou)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(liou, np.nan)
+            for r in range(count):
+                try:
+                    inv[r] = np.linalg.inv(liou[r])
+                except np.linalg.LinAlgError as exc:
+                    singular[r], reasons[r] = True, exc
+        vecs = inv[:, :, 0].copy()
 
-    _, _, off, first = _layout(d)
-    mat = liou.copy()
-    mat[0, :] = 0.0
-    mat[0, first[~off]] = 1.0
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(f"trace-constrained solve failed: {exc}") from exc
-    vec = inv[:, 0].copy()
-    drift = liou @ vec
+        drift = np.matmul(liou, vecs[:, :, None])[:, :, 0]
+        drift[:, 0] = np.matmul(balance[:, None, :], vecs[:, :, None])[:, 0, 0]
+        liou[:, 0, :] = balance
+        if refused.size:
+            liou[refused] = saved
+        uncertified = np.zeros(count, dtype=bool)
+        if gap_check:
+            gap_lo = 1.0 / (np.sqrt(n) * np.abs(inv, out=inv).sum(axis=1).max(axis=1))
+            null_hi = np.maximum(_norms(drift) / _norms(vecs), np.finfo(float).eps * top_hi)
+            uncertified = ~(gap_lo >= 1e6 * null_hi)
+        residual = np.abs(drift).max(axis=1)
+        unsettled = ~(residual <= 1e-6 * np.maximum(1.0, scale))
 
-    if gap_check:
-        gap_lo = 1.0 / (np.sqrt(d2) * np.linalg.norm(inv, 1))
-        top_hi = np.linalg.norm(liou)
-        noise = np.finfo(float).eps * top_hi
-        null_hi = max(np.linalg.norm(drift) / np.linalg.norm(vec), noise)
-        if gap_lo < 1e6 * null_hi:
-            raise DegenerateSteadyStateError(
-                f"null-space gap not certified: s[-2] >= {gap_lo:.3e}, "
-                f"s[-1] <= {null_hi:.3e}, s[0] <= {top_hi:.3e}"
-            )
-
-    residual = float(np.max(np.abs(drift)))
-    if residual > 1e-6 * max(1.0, scale):
-        raise SolverError(f"steady-state residual too large: {residual:.3e}")
-    return unvectorize(vec, d)
+    failures = first_failures(
+        (non_finite, lambda r: ValueError("Liouvillian has a non-finite entry")),
+        (no_dissipation, lambda r: NoDissipationError(
+            "no dissipative part; steady state is not unique")),
+        (singular, lambda r: DegenerateSteadyStateError(
+            f"trace-constrained solve failed: {reasons[r]}")),
+        (uncertified, lambda r: DegenerateSteadyStateError(
+            f"null-space gap not certified: s[-2] >= {gap_lo[r]:.3e}, "
+            f"s[-1] <= {null_hi[r]:.3e}, s[0] <= {top_hi[r]:.3e}")),
+        (unsettled, lambda r: SolverError(f"steady-state residual too large: {residual[r]:.3e}")),
+    )
+    vecs[list(failures)] = np.nan
+    return vecs, failures
 
 
 def default_step(p: SystemParams) -> float:

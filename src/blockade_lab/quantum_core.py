@@ -16,6 +16,11 @@ from typing import Callable
 import numpy as np
 
 
+# The fields of SystemParams in declaration order; a parameter row, one grid
+# point of a sweep, holds them in this order.
+PARAM_FIELDS = ("g", "kappa", "gamma", "eta", "delta_a", "delta")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical rates and detunings of the model, all in one common rate unit.
@@ -45,12 +50,16 @@ class SystemParams:
     delta: float
 
     def __post_init__(self):
-        for name in ("g", "kappa", "gamma", "eta", "delta_a", "delta"):
+        for name in PARAM_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("g", "kappa", "gamma", "eta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+
+    def row(self) -> np.ndarray:
+        """The parameters as a (1, 6) parameter row, in the order of PARAM_FIELDS."""
+        return np.array([[getattr(self, name) for name in PARAM_FIELDS]], dtype=float)
 
     def is_weak_drive(self) -> bool:
         """Soft threshold below which the truncated analytic branch is trustworthy."""

@@ -1,5 +1,7 @@
 """Truncated-ansatz branch: closed forms, amplitude ODEs, dressed levels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from blockade_lab import (
     steady_amplitudes,
     steady_state,
 )
+from blockade_lab.analytic import closed_forms
 from blockade_lab.errors import NotConvergedError, SingularDenominatorError
 
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -122,6 +125,34 @@ def test_singular_denominator_signaled():
         steady_amplitudes(p)
     with pytest.raises(SingularDenominatorError):
         g2_zero_analytic(p)
+
+
+@pytest.mark.parametrize("g, delta", [(1.0, 1e308), (1.0, 2e154), (1e200, 1.0)])
+def test_closed_forms_past_double_precision_raise_overflow_quietly(g, delta):
+    p = SystemParams(g=g, kappa=0.05, gamma=0.05, eta=0.01, delta_a=delta, delta=delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for closed_form in (g2_zero_analytic, atom_coherence_analytic, steady_amplitudes):
+            with pytest.raises(OverflowError):
+                closed_form(p)
+
+
+def test_closed_forms_of_a_stack_are_the_scalar_values():
+    rows = np.array([[1.0, 0.05, 0.05, 0.01, d, d] for d in (-1.0, 0.3, 1.0, 2e154)]
+                    + [[1.0, 0.0, 0.0, 0.01, 1.0, 1.0]])
+    g2, coh, g2_failed, coh_failed = closed_forms(rows)
+    for r, row in enumerate(rows):
+        p = SystemParams(*row)
+        for value, failed, scalar in ((g2, g2_failed, g2_zero_analytic),
+                                      (coh, coh_failed, atom_coherence_analytic)):
+            if r in failed:
+                assert np.isnan(value[r])
+                with pytest.raises(type(failed[r])):
+                    scalar(p)
+            else:
+                assert value[r] == scalar(p)
+    assert type(g2_failed[4]) is SingularDenominatorError
+    assert type(g2_failed[3]) is OverflowError
 
 
 def test_atom_state_from_amplitudes():

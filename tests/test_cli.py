@@ -166,6 +166,30 @@ def test_out_of_range_input_exits_2(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("axis", ["Delta -inf 0 3", "Delta -1e308 1e308 3"],
+                         ids=["infinite_bound", "infinite_span"])
+def test_non_finite_axis_exits_2(tmp_path, axis):
+    cfg = tmp_path / "axis.cfg"
+    cfg.write_text(f"g = 1\nkappa = 0.05\ngamma = 0.05\neta = 0.01\naxis1 = {axis}\n")
+    proc = run_cli("sweep", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_overflowing_closed_forms_finish_the_sweep_quietly(tmp_path):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("g = 1\nkappa = 0.05\ngamma = 0.05\neta = 0.01\naxis1 = Delta 0 1e308 3\n")
+    proc = run_cli("sweep", "--config", str(cfg))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header, *rows = [line.split(",") for line in proc.stdout.splitlines()]
+    assert [row[-1] for row in rows] == ["ok", "OverflowError", "OverflowError"]
+    for row in rows[1:]:
+        cells = dict(zip(header, row))
+        assert cells["g2_analytic"] == cells["coh_analytic"] == "nan"
+
+
 def test_point_prints_the_bits_of_its_fig1_row(tmp_path):
     csv, point = tmp_path / "fig1.csv", tmp_path / "point.txt"
     assert cli.main(["fig1", "--grid", "41", "--out", str(csv)]) == 0

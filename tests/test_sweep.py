@@ -1,10 +1,15 @@
 """Sweep execution, extremum location, correspondence check, CSV and config I/O."""
 
 import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockade_lab import (
     Axis,
@@ -19,9 +24,10 @@ from blockade_lab import (
     run_sweep,
     write_sweep_csv,
 )
+from blockade_lab import cli, sweep
 from blockade_lab.cli import fig1_spec
 from blockade_lab.errors import ConfigError, NoInteriorExtremumError
-from blockade_lab.sweep import csv_columns, set_param
+from blockade_lab.sweep import OUTPUT_COLUMNS, csv_columns, set_param
 
 BASE = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
 
@@ -65,6 +71,15 @@ def test_axis_validation():
         Axis("Delta", 1.0, 0.0, 11)  # reversed
     with pytest.raises(ConfigError):
         Axis("kappa", -0.5, 1.0, 11)  # negative rate
+
+
+@pytest.mark.parametrize("start, stop", [(-np.inf, 0.0), (0.0, np.inf), (-1e308, 1e308),
+                                         (np.nan, 1.0), (0.0, np.nan)])
+def test_axis_rejects_non_finite_bounds_and_spans(start, stop):
+    # -1e308 to 1e308 has finite ends but an infinite span, so its linspace
+    # would hold inf and nan
+    with pytest.raises(ConfigError, match="must be finite"):
+        Axis("Delta", start, stop, 3)
 
 
 def test_set_param_links_detunings():
@@ -125,6 +140,53 @@ def test_sweep_records_failures_and_continues():
     assert np.isnan(res.column("g2_analytic")[1])
     assert np.all(np.isfinite(res.column("g2_analytic")[[0, 2]]))
     assert np.all(np.isfinite(res.column("coh_analytic")[[0, 2]]))
+
+
+def _point_values(args, nmax, out):
+    status = cli.main(["point", *args, "--nmax", str(nmax), "--out", str(out)])
+    if status != 0:
+        return status, None
+    return status, dict(line.split(" = ") for line in out.read_text().splitlines())
+
+
+# The three failing kinds of row: kappa = gamma = 0 (no dissipation, and at
+# Delta = +-g a lossless resonance that makes the closed forms singular), and
+# g = gamma = 0 with kappa > 0, whose bordered matrix is exactly singular, so
+# a chunk holding it makes the stacked inverse raise LinAlgError.
+@settings(max_examples=25, deadline=None)
+@given(g=st.sampled_from([0.0, 1.0]), gamma=st.sampled_from([0.0, 0.05]),
+       eta=st.floats(0.001, 0.05), kappa_max=st.floats(0.01, 0.5),
+       n_kappa=st.integers(2, 4), n_delta=st.sampled_from([3, 4, 5]), nmax=st.sampled_from([2, 4]))
+@example(g=1.0, gamma=0.0, eta=0.01, kappa_max=0.1, n_kappa=2, n_delta=3, nmax=4)
+@example(g=0.0, gamma=0.0, eta=0.01, kappa_max=0.1, n_kappa=3, n_delta=4, nmax=4)
+@example(g=0.0, gamma=0.0, eta=0.02, kappa_max=0.3, n_kappa=4, n_delta=5, nmax=2)
+def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
+        g, gamma, eta, kappa_max, n_kappa, n_delta, nmax):
+    spec = SweepSpec(base=SystemParams(g=g, kappa=0.0, gamma=gamma, eta=eta, delta_a=0.0, delta=0.0),
+                     axis1=Axis("kappa", 0.0, kappa_max, n_kappa),
+                     axis2=Axis("Delta", -1.0, 1.0, n_delta),
+                     hilbert=HilbertConfig(nmax), outputs=OUTPUT_COLUMNS)
+    assert sweep._chunk_size(spec.hilbert) > 1
+    whole = run_sweep(spec)
+    with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
+        assert sweep._chunk_size(spec.hilbert) == 1
+        ones = run_sweep(spec)
+    assert ones.status == whole.status
+    for name in OUTPUT_COLUMNS:
+        assert [repr(float(v)) for v in ones.column(name)] == \
+               [repr(float(v)) for v in whole.column(name)], name
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "point.txt"
+        for row, status in enumerate(whole.status):
+            args = ["--g", repr(g), "--kappa", repr(float(whole.coords["kappa"][row])),
+                    "--gamma", repr(gamma), "--eta", repr(eta),
+                    "--delta", repr(float(whole.coords["Delta"][row]))]
+            code, values = _point_values(args, nmax, out)
+            assert (code == 0) == (status == "ok"), (row, status, code)
+            if values is not None:
+                for name in OUTPUT_COLUMNS:
+                    assert values[name] == repr(float(whole.column(name)[row])), (row, name)
 
 
 def test_two_axis_sweep_layout():
