@@ -166,6 +166,16 @@ def test_out_of_range_input_exits_2(args):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_detuning_that_dwarfs_the_rates_is_refused_as_uncertified_not_lossless():
+    # the rates are 1e-13 of the largest entry of L, far below what the
+    # certificate can resolve, but L is still dissipative: only a unitary
+    # generator is exactly antisymmetric
+    proc = run_cli(*FIG1_POINT, "--delta", "1e11")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure: null-space gap not certified: ")
+    assert "no dissipative part" not in proc.stderr
+
+
 @pytest.mark.parametrize("axis", ["Delta -inf 0 3", "Delta -1e308 1e308 3"],
                          ids=["infinite_bound", "infinite_span"])
 def test_non_finite_axis_exits_2(tmp_path, axis):

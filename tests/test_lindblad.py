@@ -1,5 +1,7 @@
 """Master-equation engine: generator construction, steady states, propagation."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from blockade_lab import (
     unvectorize,
     vectorize,
 )
+from blockade_lab import lindblad, sweep
 from blockade_lab.analytic import _ode_matrix, integrate_amplitude_odes
 from blockade_lab.cli import fig1_spec, fig2_params, fig3_spec
 from blockade_lab.errors import (
@@ -35,7 +38,7 @@ from blockade_lab.errors import (
     StepTooLargeError,
 )
 from blockade_lab.correlations import _photon_operators
-from blockade_lab.lindblad import RK4Propagator
+from blockade_lab.lindblad import RK4Propagator, liouvillians, steady_states
 from blockade_lab.sweep import _mesh, set_param
 
 H4 = HilbertConfig(4)
@@ -191,13 +194,9 @@ def test_certificate_is_never_laxer_than_the_singular_value_gap(
 def bordered_solve_state(liou):
     """Reference steady state: the bordered system solved for one right-hand side."""
     d2 = liou.shape[0]
-    d = int(round(np.sqrt(d2)))
-    mat = liou.copy()
-    mat[0, :] = 0.0
-    mat[0, np.flatnonzero(vectorize(np.eye(d)))] = 1.0
     rhs = np.zeros(d2)
     rhs[0] = 1.0
-    return unvectorize(np.linalg.solve(mat, rhs), d)
+    return unvectorize(np.linalg.solve(bordered(liou), rhs), int(round(np.sqrt(d2))))
 
 
 @pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
@@ -258,6 +257,197 @@ def test_steady_state_refuses_a_non_finite_liouvillian(bad):
     liou[3, 5] = bad
     with pytest.raises(ValueError, match="non-finite"):
         steady_state(liou)
+
+
+# --- the coherence-order block kernel of steady_states ---------------------
+
+
+def coherence_orders(h):
+    """q = |N_i - N_j| of each real coordinate, N the photon number plus the atomic excitation.
+
+    Read off the element each unit coordinate vector stands for, with the
+    basis index atom * (n_max + 1) + n of the atom-major convention.
+    """
+    index = np.arange(h.dim)
+    excitation = index // h.cavity_dim + index % h.cavity_dim
+    orders = []
+    for k in range(h.dim**2):
+        i, j = np.nonzero(unvectorize(np.eye(h.dim**2)[k], h.dim))
+        assert len(set(np.abs(excitation[i] - excitation[j]))) == 1
+        orders.append(abs(excitation[i[0]] - excitation[j[0]]))
+    return np.array(orders)
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 4, 10])
+def test_only_the_drive_changes_the_coherence_order(nmax):
+    h = HilbertConfig(nmax)
+    q = coherence_orders(h)
+    n = h.dim**2
+    for field, (idx, vals) in LiouvillianBasis(h)._parts.items():
+        assert np.all(vals != 0)
+        step = np.abs(q[idx // n] - q[idx % n])
+        assert step.max() <= 1, field
+        assert step.max() == (1 if field == "eta" else 0), field
+
+
+def bordered(liou):
+    """L_r with its first row replaced by the trace row."""
+    d = int(round(np.sqrt(liou.shape[0])))
+    mat = liou.copy()
+    mat[0, :] = 0.0
+    mat[0, np.flatnonzero(vectorize(np.eye(d)))] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
+                         ids=["fig1", "fig3_5x5_nmax10"])
+def test_block_inverse_is_the_dense_inverse(spec):
+    kernel = lindblad._block_kernel(spec.hilbert.dim)
+    position = kernel.position
+    for row in sweep._grid_rows(spec, _mesh(spec.axes)):
+        liou = liouvillian(SystemParams(*row), spec.hilbert)
+        want = np.linalg.inv(bordered(liou))
+        inverse, solved = kernel.inverse(liou[None], np.zeros(1, dtype=bool))
+        assert solved[0], row
+        got = inverse[0][np.ix_(position, position)]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), row
+        vecs, norms, _ = kernel.solve(liou[None], np.zeros(1, dtype=bool))
+        assert abs(norms[0] - np.abs(want).sum(axis=0).max()) <= 1e-12 * norms[0], row
+        assert np.max(np.abs(vecs[0] - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0])), row
+
+
+def dense_steady_state(liou, gap_check=True):
+    """Test-side reference of steady_state: the dense inverse of M and the same gates.
+
+    Returns the real coordinates, or the error steady_state would raise.
+    """
+    n = liou.shape[0]
+    scale = np.max(np.abs(liou))
+    top_hi = np.linalg.norm(liou)
+    if not np.isfinite(scale):
+        return ValueError("Liouvillian has a non-finite entry")
+    if not np.any(liou + liou.T):
+        return NoDissipationError("no dissipative part; steady state is not unique")
+    try:
+        inv = np.linalg.inv(bordered(liou))
+    except np.linalg.LinAlgError as exc:
+        return DegenerateSteadyStateError(f"trace-constrained solve failed: {exc}")
+    vec = inv[:, 0].copy()
+    drift = liou @ vec
+    drift[0] = liou[0] @ vec
+    gap_lo = 1.0 / (np.sqrt(n) * np.abs(inv).sum(axis=0).max())
+    null_hi = max(np.linalg.norm(drift) / np.linalg.norm(vec), np.finfo(float).eps * top_hi)
+    if gap_check and not gap_lo >= 1e6 * null_hi:
+        return DegenerateSteadyStateError(
+            f"null-space gap not certified: s[-2] >= {gap_lo:.3e}, "
+            f"s[-1] <= {null_hi:.3e}, s[0] <= {top_hi:.3e}")
+    residual = np.abs(drift).max()
+    if not residual <= 1e-6 * max(1.0, scale):
+        return SolverError(f"steady-state residual too large: {residual:.3e}")
+    return vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_g=st.floats(-12.0, 1.0),
+    log_kappa=st.one_of(st.none(), st.floats(-12.0, 1.0)),
+    log_gamma=st.one_of(st.none(), st.floats(-12.0, 1.0)),
+    eta=st.floats(0.0, 0.5),
+    delta=st.floats(-2.0, 2.0),
+    nmax=st.sampled_from((1, 2, 4)),
+)
+def test_block_solve_keeps_the_status_and_message_of_the_dense_solve(
+    log_g, log_kappa, log_gamma, eta, delta, nmax
+):
+    # the space of the certificate test above, with kappa = 0 as well
+    kappa, gamma = (0.0 if x is None else 10.0**x for x in (log_kappa, log_gamma))
+    p = SystemParams(g=10.0**log_g, kappa=kappa, gamma=gamma, eta=eta,
+                     delta_a=delta, delta=delta)
+    liou = liouvillian(p, HilbertConfig(nmax))
+    want = dense_steady_state(liou)
+    try:
+        got = steady_state(liou, coordinates=True)
+    except (ValueError, SolverError) as exc:
+        assert (type(exc), str(exc)) == (type(want), str(want))
+        return
+    assert isinstance(want, np.ndarray), want
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
+    liou = liouvillian(FIG1, H4)
+    q = coherence_orders(H4)
+    kernel = lindblad._block_kernel(H4.dim)
+    assert kernel.inverse(liou[None], np.zeros(1, dtype=bool))[1][0]
+    i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
+    liou[i, j] = 1e-9
+    assert not kernel.inverse(liou[None], np.zeros(1, dtype=bool))[1][0]
+    want = dense_steady_state(liou)
+    assert np.array_equal(steady_state(liou, coordinates=True), want)
+
+
+def test_steady_states_only_reads_its_argument():
+    points = [FIG1, replace(FIG1, kappa=0.0, gamma=0.0), replace(FIG1, delta=1e11),
+              SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.05, delta_a=0.5, delta=0.2)]
+    stack = np.stack([liouvillian(p, H4) for p in points] + [liouvillian(FIG1, H4)])
+    stack[-1, 3, 5] = np.nan
+    before = stack.copy()
+    stack.setflags(write=False)
+    vecs, failures = steady_states(stack)
+    assert sorted(failures) == [1, 2, 3, 4]
+    assert np.isfinite(vecs[0]).all()
+    assert np.array_equal(stack, before, equal_nan=True)
+    assert stack.tobytes() == before.tobytes()
+    assert np.array_equal(steady_state(stack[0], coordinates=True), vecs[0])
+
+
+def test_threads_solving_at_once_get_the_bits_of_one_thread():
+    rng = np.random.default_rng(7)
+    rows = np.column_stack([rng.uniform(0.5, 2.0, 16), rng.uniform(0.05, 0.5, 16),
+                            rng.uniform(0.05, 0.5, 16), rng.uniform(0.005, 0.05, 16),
+                            *2 * [rng.uniform(-2.0, 2.0, 16)]])
+    stacks = [liouvillians(rows[i::4], H4) for i in range(4)]
+    want = [steady_states(stack)[0] for stack in stacks]
+    got = [[] for _ in stacks]
+
+    def solve(i):
+        for _ in range(25):
+            got[i].append(steady_states(stacks[i])[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(stacks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for vecs, expected in zip(got, want):
+        assert len(vecs) == 25
+        assert all(np.array_equal(v, expected) for v in vecs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    g=st.floats(0.0, 10.0),
+    eta=st.floats(0.0, 1.0),
+    delta_a=st.floats(-1e12, 1e12),
+    delta=st.floats(-1e12, 1e12),
+    nmax=st.sampled_from((1, 2, 4, 10)),
+)
+def test_a_unitary_liouvillian_is_exactly_antisymmetric(g, eta, delta_a, delta, nmax):
+    p = SystemParams(g=g, kappa=0.0, gamma=0.0, eta=eta, delta_a=delta_a, delta=delta)
+    h = HilbertConfig(nmax)
+    builds = [liouvillian(p, h)]
+    if nmax < 10:
+        builds.append(build_liouvillian(model_for(p, h)))
+    for liou in builds:
+        assert not np.any(liou + liou.T)
+        with pytest.raises(NoDissipationError):
+            steady_state(liou)
 
 
 def dense_hamiltonian_superop(ham):
