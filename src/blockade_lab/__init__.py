@@ -13,59 +13,14 @@ detunings Delta = +/- g.
 """
 
 from .analytic import (
-    AmplitudeSet,
-    DressedLevel,
-    alpha_beta,
-    ansatz_ket,
     atom_coherence_analytic,
-    atom_rho_from_amplitudes,
     dressed_energies,
     g2_zero_analytic,
-    integrate_amplitude_odes,
     steady_amplitudes,
 )
-from .correlations import (
-    CorrelationCurve,
-    atom_coherence_numeric,
-    default_tau_grid,
-    g2_tau,
-    g2_zero_numeric,
-    mean_photon,
-)
-from .lindblad import (
-    LindbladModel,
-    LiouvillianBasis,
-    build_liouvillian,
-    default_step,
-    evolve,
-    liouvillian,
-    model_for,
-    steady_state,
-    unvectorize,
-    vectorize,
-)
-from .quantum_core import (
-    HilbertConfig,
-    SystemParams,
-    annihilation,
-    atom_lowering,
-    basis_ket,
-    build_hamiltonian,
-    lowering_operators,
-    partial_trace_cavity,
-    tensor,
-    truncation_shift,
-)
-from .sweep import (
-    Axis,
-    SweepResult,
-    SweepSpec,
-    check_correspondence,
-    locate_extrema,
-    parse_sweep_config,
-    read_sweep_csv,
-    run_sweep,
-    write_sweep_csv,
-)
+from .correlations import default_tau_grid, g2_tau, g2_zero_numeric
+from .lindblad import default_step, liouvillian, steady_state
+from .quantum_core import HilbertConfig, SystemParams
+from .sweep import Axis, SweepSpec, check_correspondence, run_sweep
 
 __version__ = "0.1.0"

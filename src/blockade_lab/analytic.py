@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotConvergedError, SingularDenominatorError, first_failures
 from .lindblad import RK4Propagator
-from .quantum_core import HilbertConfig, SystemParams, basis_ket
+from .quantum_core import SystemParams
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -77,19 +77,6 @@ class AmplitudeSet:
     def p2(self) -> float:
         """Two-photon probability |c2g|^2."""
         return abs(self.c2g) ** 2
-
-
-def ansatz_ket(amps: AmplitudeSet, h: HilbertConfig) -> np.ndarray:
-    """Unnormalized composite-space ket carrying the five amplitudes."""
-    if h.n_max < 2:
-        raise ValueError("ansatz needs n_max >= 2")
-    return (
-        amps.c0g * basis_ket(h, 0, 0)
-        + amps.c1g * basis_ket(h, 0, 1)
-        + amps.c0e * basis_ket(h, 1, 0)
-        + amps.c2g * basis_ket(h, 0, 2)
-        + amps.c1e * basis_ket(h, 1, 1)
-    )
 
 
 def _mul(a, b):

@@ -574,8 +574,7 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def steady_state(liou: np.ndarray, gap_check: bool = True,
-                 coordinates: bool = False) -> np.ndarray:
+def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     """Unique trace-one fixed point of the real Liouvillian, as a Hermitian matrix.
 
     The solve of steady_states on a stack of one; see there for the method,
@@ -586,13 +585,13 @@ def steady_state(liou: np.ndarray, gap_check: bool = True,
     refuses liou, or ValueError if liou is complex or not of size d^2.
     """
     liou = np.asarray(liou)
-    vecs, failures = steady_states(liou[None], gap_check)
+    vecs, failures = steady_states(liou[None])
     if failures:
         raise failures[0]
     return vecs[0] if coordinates else unvectorize(vecs[0], math.isqrt(liou.shape[0]))
 
 
-def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray, dict]:
+def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     """Steady-state coordinates of a stack of real Liouvillians, and the rows that failed.
 
     liou has shape (N, n, n) with n = d^2; it is only read. Returns vecs, of
@@ -615,11 +614,11 @@ def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray,
     of the dense solve. Neither solve mixes rows, so a row's bits do not
     depend on the rows stacked with it.
 
-    That one inverse also certifies, when gap_check is on, that the null
-    space of L_r is one dimensional. T is unitary and maps the
-    bordered matrix of the column-stacking basis to M, so L_r and M have the
-    singular values of L and of its bordered matrix, and the argument is that
-    of the complex basis:
+    That one inverse also certifies that the null space of L_r is one
+    dimensional. T is unitary and maps the bordered matrix of the
+    column-stacking basis to M, so L_r and M have the singular values of L
+    and of its bordered matrix, and the argument is that of the complex
+    basis:
 
     - M differs from L_r in one row, a rank-one update, so by Weyl's
       interlacing s[-2](L) >= s_min(M) >= lo = 1 / (sqrt(n) ||M^-1||_1);
@@ -678,7 +677,7 @@ def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray,
             solved = np.zeros(count, dtype=bool)
         else:
             vecs, inv_norms, solved = kernel.solve(liou, refused)
-        gates = _gates(liou, vecs, inv_norms, top_hi, scale, gap_check)
+        gates = _gates(liou, vecs, inv_norms, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         dense = np.flatnonzero(~refused & ~(solved & ~uncertified & ~unsettled))
         singular = np.zeros(count, dtype=bool)
@@ -696,7 +695,7 @@ def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray,
                     continue
                 vecs[r] = inv[:, 0]
                 inv_norms[r] = np.abs(inv, out=inv).sum(axis=0).max()
-            gates = _gates(liou, vecs, inv_norms, top_hi, scale, gap_check)
+            gates = _gates(liou, vecs, inv_norms, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates
 
     failures = first_failures(
@@ -714,19 +713,19 @@ def steady_states(liou: np.ndarray, gap_check: bool = True) -> tuple[np.ndarray,
     return vecs, failures
 
 
-def _gates(liou, vecs, inv_norms, top_hi, scale, gap_check):
+def _gates(liou, vecs, inv_norms, top_hi, scale):
     """The certificate and residual gates of steady_states, per row.
 
     Returns gap_lo, null_hi, uncertified, residual and unsettled. Entry 0
     of the drift L_r x, the balance row that M replaces, is taken as a dot
     product of its own, the others by one matrix-vector product.
     """
-    count, n = vecs.shape
+    n = vecs.shape[1]
     drift = np.matmul(liou, vecs[:, :, None])[:, :, 0]
     drift[:, 0] = np.matmul(liou[:, 0, :].copy()[:, None, :], vecs[:, :, None])[:, 0, 0]
     gap_lo = 1.0 / (np.sqrt(n) * inv_norms)
     null_hi = np.maximum(_norms(drift) / _norms(vecs), np.finfo(float).eps * top_hi)
-    uncertified = ~(gap_lo >= 1e6 * null_hi) if gap_check else np.zeros(count, dtype=bool)
+    uncertified = ~(gap_lo >= 1e6 * null_hi)
     residual = np.abs(drift).max(axis=1)
     unsettled = ~(residual <= 1e-6 * np.maximum(1.0, scale))
     return gap_lo, null_hi, uncertified, residual, unsettled

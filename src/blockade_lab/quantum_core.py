@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -61,10 +60,6 @@ class SystemParams:
         """The parameters as a (1, 6) parameter row, in the order of PARAM_FIELDS."""
         return np.array([[getattr(self, name) for name in PARAM_FIELDS]], dtype=float)
 
-    def is_weak_drive(self) -> bool:
-        """Soft threshold below which the truncated analytic branch is trustworthy."""
-        return self.eta <= 0.1 * max(self.g, self.kappa)
-
 
 @dataclass(frozen=True)
 class HilbertConfig:
@@ -102,15 +97,6 @@ def atom_lowering() -> np.ndarray:
     return s
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor's index slow (atom convention)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("tensor expects square matrices")
-    return np.kron(a, b)
-
-
 @cache
 def lowering_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     """Composite-space (cavity annihilation, atomic lowering) pair.
@@ -119,8 +105,8 @@ def lowering_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
     of every observable used here. They are built once per truncation and
     shared by every caller, so the arrays are read-only.
     """
-    a = tensor(np.eye(2, dtype=complex), annihilation(h.n_max))
-    sm = tensor(atom_lowering(), np.eye(h.cavity_dim, dtype=complex))
+    a = np.kron(np.eye(2, dtype=complex), annihilation(h.n_max))
+    sm = np.kron(atom_lowering(), np.eye(h.cavity_dim, dtype=complex))
     return _read_only(a), _read_only(sm)
 
 
@@ -158,25 +144,3 @@ def basis_ket(h: HilbertConfig, atom: int, n: int) -> np.ndarray:
     ket = np.zeros(h.dim, dtype=complex)
     ket[atom * h.cavity_dim + n] = 1.0
     return ket
-
-
-def partial_trace_cavity(rho: np.ndarray, h: HilbertConfig) -> np.ndarray:
-    """Reduced 2x2 atomic state, tracing out the cavity mode."""
-    rho = np.asarray(rho)
-    if rho.shape != (h.dim, h.dim):
-        raise ValueError(f"state has shape {rho.shape}, expected {(h.dim, h.dim)}")
-    blocks = rho.reshape(2, h.cavity_dim, 2, h.cavity_dim)
-    return np.einsum("imjm->ij", blocks)
-
-
-def truncation_shift(observable: Callable[[HilbertConfig], "np.ndarray | float"],
-                     h: HilbertConfig, step: int = 2) -> float:
-    """Max relative change of an observable when the cutoff grows by `step`.
-
-    The callable is evaluated at n_max and n_max + step; the larger space is
-    taken as the reference. Useful as a cheap convergence report.
-    """
-    lo = np.atleast_1d(np.asarray(observable(h), dtype=float))
-    hi = np.atleast_1d(np.asarray(observable(HilbertConfig(h.n_max + step)), dtype=float))
-    scale = max(float(np.max(np.abs(hi))), 1e-300)
-    return float(np.max(np.abs(lo - hi))) / scale

@@ -14,7 +14,7 @@ identical specs produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -126,11 +126,6 @@ class SweepResult:
 def _fields_of(axis_name: str) -> tuple[str, ...]:
     """The SystemParams fields an axis sets; Delta sets both detunings."""
     return ("delta_a", "delta") if axis_name == "Delta" else (axis_name,)
-
-
-def set_param(base: SystemParams, name: str, value: float) -> SystemParams:
-    """Return params with one axis parameter replaced; Delta sets both detunings."""
-    return replace(base, **{field: value for field in _fields_of(name)})
 
 
 def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:

@@ -26,27 +26,23 @@ import pytest
 from blockade_lab import (
     Axis,
     HilbertConfig,
-    LiouvillianBasis,
     SweepSpec,
     SystemParams,
     atom_coherence_analytic,
-    atom_coherence_numeric,
-    build_liouvillian,
     check_correspondence,
     default_step,
-    evolve,
     g2_tau,
     g2_zero_analytic,
     g2_zero_numeric,
-    integrate_amplitude_odes,
-    locate_extrema,
-    mean_photon,
-    model_for,
+    liouvillian,
     run_sweep,
     steady_amplitudes,
     steady_state,
-    vectorize,
 )
+from blockade_lab.analytic import integrate_amplitude_odes
+from blockade_lab.correlations import atom_coherence_numeric, mean_photon
+from blockade_lab.lindblad import LiouvillianBasis, evolve, vectorize
+from blockade_lab.sweep import locate_extrema
 
 H4 = HilbertConfig(4)
 FIG1_BASE = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
@@ -143,7 +139,7 @@ def test_c04_coherent_light_limit():
                          delta_a=delta_a, delta=0.0)
         assert abs(g2_zero_analytic(p) - 1.0) <= 1e-12
         assert atom_coherence_analytic(p) <= 1e-10
-        rho = steady_state(build_liouvillian(model_for(p, H4)))
+        rho = steady_state(liouvillian(p, H4))
         assert abs(g2_zero_numeric(rho, H4) - 1.0) <= 1e-4
         assert atom_coherence_numeric(rho, H4) <= 1e-10
 
@@ -153,7 +149,7 @@ def test_c05_antibunching_dynamics():
     the beat maxima rise through the initial rise; g2(50/kappa) = 1 +- 0.01;
     runtime <= 60 s."""
     start = time.perf_counter()
-    liou = build_liouvillian(model_for(FIG2, H4))
+    liou = liouvillian(FIG2, H4)
     rho = steady_state(liou)
     head = np.linspace(0.0, 0.05, 20, endpoint=False)
     tail = np.geomspace(0.05, 50.0 / FIG2.kappa, 180)
@@ -275,7 +271,7 @@ def test_c08_solver_invariants_randomized():
         kappa = 10 ** rng.uniform(-1.0, 1.0)
         p = SystemParams(g=0.0, kappa=kappa, gamma=0.3, eta=0.0,
                          delta_a=0.7, delta=-0.4)
-        liou = build_liouvillian(model_for(p, H4))
+        liou = liouvillian(p, H4)
         rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
         rho0[2, 2] = 1.0  # |g,2>
         rho_t = evolve(liou, rho0, 1.0 / kappa, default_step(p))

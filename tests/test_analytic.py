@@ -10,22 +10,17 @@ from hypothesis import strategies as st
 from blockade_lab import (
     HilbertConfig,
     SystemParams,
-    ansatz_ket,
     atom_coherence_analytic,
-    atom_coherence_numeric,
-    atom_rho_from_amplitudes,
-    basis_ket,
-    build_liouvillian,
     default_step,
     dressed_energies,
     g2_zero_analytic,
     g2_zero_numeric,
-    integrate_amplitude_odes,
-    model_for,
+    liouvillian,
     steady_amplitudes,
     steady_state,
 )
-from blockade_lab.analytic import closed_forms
+from blockade_lab.analytic import atom_rho_from_amplitudes, closed_forms, integrate_amplitude_odes
+from blockade_lab.correlations import atom_coherence_numeric
 from blockade_lab.errors import NotConvergedError, SingularDenominatorError
 
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -73,19 +68,6 @@ def test_amplitude_hierarchy_under_weak_drive():
     assert first < 0.25
     assert second < 0.05 * first
     assert amps.p1 / amps.p2 > 100
-
-
-def test_ansatz_ket_layout():
-    amps = steady_amplitudes(FIG1)
-    h = HilbertConfig(4)
-    ket = ansatz_ket(amps, h)
-    assert ket @ basis_ket(h, 0, 0) == amps.c0g
-    assert ket @ basis_ket(h, 0, 1) == amps.c1g
-    assert ket @ basis_ket(h, 1, 0) == amps.c0e
-    assert ket @ basis_ket(h, 0, 2) == amps.c2g
-    assert ket @ basis_ket(h, 1, 1) == amps.c1e
-    with pytest.raises(ValueError):
-        ansatz_ket(amps, HilbertConfig(1))
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,12 +172,12 @@ def test_numeric_coherence_tracks_closed_form():
     # finite drive shifts the numeric value at the peak; the measured gap at
     # eta/g = 0.01 is ~14%, and it collapses with eta^2 (checked at 0.002)
     h = HilbertConfig(4)
-    rho = steady_state(build_liouvillian(model_for(FIG1, h)))
+    rho = steady_state(liouvillian(FIG1, h))
     assert atom_coherence_numeric(rho, h) == pytest.approx(
         atom_coherence_analytic(FIG1), rel=0.15)
 
     gentle = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.002, delta_a=1.0, delta=1.0)
-    rho2 = steady_state(build_liouvillian(model_for(gentle, h)))
+    rho2 = steady_state(liouvillian(gentle, h))
     assert atom_coherence_numeric(rho2, h) == pytest.approx(
         atom_coherence_analytic(gentle), rel=0.05)
 
@@ -230,7 +212,7 @@ def test_ode_convergence_gate():
 def test_analytic_and_numeric_g2_agree_where_drive_is_gentle():
     h = HilbertConfig(4)
     p = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.002, delta_a=1.0, delta=1.0)
-    rho = steady_state(build_liouvillian(model_for(p, h)))
+    rho = steady_state(liouvillian(p, h))
     num = g2_zero_numeric(rho, h)
     ana = g2_zero_analytic(p)
     assert abs(np.log10(num) - np.log10(ana)) < 0.05

@@ -6,20 +6,16 @@ import pytest
 from blockade_lab import (
     HilbertConfig,
     SystemParams,
-    atom_coherence_numeric,
-    basis_ket,
-    build_liouvillian,
     default_step,
     default_tau_grid,
     g2_tau,
     g2_zero_numeric,
     liouvillian,
-    mean_photon,
-    model_for,
     steady_state,
-    tensor,
 )
+from blockade_lab.correlations import atom_coherence_numeric, mean_photon
 from blockade_lab.errors import StepTooLargeError
+from blockade_lab.quantum_core import basis_ket
 
 H4 = HilbertConfig(4)
 FIG2 = SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
@@ -30,7 +26,7 @@ def fock_state(n):
     rho_cav[n, n] = 1.0
     atom_ground = np.zeros((2, 2), dtype=complex)
     atom_ground[0, 0] = 1.0
-    return tensor(atom_ground, rho_cav)
+    return np.kron(atom_ground, rho_cav)
 
 
 def test_g2_single_photon_fock_is_zero():
@@ -62,7 +58,7 @@ def test_g2_needs_room_for_two_photons():
 
 def test_g2_coherent_state_is_one():
     p = SystemParams(g=0.0, kappa=0.3, gamma=0.1, eta=0.003, delta_a=0.1, delta=0.0)
-    rho = steady_state(build_liouvillian(model_for(p, H4)))
+    rho = steady_state(liouvillian(p, H4))
     assert g2_zero_numeric(rho, H4) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -101,7 +97,7 @@ def test_default_tau_grid_validation():
 
 
 def test_regression_zero_delay_matches_direct():
-    liou = build_liouvillian(model_for(FIG2, H4))
+    liou = liouvillian(FIG2, H4)
     rho = steady_state(liou)
     curve = g2_tau(rho, liou, H4, np.array([0.0]), default_step(FIG2))
     assert curve.values[0] == pytest.approx(g2_zero_numeric(rho, H4), rel=1e-12)
@@ -109,7 +105,7 @@ def test_regression_zero_delay_matches_direct():
 
 def test_delayed_correlation_relaxes_to_one():
     """Long after the collapse the field decorrelates and g2 returns to 1."""
-    liou = build_liouvillian(model_for(FIG2, H4))
+    liou = liouvillian(FIG2, H4)
     rho = steady_state(liou)
     curve = g2_tau(rho, liou, H4, default_tau_grid(FIG2), default_step(FIG2))
     assert abs(curve.values[-1] - 1.0) < 1e-2
@@ -121,7 +117,7 @@ def test_antibunched_envelope_after_beat_decay():
     # the short-time curve oscillates at the detuning beat; once that has
     # damped out (a few cavity lifetimes) the envelope statement holds:
     # the correlation stays above its zero-delay value and rises toward 1
-    liou = build_liouvillian(model_for(FIG2, H4))
+    liou = liouvillian(FIG2, H4)
     rho = steady_state(liou)
     curve = g2_tau(rho, liou, H4, default_tau_grid(FIG2), default_step(FIG2))
     tail = curve.values[curve.tau >= 2.0 / FIG2.kappa]
@@ -130,7 +126,7 @@ def test_antibunched_envelope_after_beat_decay():
 
 
 def test_tau_grid_validation():
-    liou = build_liouvillian(model_for(FIG2, H4))
+    liou = liouvillian(FIG2, H4)
     rho = steady_state(liou)
     dt = default_step(FIG2)
     with pytest.raises(ValueError):

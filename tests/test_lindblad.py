@@ -9,37 +9,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockade_lab import (
-    HilbertConfig,
-    LindbladModel,
-    LiouvillianBasis,
-    SystemParams,
-    atom_coherence_numeric,
-    build_hamiltonian,
-    build_liouvillian,
-    default_step,
-    evolve,
-    g2_zero_numeric,
-    liouvillian,
-    lowering_operators,
-    mean_photon,
-    model_for,
-    steady_state,
-    unvectorize,
-    vectorize,
-)
-from blockade_lab import lindblad, sweep
+from blockade_lab import lindblad
 from blockade_lab.analytic import _ode_matrix, integrate_amplitude_odes
 from blockade_lab.cli import fig1_spec, fig2_params, fig3_spec
+from blockade_lab.correlations import (
+    _photon_operators,
+    atom_coherence_numeric,
+    g2_zero_numeric,
+    mean_photon,
+)
 from blockade_lab.errors import (
     DegenerateSteadyStateError,
     NoDissipationError,
     SolverError,
     StepTooLargeError,
 )
-from blockade_lab.correlations import _photon_operators
-from blockade_lab.lindblad import RK4Propagator, liouvillians, steady_states
-from blockade_lab.sweep import _mesh, set_param
+from blockade_lab.lindblad import (
+    LindbladModel,
+    LiouvillianBasis,
+    RK4Propagator,
+    build_liouvillian,
+    default_step,
+    evolve,
+    liouvillian,
+    liouvillians,
+    model_for,
+    steady_state,
+    steady_states,
+    unvectorize,
+    vectorize,
+)
+from blockade_lab.quantum_core import (
+    HilbertConfig,
+    SystemParams,
+    build_hamiltonian,
+    lowering_operators,
+)
+from blockade_lab.sweep import _grid_rows, _mesh
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -65,7 +71,7 @@ def random_density(rng, d):
 def test_generator_matches_dense_master_equation():
     rng = np.random.default_rng(7)
     p = SystemParams(g=1.3, kappa=0.4, gamma=0.25, eta=0.1, delta_a=-0.8, delta=0.6)
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     for _ in range(5):
         rho = random_density(rng, H4.dim)
         direct = dense_master_rhs(p, H4, rho)
@@ -74,14 +80,14 @@ def test_generator_matches_dense_master_equation():
 
 
 def test_trace_functional_is_left_null_vector():
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     trace_row = vectorize(np.eye(H4.dim, dtype=complex)).conj()
     assert np.max(np.abs(trace_row @ liou)) < 1e-10 * np.max(np.abs(liou))
 
 
 def test_trace_preserved_on_random_states():
     rng = np.random.default_rng(11)
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     trace_row = vectorize(np.eye(H4.dim, dtype=complex)).conj()
     for _ in range(5):
         rho = random_density(rng, H4.dim)
@@ -92,7 +98,7 @@ def test_empty_cavity_number_decays_at_kappa():
     # the convention pin: photon number of an undriven empty cavity decays at
     # exactly kappa, not 2*kappa
     p = SystemParams(g=0.0, kappa=0.8, gamma=0.0, eta=0.0, delta_a=0.3, delta=0.0)
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[1, 1] = 1.0  # |g,1>
     rho_t = evolve(liou, rho0, 1.0 / p.kappa, default_step(p))
@@ -100,7 +106,7 @@ def test_empty_cavity_number_decays_at_kappa():
 
 
 def test_steady_state_structure():
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     rho = steady_state(liou)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
@@ -110,14 +116,14 @@ def test_steady_state_structure():
 
 def test_undriven_system_relaxes_to_vacuum():
     p = SystemParams(g=1.0, kappa=0.2, gamma=0.1, eta=0.0, delta_a=0.4, delta=0.4)
-    rho = steady_state(build_liouvillian(model_for(p, H4)))
+    rho = steady_state(liouvillian(p, H4))
     assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_driven_empty_cavity_is_coherent():
     """g = 0 steady state: amplitude -i eta / (kappa/2 + i Delta_a), g2 = 1."""
     p = SystemParams(g=0.0, kappa=0.3, gamma=0.1, eta=0.003, delta_a=0.17, delta=0.0)
-    rho = steady_state(build_liouvillian(model_for(p, H4)))
+    rho = steady_state(liouvillian(p, H4))
     a, _ = lowering_operators(H4)
     amp = np.trace(a @ rho)
     expected = -1j * p.eta / (p.kappa / 2 + 1j * p.delta_a)
@@ -128,7 +134,7 @@ def test_driven_empty_cavity_is_coherent():
 
 def test_weak_drive_population_hierarchy():
     # at the blockade point the two-excitation manifold is strongly suppressed
-    rho = steady_state(build_liouvillian(model_for(FIG1, H4)))
+    rho = steady_state(liouvillian(FIG1, H4))
     p1 = rho[1, 1].real + rho[5, 5].real  # |g,1>, |e,0>
     p2 = rho[2, 2].real + rho[6, 6].real  # |g,2>, |e,1>
     assert p1 / p2 > 100
@@ -137,7 +143,7 @@ def test_weak_drive_population_hierarchy():
 def test_no_dissipation_raises():
     p = SystemParams(g=1.0, kappa=0.0, gamma=0.0, eta=0.01, delta_a=0.0, delta=0.0)
     with pytest.raises(NoDissipationError):
-        steady_state(build_liouvillian(model_for(p, H4)))
+        steady_state(liouvillian(p, H4))
 
 
 def test_degenerate_null_space_raises():
@@ -145,19 +151,21 @@ def test_degenerate_null_space_raises():
     # space is two dimensional and no unique steady state exists
     p = SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.0, delta_a=0.5, delta=0.2)
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state(build_liouvillian(model_for(p, H4)))
+        steady_state(liouvillian(p, H4))
 
 
 def test_driven_decoupled_lossless_atom_is_caught_only_by_the_gap_check():
-    # with the drive on, the bordered system stays invertible, so the solve
-    # alone returns one of the many fixed points without complaint; only the
-    # uniqueness gate sees that the atom's populations are still conserved
-    p = SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.05, delta_a=0.5, delta=0.2)
-    liou = build_liouvillian(model_for(p, H4))
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(liou)
-    rho = steady_state(liou, gap_check=False)
+    # A decoupled atom that decays at 1e-12 relaxes its populations almost
+    # not at all: the null space of L is one dimensional, but s[-2] is about
+    # 6e-13 against s[0] = 2.3. The bordered system is invertible in exact
+    # arithmetic, and the solve alone returns a trace-one state without
+    # complaint; only the uniqueness certificate refuses it.
+    p = SystemParams(g=0.0, kappa=0.3, gamma=1e-12, eta=0.05, delta_a=0.5, delta=0.2)
+    liou = liouvillian(p, H4)
+    rho = bordered_solve_state(liou)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DegenerateSteadyStateError, match="null-space gap not certified"):
+        steady_state(liou)
 
 
 def passes_singular_value_gap_test(liou):
@@ -183,7 +191,7 @@ def test_certificate_is_never_laxer_than_the_singular_value_gap(
                      delta_a=delta, delta=delta)
     h = HilbertConfig(nmax)
     try:
-        steady_state(build_liouvillian(model_for(p, h)))
+        steady_state(liouvillian(p, h))
     except (DegenerateSteadyStateError, SolverError):
         return
     # the test is taken on L in the column-stacking basis, whose singular
@@ -203,12 +211,8 @@ def bordered_solve_state(liou):
                          ids=["fig1", "fig3_5x5_nmax10"])
 def test_certificate_accepts_every_preset_point(spec):
     basis = LiouvillianBasis(spec.hilbert)
-    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis1, spec.axis2)
-    for point in zip(*_mesh(axes)):
-        p = spec.base
-        for ax, value in zip(axes, point):
-            p = set_param(p, ax.name, float(value))
-        liou = basis.assemble(p)
+    for row in _grid_rows(spec, _mesh(spec.axes)):
+        liou = basis.assemble(SystemParams(*row))
         rho = steady_state(liou)
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
 
@@ -237,8 +241,7 @@ def test_real_solve_keeps_the_accuracy_of_the_complex_basis():
     # solve to 2.8e-12.
     spec = fig3_spec(nmax=10, grid=5)
     h = spec.hilbert
-    points = [set_param(set_param(spec.base, "g", float(g)), "Delta", float(delta))
-              for g, delta in zip(*_mesh(spec.axes))]
+    points = [SystemParams(*row) for row in _grid_rows(spec, _mesh(spec.axes))]
     points += [SystemParams(g=21.5, kappa=1.0, gamma=0.5, eta=0.1, delta_a=delta, delta=delta)
                for delta in (37.0, -37.0)]
     parts = dense_unit_parts(h)
@@ -304,7 +307,7 @@ def bordered(liou):
 def test_block_inverse_is_the_dense_inverse(spec):
     kernel = lindblad._block_kernel(spec.hilbert.dim)
     position = kernel.position
-    for row in sweep._grid_rows(spec, _mesh(spec.axes)):
+    for row in _grid_rows(spec, _mesh(spec.axes)):
         liou = liouvillian(SystemParams(*row), spec.hilbert)
         want = np.linalg.inv(bordered(liou))
         inverse, solved = kernel.inverse(liou[None], np.zeros(1, dtype=bool))
@@ -316,7 +319,7 @@ def test_block_inverse_is_the_dense_inverse(spec):
         assert np.max(np.abs(vecs[0] - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0])), row
 
 
-def dense_steady_state(liou, gap_check=True):
+def dense_steady_state(liou):
     """Test-side reference of steady_state: the dense inverse of M and the same gates.
 
     Returns the real coordinates, or the error steady_state would raise.
@@ -337,7 +340,7 @@ def dense_steady_state(liou, gap_check=True):
     drift[0] = liou[0] @ vec
     gap_lo = 1.0 / (np.sqrt(n) * np.abs(inv).sum(axis=0).max())
     null_hi = max(np.linalg.norm(drift) / np.linalg.norm(vec), np.finfo(float).eps * top_hi)
-    if gap_check and not gap_lo >= 1e6 * null_hi:
+    if not gap_lo >= 1e6 * null_hi:
         return DegenerateSteadyStateError(
             f"null-space gap not certified: s[-2] >= {gap_lo:.3e}, "
             f"s[-1] <= {null_hi:.3e}, s[0] <= {top_hi:.3e}")
@@ -639,11 +642,6 @@ def test_cached_operators_are_read_only():
     assert np.array_equal(pairs, ad @ ad @ a @ a)
 
 
-def test_gap_check_off_matches_default_on_regular_problem():
-    liou = build_liouvillian(model_for(FIG1, H4))
-    assert np.array_equal(steady_state(liou), steady_state(liou, gap_check=False))
-
-
 def test_liouvillian_basis_matches_direct_build():
     basis = LiouvillianBasis(H4)
     for p in (FIG1, SystemParams(g=2.0, kappa=0.7, gamma=0.0, eta=0.05,
@@ -670,7 +668,7 @@ def test_negative_rate_rejected():
 
 
 def test_evolve_keeps_fixed_point():
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     rho_ss = steady_state(liou)
     rho_after = evolve(liou, rho_ss, 3.0, default_step(FIG1))
     assert np.max(np.abs(rho_after - rho_ss)) < 1e-8
@@ -680,7 +678,7 @@ def test_evolve_matches_expm_oracle():
     import scipy.linalg as sla
 
     p = SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[0, 0] = 1.0
     rho_rk4 = evolve(liou, rho0, 0.7, default_step(p))
@@ -690,7 +688,7 @@ def test_evolve_matches_expm_oracle():
 
 def test_evolve_converges_to_steady_state():
     p = SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[0, 0] = 1.0
     rho_t = evolve(liou, rho0, 50.0 / p.kappa, default_step(p))
@@ -699,7 +697,7 @@ def test_evolve_converges_to_steady_state():
 
 def test_evolve_preserves_hermiticity_and_positivity():
     p = SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[0, 0] = 1.0
     for t in (0.05, 0.2, 1.0):
@@ -710,7 +708,7 @@ def test_evolve_preserves_hermiticity_and_positivity():
 
 
 def test_step_guard():
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[0, 0] = 1.0
     with pytest.raises(StepTooLargeError):
@@ -722,7 +720,7 @@ def test_step_guard():
 def test_trace_drift_is_an_error_not_hidden():
     # corrupt the generator so the trace grows; the propagator must refuse
     # to return the result instead of silently renormalizing
-    liou = build_liouvillian(model_for(FIG1, H4))
+    liou = liouvillian(FIG1, H4)
     bad = liou + 1e-3 * np.eye(liou.shape[0])
     rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
     rho0[0, 0] = 1.0
@@ -763,7 +761,7 @@ def test_propagator_is_the_stage_loop_rk4_map():
     import scipy.linalg as sla
 
     p = fig2_params()
-    liou = build_liouvillian(model_for(p, H4))
+    liou = liouvillian(p, H4)
     a, _ = lowering_operators(H4)
     rho = steady_state(liou)
     vec0 = vectorize(a @ rho @ a.conj().T)  # the state g2(tau) propagates

@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from blockade_lab import (
+from blockade_lab.correlations import mean_photon
+from blockade_lab.lindblad import liouvillian, steady_state
+from blockade_lab.quantum_core import (
     HilbertConfig,
     SystemParams,
     annihilation,
     atom_lowering,
     basis_ket,
     build_hamiltonian,
-    build_liouvillian,
     lowering_operators,
-    mean_photon,
-    model_for,
-    partial_trace_cavity,
-    steady_state,
-    tensor,
-    truncation_shift,
 )
 
 H4 = HilbertConfig(4)
@@ -59,14 +54,6 @@ def test_composite_layout_atom_major():
     assert np.count_nonzero(ket) == 1
 
 
-def test_tensor_agrees_with_kron_and_rejects_nonsquare():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y = np.eye(3)
-    assert np.array_equal(tensor(x, y), np.kron(x, y))
-    with pytest.raises(ValueError):
-        tensor(np.ones((2, 3)), y)
-
-
 def test_hamiltonian_elements():
     p = SystemParams(g=1.3, kappa=0.1, gamma=0.05, eta=0.02, delta_a=0.7, delta=-0.4)
     H = build_hamiltonian(p, H4)
@@ -89,25 +76,6 @@ def test_hamiltonian_elements():
     assert H[gi(2), gi(1)] == pytest.approx(0.02 * np.sqrt(2))
 
 
-def test_partial_trace_product_state():
-    rho_atom = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    pops = np.array([0.5, 0.3, 0.2, 0.0, 0.0])
-    rho = tensor(rho_atom, np.diag(pops).astype(complex))
-    assert np.allclose(partial_trace_cavity(rho, H4), rho_atom)
-
-
-def test_partial_trace_entangled_state():
-    # (|g,0> + |e,1>)/sqrt(2) reduces to the maximally mixed qubit
-    ket = (basis_ket(H4, 0, 0) + basis_ket(H4, 1, 1)) / np.sqrt(2)
-    rho = np.outer(ket, ket.conj())
-    assert np.allclose(partial_trace_cavity(rho, H4), 0.5 * np.eye(2))
-
-
-def test_partial_trace_shape_check():
-    with pytest.raises(ValueError):
-        partial_trace_cavity(np.eye(8), H4)
-
-
 def test_params_reject_negative_rates():
     for field in ("g", "kappa", "gamma", "eta"):
         kwargs = dict(g=1.0, kappa=0.1, gamma=0.1, eta=0.01, delta_a=0.0, delta=0.0)
@@ -125,13 +93,6 @@ def test_params_reject_non_finite_values(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match="finite"):
         SystemParams(**kwargs)
-
-
-def test_weak_drive_threshold():
-    p = SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.09, delta_a=0.0, delta=0.0)
-    assert p.is_weak_drive()
-    strong = SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.3, delta_a=0.0, delta=0.0)
-    assert not strong.is_weak_drive()
 
 
 def test_hilbert_config_dims_and_validation():
@@ -154,6 +115,7 @@ def test_truncation_shift_of_converged_observable():
     p = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
 
     def photon_number(h):
-        return mean_photon(steady_state(build_liouvillian(model_for(p, h))), h)
+        return mean_photon(steady_state(liouvillian(p, h)), h)
 
-    assert truncation_shift(photon_number, HilbertConfig(4)) < 1e-6
+    coarse, fine = photon_number(HilbertConfig(4)), photon_number(HilbertConfig(6))
+    assert abs(coarse - fine) < 1e-6 * abs(fine)

@@ -18,16 +18,21 @@ from blockade_lab import (
     SystemParams,
     check_correspondence,
     g2_zero_analytic,
-    locate_extrema,
-    parse_sweep_config,
-    read_sweep_csv,
     run_sweep,
-    write_sweep_csv,
 )
 from blockade_lab import cli, sweep
 from blockade_lab.cli import fig1_spec
 from blockade_lab.errors import ConfigError, NoInteriorExtremumError
-from blockade_lab.sweep import OUTPUT_COLUMNS, csv_columns, set_param
+from blockade_lab.sweep import (
+    OUTPUT_COLUMNS,
+    _grid_rows,
+    _mesh,
+    csv_columns,
+    locate_extrema,
+    parse_sweep_config,
+    read_sweep_csv,
+    write_sweep_csv,
+)
 
 BASE = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
 
@@ -83,10 +88,11 @@ def test_axis_rejects_non_finite_bounds_and_spans(start, stop):
 
 
 def test_set_param_links_detunings():
-    p = set_param(BASE, "Delta", 1.3)
-    assert p.delta_a == 1.3 and p.delta == 1.3
-    q = set_param(BASE, "kappa", 0.2)
-    assert q.kappa == 0.2 and q.delta_a == BASE.delta_a
+    spec = SweepSpec(base=BASE, axis1=Axis("Delta", 1.0, 1.3, 2), axis2=Axis("kappa", 0.1, 0.2, 2))
+    rows = [SystemParams(*row) for row in _grid_rows(spec, _mesh(spec.axes))]
+    assert [(p.delta_a, p.delta, p.kappa) for p in rows] == [
+        (1.0, 1.0, 0.1), (1.0, 1.0, 0.2), (1.3, 1.3, 0.1), (1.3, 1.3, 0.2)]
+    assert all(replace(p, delta_a=0.0, delta=0.0, kappa=BASE.kappa) == BASE for p in rows)
 
 
 def test_spec_validation():
@@ -117,7 +123,7 @@ def test_sweep_matches_point_evaluations():
                               outputs=("g2_analytic",)))
     assert res.status == ["ok"] * 5
     for d, got in zip(res.coords["Delta"], res.column("g2_analytic")):
-        p = set_param(BASE, "Delta", float(d))
+        p = replace(BASE, delta_a=float(d), delta=float(d))
         assert got == g2_zero_analytic(p)
 
 
