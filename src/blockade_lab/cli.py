@@ -22,6 +22,7 @@ from .sweep import (
     OUTPUT_COLUMNS,
     Axis,
     SweepSpec,
+    _first_failures,
     check_correspondence,
     evaluate,
     parse_sweep_config,
@@ -108,7 +109,7 @@ def _cmd_fig2(args) -> int:
     h = HilbertConfig(args.nmax)
     liou = liouvillian(params, h)
     rho = steady_state(liou)
-    grid = default_tau_grid(params, args.grid or 200)
+    grid = default_tau_grid(params, args.grid)
     curve = g2_tau(rho, liou, h, grid, default_step(params))
     with _out_stream(args.out) as stream:
         _write_curve_csv(curve, stream)
@@ -132,11 +133,11 @@ def _cmd_point(args) -> int:
     delta = args.delta_atom if args.delta_atom is not None else args.delta
     params = SystemParams(g=args.g, kappa=args.kappa, gamma=args.gamma,
                           eta=args.eta, delta_a=delta_a, delta=delta)
-    # The sweep's kernel on one row: the same bits as the matching sweep row.
+    # The sweep's kernel and first failure on one row: those of the matching sweep row.
     values, failures = evaluate(params.row(), HilbertConfig(args.nmax), OUTPUT_COLUMNS)
-    for name in ("steady_state", *OUTPUT_COLUMNS):
-        if 0 in failures[name]:
-            raise failures[name][0]
+    first = _first_failures(failures)
+    if first:
+        raise first[0]
     lines = [f"{name} = {float(values[name][0])!r}" for name in OUTPUT_COLUMNS]
     with _out_stream(args.out) as stream:
         stream.write("\n".join(lines) + "\n")
@@ -162,19 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_help):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--nmax", type=int, default=4, help="cavity photon cutoff (default 4)")
-        p.add_argument("--grid", type=int, default=None, help=grid_help)
-
-    for name, helptext in (
-        ("fig1", "detuning sweep, both branches"),
-        ("fig2", "delayed correlation curve"),
-        ("fig3", "coupling vs detuning map"),
-        ("fig4", "detuning vs cavity-decay map"),
+    for name, helptext, grid in (
+        ("fig1", "detuning sweep, both branches", 401),
+        ("fig2", "delayed correlation curve", 200),
+        ("fig3", "coupling vs detuning map", 101),
+        ("fig4", "detuning vs cavity-decay map", 101),
     ):
         p = sub.add_parser(name, help=helptext)
-        common(p, "grid points per axis")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--nmax", type=int, default=4, help="cavity photon cutoff (default 4)")
+        p.add_argument("--grid", type=int, default=grid,
+                       help=f"grid points per axis (default {grid})")
 
     p = sub.add_parser("sweep", help="run a sweep from a config file")
     p.add_argument("--config", required=True, help="flat key = value config file")
@@ -211,13 +210,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "fig1":
-            return _cmd_figure_sweep(fig1_spec(args.nmax, args.grid or 401), args.out)
+            return _cmd_figure_sweep(fig1_spec(args.nmax, args.grid), args.out)
         if args.command == "fig2":
             return _cmd_fig2(args)
         if args.command == "fig3":
-            return _cmd_figure_sweep(fig3_spec(args.nmax, args.grid or 101), args.out)
+            return _cmd_figure_sweep(fig3_spec(args.nmax, args.grid), args.out)
         if args.command == "fig4":
-            return _cmd_figure_sweep(fig4_spec(args.nmax, args.grid or 101), args.out)
+            return _cmd_figure_sweep(fig4_spec(args.nmax, args.grid), args.out)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "point":

@@ -34,8 +34,8 @@ The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
 ordered by that order L_r is block tridiagonal. steady_states inverts the
 bordered matrix block by block along that order (_BlockKernel), keeping
-the public coordinate order, and falls back to a dense inverse for a
-matrix off that pattern or one the block solve cannot certify.
+the public coordinate order; a matrix off that pattern, or one the block
+solve cannot certify, takes the same kernel with one block: a dense inverse.
 """
 
 from __future__ import annotations
@@ -386,7 +386,8 @@ class _BlockKernel:
     Buca and Prosen, New J. Phys. 14, 073007, 2012). Ordered by q, L_r and M
     are therefore block tridiagonal, with the trace row inside the q = 0
     block: 18/32/24/16/8/2 coordinates at n_max 4, 42/80/72/.../8/2 at
-    n_max 10.
+    n_max 10. With one block of all coordinates, the kernel is the dense
+    inverse, for M off that pattern and for odd d (not atom x cavity).
 
     With A_k the diagonal blocks, U_k = M[k, k+1] and B_k = M[k+1, k], the
     kernel forms the top-down Schur complements S_0 = A_0 and
@@ -409,13 +410,14 @@ class _BlockKernel:
     a buffer that a call reads, it first writes.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, single: bool):
         rows, cols, off, first = _layout(dim)
-        excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
         n = dim * dim
-        order_of = np.empty(n, dtype=np.intp)
-        order_of[first] = np.abs(excitation[rows] - excitation[cols])
-        order_of[first[off] + 1] = order_of[first[off]]
+        order_of = np.zeros(n, dtype=np.intp)
+        if not single:
+            excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
+            order_of[first] = np.abs(excitation[rows] - excitation[cols])
+            order_of[first[off] + 1] = order_of[first[off]]
         # Each order's coordinates in their own order, so rho_00 stays first.
         # (No argsort: its first use costs a process up to 0.4 MB of RSS.)
         groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
@@ -437,7 +439,7 @@ class _BlockKernel:
         pieces = [(order[self.spans[i]][:, None] * n + order[self.spans[j]]).reshape(-1)
                   for i, j in pairs]
         self._gather = _read_only(np.concatenate(pieces))
-        self._below = self._gather.size - sum(p.size for p in pieces[-last:])
+        self._below = sum(p.size for p in pieces[:2 * last + 1])
         # where the diagonal of M lies in the gathered blocks
         self._unit = _read_only(np.flatnonzero(self._gather % (n + 1) == 0))
         trace = np.zeros(sizes[0])
@@ -464,27 +466,28 @@ class _BlockKernel:
             )
         return self._views[count]
 
-    def solve(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """Steady-state coordinates and ||M^-1||_1 of a stack of real Liouvillians.
 
-        Returns vecs, of shape (N, n), the norms, and the mask of the rows
-        solved here (see inverse); the other rows hold numbers of no meaning.
+        Returns vecs, of shape (N, n), the norms, NaN in each row not solved
+        (see inverse), and LAPACK's error for each singular pivot.
         """
-        inverse, solved = self.inverse(liou, skip)
+        inverse, solved, singular = self.inverse(liou, skip)
         # a C-ordered copy: the observables sum along its rows
         vecs = np.take(inverse[:, :, 0], self.position, axis=1)
         norms = np.abs(inverse, out=inverse).sum(axis=1).max(axis=1)
-        return vecs, norms, solved
+        norms[~solved] = np.nan
+        return vecs, norms, singular
 
-    def inverse(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """M^-1 of each Liouvillian of a stack, in block order, and the rows solved.
+    def inverse(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """M^-1 of each Liouvillian of a stack, in block order, the rows solved, and why not.
 
         The inverses are written to the kernel's buffer, which the next call
         overwrites. A row of skip, one with a nonzero outside the block
         pattern, and one whose Schur complement LAPACK finds singular are
         not solved: the first two are replaced by the identity, for which
         every pivot block is regular, and the last gets the identity in
-        place of that pivot's inverse.
+        place of that pivot's inverse and its error in the returned dict.
         """
         count, n = liou.shape[0], self.n
         blocks, inverse, work, diag, upper, below, factors = self._buffers(count)
@@ -496,10 +499,11 @@ class _BlockKernel:
             blocks[r] = 0.0
             blocks[r, self._unit] = 1.0
         blocks[:, :self._trace.size] = self._trace
-        upper[0][:, 0] = 0.0
+        if upper:
+            upper[0][:, 0] = 0.0
         np.negative(blocks[:, self._below:], out=blocks[:, self._below:])
 
-        failed = np.zeros(count, dtype=bool)
+        singular = {}
         pivots = []
         for k, span in enumerate(self.spans):
             z = inverse[:, span]
@@ -507,7 +511,7 @@ class _BlockKernel:
                 # S_k = A_k - B_{k-1} W_{k-1}, with -B_{k-1} in the buffer
                 schur = work[:, :diag[k][0].size].reshape(diag[k].shape)
                 diag[k] += np.matmul(below[k - 1], factors[k - 1], out=schur)
-            pivots.append(_pivot_inverse(diag[k], failed))
+            pivots.append(_pivot_inverse(diag[k], singular))
             if k + 1 < len(self.spans):
                 np.matmul(pivots[k], upper[k], out=factors[k])
             if k:
@@ -521,7 +525,10 @@ class _BlockKernel:
             x = inverse[:, self.spans[k]]
             coupled = work[:, :x[0].size].reshape(x.shape)
             np.subtract(x, np.matmul(factors[k], inverse[:, self.spans[k + 1]], out=coupled), out=x)
-        return inverse, ~(stand_in | failed)
+        solved = ~stand_in
+        for r in singular:
+            solved[r] = False
+        return inverse, solved, singular
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -533,10 +540,10 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _pivot_inverse(stack: np.ndarray, failed: np.ndarray) -> np.ndarray:
+def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
     """np.linalg.inv of a stack of pivot blocks, with the identity for each singular one.
 
-    Marks each row whose block LAPACK finds singular in failed.
+    Records in singular the first LAPACK error of each row with a singular block.
     """
     try:
         return np.linalg.inv(stack)
@@ -545,8 +552,9 @@ def _pivot_inverse(stack: np.ndarray, failed: np.ndarray) -> np.ndarray:
         for r, block in enumerate(stack):
             try:
                 out[r] = np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                failed[r], out[r] = True, np.eye(block.shape[0])
+            except np.linalg.LinAlgError as exc:
+                singular.setdefault(r, exc)
+                out[r] = np.eye(block.shape[0])
         return out
 
 
@@ -554,14 +562,13 @@ def _pivot_inverse(stack: np.ndarray, failed: np.ndarray) -> np.ndarray:
 _thread_kernels = threading.local()
 
 
-def _block_kernel(dim: int) -> _BlockKernel | None:
-    """This thread's coherence-order kernel of dimension dim, or None if dim is odd (not atom x cavity)."""
-    if dim % 2:
-        return None
+def _block_kernel(dim: int, single: bool = False) -> _BlockKernel:
+    """This thread's kernel of dimension dim; one block if single or dim is odd (not atom x cavity)."""
+    key = (dim, single or dim % 2 == 1)
     kernels = vars(_thread_kernels).setdefault("by_dim", {})
-    if dim not in kernels:
-        kernels[dim] = _BlockKernel(dim)
-    return kernels[dim]
+    if key not in kernels:
+        kernels[key] = _BlockKernel(*key)
+    return kernels[key]
 
 
 def _require_real(liou: np.ndarray) -> None:
@@ -606,13 +613,14 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     rho, M^-1 e0, are the first column of M's inverse. M^-1 is formed by the
     block LU kernel over the coherence orders of the atom x cavity basis
     (_BlockKernel), in about a fifth of the time of a dense inverse at
-    n_max 10. A row falls back to the dense inverse, np.linalg.inv of its M
-    alone, if its L_r has a nonzero outside the block pattern (which no
-    Liouvillian of this package has), if a pivot block is singular, or if
-    the kernel's state fails the certificate or the residual gate; the gates
-    then judge the dense result, so a refused row gets the error and message
-    of the dense solve. Neither solve mixes rows, so a row's bits do not
-    depend on the rows stacked with it.
+    n_max 10. A row is solved again by the same kernel with a single block
+    of all coordinates, which is the dense inverse of its M, if its L_r has
+    a nonzero outside the block pattern (which no Liouvillian of this
+    package has), if a pivot block is singular, or if the kernel's state
+    fails the certificate or the residual gate; the gates then judge the
+    dense result, so a refused row gets the error and message of the dense
+    solve. For odd d the first pass is already the dense one. Neither pass
+    mixes rows, so a row's bits do not depend on the rows stacked with it.
 
     That one inverse also certifies that the null space of L_r is one
     dimensional. T is unitary and maps the bordered matrix of the
@@ -671,30 +679,17 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
             no_dissipation[r] = not np.any(liou[r] + liou[r].T)
         refused = non_finite | no_dissipation
 
-        kernel = _block_kernel(d)
-        if kernel is None:
-            vecs, inv_norms = np.full((count, n), np.nan), np.full(count, np.nan)
-            solved = np.zeros(count, dtype=bool)
-        else:
-            vecs, inv_norms, solved = kernel.solve(liou, refused)
+        vecs, inv_norms, _ = _block_kernel(d).solve(liou, refused)
         gates = _gates(liou, vecs, inv_norms, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
-        dense = np.flatnonzero(~refused & ~(solved & ~uncertified & ~unsettled))
-        singular = np.zeros(count, dtype=bool)
-        reasons = {}
-        if dense.size:
-            _, _, off, first = _layout(d)
-            for r in dense:
-                bordered = liou[r].copy()
-                bordered[0] = 0.0
-                bordered[0, first[~off]] = 1.0
-                try:
-                    inv = np.linalg.inv(bordered)
-                except np.linalg.LinAlgError as exc:
-                    singular[r], reasons[r] = True, exc
-                    continue
-                vecs[r] = inv[:, 0]
-                inv_norms[r] = np.abs(inv, out=inv).sum(axis=0).max()
+        # a row the block solve left unsolved has a NaN norm, so it is uncertified
+        retry = np.flatnonzero(~refused & (uncertified | unsettled))
+        singular, reasons = np.zeros(count, dtype=bool), {}
+        if retry.size:
+            vecs[retry], inv_norms[retry], errors = _block_kernel(d, single=True).solve(
+                liou[retry], np.zeros(retry.size, dtype=bool))
+            reasons = {int(retry[r]): exc for r, exc in errors.items()}
+            singular[list(reasons)] = True
             gates = _gates(liou, vecs, inv_norms, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates
 

@@ -135,12 +135,3 @@ def build_hamiltonian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
     return ham
 
 
-def basis_ket(h: HilbertConfig, atom: int, n: int) -> np.ndarray:
-    """Basis vector |atom, n>; atom is 0 for ground, 1 for excited."""
-    if atom not in (0, 1):
-        raise ValueError("atom index must be 0 or 1")
-    if not 0 <= n <= h.n_max:
-        raise ValueError(f"photon number {n} outside truncation 0..{h.n_max}")
-    ket = np.zeros(h.dim, dtype=complex)
-    ket[atom * h.cavity_dim + n] = 1.0
-    return ket

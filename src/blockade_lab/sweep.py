@@ -209,6 +209,15 @@ def _grid_rows(spec: SweepSpec, mesh: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
+def _first_failures(failures: dict[str, dict]) -> dict[int, Exception]:
+    """Each failed row's first failed step: the analytic branch's first, else the numeric's."""
+    first: dict[int, Exception] = {}
+    for name in _ANALYTIC_STEPS + _NUMERIC_STEPS:
+        for row, exc in failures.get(name, {}).items():
+            first.setdefault(row, exc)
+    return first
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point through the requested branches.
 
@@ -218,24 +227,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     status column; the sweep continues. Within a branch a failed step leaves
     the later ones NaN, in the order steady state, g2, coherence, mean photon
     number for the numeric branch and g2, coherence for the analytic one.
-    The status is the analytic branch's first failure, else the numeric
-    branch's.
+    The status is the class name of the row's first failure (_first_failures).
     """
     axes = spec.axes
     mesh = _mesh(axes)
     values, failures = evaluate(_grid_rows(spec, mesh), spec.hilbert, spec.outputs)
 
-    status = [STATUS_OK] * mesh[0].size
     for steps in (_ANALYTIC_STEPS, _NUMERIC_STEPS):
-        first: dict[int, Exception] = {}
+        failed: set[int] = set()
         for name in steps:
-            for row, exc in failures.get(name, {}).items():
-                first.setdefault(row, exc)
+            failed.update(failures.get(name, {}))
             if name in values:
-                values[name][list(first)] = np.nan
-        for row, exc in first.items():
-            if status[row] == STATUS_OK:
-                status[row] = type(exc).__name__
+                values[name][list(failed)] = np.nan
+    status = [STATUS_OK] * mesh[0].size
+    for row, exc in _first_failures(failures).items():
+        status[row] = type(exc).__name__
 
     coords = {ax.name: np.asarray(grid, dtype=float) for ax, grid in zip(axes, mesh)}
     ordered = {name: values[name] for name in OUTPUT_COLUMNS if name in values}
@@ -357,8 +363,10 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
     missing (non-finite): a failed point can hide an extremum, so it fails the
     branch and its summary line counts the missing points. The dark-point
     ratio (coherence at Delta = 0 over the coherence grid maximum) is
-    reported, not gated.
+    reported, not gated. A negative or non-finite gap_threshold is a ConfigError.
     """
+    if not 0.0 <= gap_threshold < math.inf:
+        raise ConfigError(f"gap threshold must be finite and >= 0, got {gap_threshold!r}")
     if len(result.axes) != 1 or result.axes[0].name != "Delta":
         raise ConfigError("correspondence check needs a 1d sweep over Delta")
     step = result.axes[0].step

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockade_lab import SystemParams, cli, g2_zero_analytic
+from blockade_lab import Axis, SweepSpec, SystemParams, cli, g2_zero_analytic, run_sweep
 
 FIG1_POINT = ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01")
 
@@ -124,6 +124,31 @@ def test_check_monotone_data_is_a_solver_failure(tmp_path):
     assert "solver failure" in proc.stderr
 
 
+def test_check_refuses_a_gap_threshold_that_is_negative_or_not_finite(tmp_path):
+    deltas = np.linspace(-2, 2, 21)
+    csv = tmp_path / "blockade.csv"
+    write_csv(csv, deltas, 0.01 + (deltas - 0.4) ** 2, 1.0 / (1.0 + (deltas - 0.4) ** 2))
+    assert run_cli("check", str(csv)).returncode == 0
+    for threshold in ("nan", "-1", "inf"):
+        proc = run_cli("check", str(csv), "--gap-threshold", threshold)
+        assert proc.returncode == 2, threshold
+        assert proc.stderr.startswith("config error: gap threshold"), threshold
+
+
+def test_point_raises_the_first_failure_of_its_sweep_row():
+    # kappa = gamma = 0: the numeric branch has no dissipation, and at
+    # Delta = g the closed forms hit a lossless resonance; the sweep row
+    # reports the analytic branch's failure, and point raises the same one
+    base = SystemParams(g=1.0, kappa=0.0, gamma=0.0, eta=0.001, delta_a=0.0, delta=0.0)
+    row = run_sweep(SweepSpec(base=base, axis1=Axis("Delta", 1.0, 2.0, 2)))
+    assert row.status[0] == "SingularDenominatorError"
+    proc = run_cli("point", "--g", "1", "--kappa", "0", "--gamma", "0", "--eta", "0.001",
+                   "--delta", "1")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure: |D1|=")
+    assert proc.stderr.rstrip().endswith("lossless parameters")
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("axis1 = Delta -2 2 21\nbogus = 1\n")
@@ -158,7 +183,10 @@ def test_missing_file_exits_2(tmp_path):
     ("point", "--g", "nan", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01"),
     ("point", "--g", "inf", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01"),
     ("fig3", "--grid", "3", "--nmax", "1"),
-], ids=["nmax_0", "tau_grid_2", "empty_cavity", "g_nan", "g_inf", "g2_at_nmax_1"])
+    ("fig1", "--grid", "0"),
+    ("fig2", "--grid", "0"),
+], ids=["nmax_0", "tau_grid_2", "empty_cavity", "g_nan", "g_inf", "g2_at_nmax_1",
+        "fig1_grid_0", "fig2_grid_0"])
 def test_out_of_range_input_exits_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2

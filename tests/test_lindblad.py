@@ -42,10 +42,11 @@ from blockade_lab.lindblad import (
 from blockade_lab.quantum_core import (
     HilbertConfig,
     SystemParams,
+    annihilation,
     build_hamiltonian,
     lowering_operators,
 )
-from blockade_lab.sweep import _grid_rows, _mesh
+from blockade_lab.sweep import _grid_rows, _mesh, run_sweep
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -310,7 +311,7 @@ def test_block_inverse_is_the_dense_inverse(spec):
     for row in _grid_rows(spec, _mesh(spec.axes)):
         liou = liouvillian(SystemParams(*row), spec.hilbert)
         want = np.linalg.inv(bordered(liou))
-        inverse, solved = kernel.inverse(liou[None], np.zeros(1, dtype=bool))
+        inverse, solved, _ = kernel.inverse(liou[None], np.zeros(1, dtype=bool))
         assert solved[0], row
         got = inverse[0][np.ix_(position, position)]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), row
@@ -387,6 +388,46 @@ def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
     assert not kernel.inverse(liou[None], np.zeros(1, dtype=bool))[1][0]
     want = dense_steady_state(liou)
     assert np.array_equal(steady_state(liou, coordinates=True), want)
+    # stacked between rows on the pattern and before one whose M is exactly
+    # singular, each row keeps the bits and the error it gets alone
+    fine = [liouvillian(replace(FIG1, delta=delta), H4) for delta in (0.5, 1.5)]
+    lossless = liouvillian(replace(FIG1, g=0.0, gamma=0.0), H4)
+    vecs, failures = steady_states(np.stack([fine[0], liou, lossless, fine[1]]))
+    assert list(failures) == [2]
+    assert str(failures[2]) == str(dense_steady_state(lossless))
+    assert str(failures[2]).startswith("trace-constrained solve failed: ")
+    assert np.array_equal(vecs[1], want)
+    for r, other in ((0, fine[0]), (3, fine[1])):
+        assert np.array_equal(vecs[r], steady_state(other, coordinates=True))
+
+
+def test_a_liouvillian_of_odd_dimension_gets_the_dense_solve():
+    # a damped, driven cavity alone at n_max 2: d = 3, not atom x cavity
+    a = annihilation(2)
+    ham = 0.3 * (a.conj().T @ a) + 0.05 * (a + a.conj().T)
+    liou = dense_real_part(dense_hamiltonian_superop(ham)) + 0.4 * dense_real_part(
+        dense_dissipator_superop(a))
+    assert liou.shape == (9, 9)
+    want = dense_steady_state(liou)
+    assert isinstance(want, np.ndarray), want
+    assert np.array_equal(steady_state(liou, coordinates=True), want)
+    rho = steady_state(liou)
+    amplitude = -1j * 0.05 / (0.4 / 2 + 1j * 0.3)
+    assert abs(np.trace(a @ rho) - amplitude) < 1e-3 * abs(amplitude)
+
+
+def test_a_fig1_sweep_builds_only_the_block_kernel():
+    built = []
+
+    def sweep():  # in a thread of its own, whose kernel cache starts empty
+        run_sweep(fig1_spec())
+        built.extend(vars(lindblad._thread_kernels)["by_dim"])
+
+    thread = threading.Thread(target=sweep)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert built == [(H4.dim, False)]
 
 
 def test_steady_states_only_reads_its_argument():

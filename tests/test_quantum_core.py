@@ -10,7 +10,6 @@ from blockade_lab.quantum_core import (
     SystemParams,
     annihilation,
     atom_lowering,
-    basis_ket,
     build_hamiltonian,
     lowering_operators,
 )
@@ -49,9 +48,9 @@ def test_composite_layout_atom_major():
     assert np.allclose(np.diag(number).real, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4])
     excited = sm.conj().T @ sm
     assert np.allclose(np.diag(excited).real, [0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    ket = basis_ket(H4, 1, 2)
-    assert ket[1 * 5 + 2] == 1.0
-    assert np.count_nonzero(ket) == 1
+    ket = np.eye(H4.dim)[1 * H4.cavity_dim + 2]  # |e, 2>
+    assert np.allclose(number @ ket, 2.0 * ket)
+    assert np.array_equal(excited @ ket, ket)
 
 
 def test_hamiltonian_elements():
@@ -100,13 +99,6 @@ def test_hilbert_config_dims_and_validation():
     assert HilbertConfig(6).cavity_dim == 7
     with pytest.raises(ValueError):
         HilbertConfig(0)
-
-
-def test_basis_ket_bounds():
-    with pytest.raises(ValueError):
-        basis_ket(H4, 2, 0)
-    with pytest.raises(ValueError):
-        basis_ket(H4, 0, 5)
 
 
 def test_truncation_shift_of_converged_observable():

@@ -271,6 +271,15 @@ def test_correspondence_fails_on_displaced_extrema():
     assert any("FAIL" in line for line in report.format_lines())
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
+def test_correspondence_refuses_a_threshold_that_is_negative_or_not_finite(threshold):
+    deltas = np.linspace(-2.0, 2.0, 21)
+    res = synthetic_result(rows_from_curves(deltas, 0.01 + deltas**2, 1.0 / (1.0 + deltas**2)))
+    assert check_correspondence(res).passed
+    with pytest.raises(ConfigError, match="gap threshold"):
+        check_correspondence(res, gap_threshold=threshold)
+
+
 def test_correspondence_requires_extrema():
     deltas = np.linspace(-2.0, 2.0, 21)
     res = synthetic_result(rows_from_curves(deltas, deltas + 3.0, -deltas))
