@@ -32,10 +32,8 @@ reference.
 
 The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
-ordered by that order L_r is block tridiagonal. steady_states inverts the
-bordered matrix block by block along that order (_BlockKernel), keeping
-the public coordinate order; a matrix off that pattern, or one the block
-solve cannot certify, takes the same kernel with one block: a dense inverse.
+ordered by that order L_r is block tridiagonal, and steady_states solves
+the bordered system block by block along that order (_BlockKernel).
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -344,8 +343,7 @@ class LiouvillianBasis:
         """Real Liouvillians of (N, 6) parameter rows, as an (N, n, n) array.
 
         Written into out if it is given, else into a new array. An entry that
-        overflows is left non-finite, without a warning, for steady_states to
-        refuse.
+        overflows is left non-finite, without a warning, for steady_states.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             return _weighted_sum(self.hilbert.dim, *self._aligned, rows[:, self._columns], out)
@@ -376,38 +374,36 @@ def liouvillians(rows: np.ndarray, h: HilbertConfig, out: np.ndarray | None = No
 
 
 class _BlockKernel:
-    """Inverse of the bordered matrix M by block LU over the coherence-order blocks.
+    """Steady state of the bordered matrix M by block LU over the coherence-order blocks.
 
     The coherence order of an element rho_ij is q = |N_i - N_j|, with N the
     photon number plus the atomic excitation of a state of the atom-major
     basis, and each real coordinate has the order of its element. The drive
-    eta (a + a') is the only part of L that changes q, by one; the coupling,
-    the detunings and both dissipators keep it (the weak U(1) symmetry of
-    Buca and Prosen, New J. Phys. 14, 073007, 2012). Ordered by q, L_r and M
-    are therefore block tridiagonal, with the trace row inside the q = 0
-    block: 18/32/24/16/8/2 coordinates at n_max 4, 42/80/72/.../8/2 at
+    eta (a + a') is the only part of L that changes q, by one (the weak U(1)
+    symmetry of Buca and Prosen, New J. Phys. 14, 073007, 2012), so ordered
+    by q, L_r and M are block tridiagonal, with the trace row inside the
+    q = 0 block: 18/32/24/16/8/2 coordinates at n_max 4, 42/80/72/.../8/2 at
     n_max 10. With one block of all coordinates, the kernel is the dense
     inverse, for M off that pattern and for odd d (not atom x cavity).
 
-    With A_k the diagonal blocks, U_k = M[k, k+1] and B_k = M[k+1, k], the
-    kernel forms the top-down Schur complements S_0 = A_0 and
-    S_k = A_k - B_{k-1} W_{k-1}, where W_k = S_k^-1 U_k, inverting each S_k
-    by LAPACK with partial pivoting. On the way down it also forms
-    Z_0 = [S_0^-1, 0] and Z_k = S_k^-1 (E_k - B_{k-1} Z_{k-1}), with E_k the
-    identity in block column k; block back substitution then gives the
-    block rows of M^-1, X_last = Z_last and X_k = Z_k - W_k X_{k+1} (Meurant,
-    SIAM J. Matrix Anal. Appl. 13, 707, 1992). At n_max 10 that is about a
-    quarter of the arithmetic of a dense inverse.
+    With A_k the diagonal blocks, U_k = M[k, k+1] and B_k = M[k+1, k],
+    M x = e0 is solved by block LU with one right-hand side (Meurant, SIAM J.
+    Matrix Anal. Appl. 13, 707, 1992): the Schur complements S_0 = A_0 and
+    S_k = A_k - B_{k-1} W_{k-1} are inverted by LAPACK with partial pivoting,
+    [W_k | y_k] = S_k^-1 [U_k | z_k] is one product, with z_0 = e0, and the
+    next, B_k [W_k | y_k], gives both S_{k+1} and z_{k+1} = -B_k y_k; then
+    x_last = y_last and x_k = y_k - W_k x_{k+1}.
 
-    X is M^-1 with rows and columns in block order. A symmetric permutation
-    keeps every column sum, so ||M^-1||_1 is read from X as it is, and only
-    its first column, the state, is gathered back to the coordinate order.
-    Only the blocks the kernel reads are gathered from L, and the bordering
-    is done on that copy. Each buffer holds the largest stack met so far and
-    serves every later call, since fresh stack-sized arrays cost page faults
-    on every chunk of a sweep: 5-12% of the detuning_scan benchmark and 7%
-    of point_queries on a 2-core Xeon with BLAS on one thread. Every part of
-    a buffer that a call reads, it first writes.
+    For the factors M = L_b U_b, block column j of U_b^-1 is, up to signs,
+    W_i ... W_{j-1} S_j^-1 over i <= j, and that of L_b^-1 is G_{i-1} ... G_j
+    over i >= j, with G_m = B_m S_m^-1. So ||M^-1||_1 <= ||U_b^-1||_1
+    ||L_b^-1||_1 <= beta = u l, with
+
+        u = max_j ||S_j^-1||_1 (1 + ||W_{j-1}||_1 + ||W_{j-2}||_1 ||W_{j-1}||_1 + ...),
+        l = max_j (1 + ||G_j||_1 + ||G_j||_1 ||G_{j+1}||_1 + ...).
+
+    With one block, the state is column 0 of the one LAPACK inverse of M,
+    and beta is ||M^-1||_1.
     """
 
     def __init__(self, dim: int, single: bool):
@@ -421,123 +417,142 @@ class _BlockKernel:
         # Each order's coordinates in their own order, so rho_00 stays first.
         # (No argsort: its first use costs a process up to 0.4 MB of RSS.)
         groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
-        order = np.concatenate(groups)
-        sizes = [g.size for g in groups]
-        bounds = np.cumsum([0] + sizes)
-        self.n = n
+        self.sizes = [g.size for g in groups]
+        self.n, self.last, self._capacity = n, len(groups) - 1, 0
         self.position = np.empty(n, dtype=np.intp)
-        self.position[order] = np.arange(n)
+        self.position[np.concatenate(groups)] = np.arange(n)
         _read_only(self.position)
+        bounds = np.cumsum([0] + self.sizes)
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # The buffer holds every A_k, then every U_k, then every B_k; W_k
-        # has the shape of U_k.
-        last = len(sizes) - 1
-        pairs = ([(k, k) for k in range(last + 1)] + [(k, k + 1) for k in range(last)]
-                 + [(k + 1, k) for k in range(last)])
-        self._shapes = [(sizes[i], sizes[j]) for i, j in pairs]
-        self._largest = max(sizes)
-        pieces = [(order[self.spans[i]][:, None] * n + order[self.spans[j]]).reshape(-1)
-                  for i, j in pairs]
-        self._gather = _read_only(np.concatenate(pieces))
-        self._below = sum(p.size for p in pieces[:2 * last + 1])
-        # where the diagonal of M lies in the gathered blocks
-        self._unit = _read_only(np.flatnonzero(self._gather % (n + 1) == 0))
-        trace = np.zeros(sizes[0])
-        trace[self.position[first[~off]]] = 1.0
-        self._trace = _read_only(trace)
-        self._capacity = 0
+        # Block row k is gathered as one matrix [B_{k-1} | A_k | U_k | z_k], so
+        # each row of L is read once. Row 0 has no B and no z (z_0 = e0 is not
+        # stored), the last no U. A z column is a placeholder, zeroed.
+        self._rows, pieces = [], []
+        for k, group in enumerate(groups):
+            cols = np.concatenate(groups[k - 1:k] + groups[k:k + 2] + [np.full(int(k > 0), -1)])
+            pieces.append(np.where(cols < 0, -1, group[:, None] * n + cols))
+            self._rows.append((group.size, cols.size, self.sizes[k - 1] if k else 0))
+        gather = np.concatenate([p.reshape(-1) for p in pieces])
+        self._rhs = _read_only(np.flatnonzero(gather < 0))
+        self._gather = _read_only(np.maximum(gather, 0))
+        self._unit = _read_only(np.flatnonzero(gather % (n + 1) == 0))  # the diagonal of M
+        # row 0 of block row 0: the trace row, zero in U_0
+        self._trace = _read_only(np.isin(np.arange(pieces[0].shape[1]),
+                                         self.position[first[~off]]).astype(float))
+
+        # The bound's buffer holds S_0^-T, G_0^T, [W_0 | y_0]^T, S_1^-T, ...: the
+        # maxima of its row sums over segments are the norms; a 1 and a 0 follow.
+        self._factors, runs, segments, at, start = [], [], [], {}, 0
+        for k, size in enumerate(self.sizes):
+            after = self.sizes[k + 1] if k < self.last else 0
+            self._factors += [(size, size)] + [(size, after)] * (after > 0) + [(after + 1, size)]
+            for name, width, length in (("p", size, size), ("g", size if after else 0, after),
+                                        ("w", after, size), ("y", 1, size)):
+                if width:
+                    at[name, k], start = len(segments), start + width * length
+                    segments.append(len(runs))
+                    runs += range(start - width * length, start, length)
+        self._runs = _read_only(np.array(runs))
+        self._segments = _read_only(np.array(segments + [len(runs), len(runs) + 1]))
+        # Row j of chain[0] is p_j, w_{j-1}, ..., w_0 and of chain[1] 1, g_j, ...,
+        # g_{last-1}, padded with 0: its running products sum to a term of u, l.
+        one, zero, steps = len(segments), len(segments) + 1, range(self.last + 1)
+        self._chain = _read_only(np.array([
+            [[at.get(("w", j - t), zero) if t else at["p", j] for t in steps] for j in steps],
+            [[at.get(("g", j + t - 1), zero) if t else one for t in steps] for j in steps]]))
 
     def _buffers(self, count: int) -> tuple:
-        """The buffers for a stack of count, and views of its blocks: A, U, -B and W."""
+        """The buffers for a stack of count, and the views each step of solve takes of them.
+
+        They hold the largest stack met so far: fresh ones cost page faults.
+        """
         if count > self._capacity:
-            k = len(self.spans)
             self._blocks = np.empty((count, self._gather.size))
-            self._inverse = np.empty((count, self.n, self.n))
-            self._work = np.empty((count, self._largest * self.n))
-            self._factors = np.empty((count, sum(r * c for r, c in self._shapes[k:2 * k - 1])))
+            self._work = np.empty((count, max(self.sizes) * (max(self.sizes) + 1)))
+            self._state = np.empty((count, self.n))
+            self._bound = np.empty((count, sum(r * c for r, c in self._factors)))
+            self._sums = np.empty((count, self._runs.size + 2))
+            self._sums[:, -2:] = (1.0, 0.0)
             self._capacity, self._views = count, {}
         if count not in self._views:
-            k = len(self.spans)
-            parts = _split(self._blocks[:count], self._shapes)
-            self._views[count] = (
-                self._blocks[:count], self._inverse[:count], self._work[:count],
-                parts[:k], parts[k:2 * k - 1], parts[2 * k - 1:],
-                _split(self._factors[:count], self._shapes[k:2 * k - 1]),
-            )
+            work, state = self._work[:count], self._state[:count]
+            rows = _split(self._blocks[:count], [shape for *shape, _ in self._rows])
+            parts = iter(_split(self._bound[:count], self._factors))
+            steps = []
+            for k, (row, (size, _, lo)) in enumerate(zip(rows, self._rows)):
+                step = SimpleNamespace(diag=row[:, :, lo:lo + size], rhs=row[:, :, -1],
+                                       right=row[:, :, lo + size:].transpose(0, 2, 1),
+                                       inverse=next(parts), x=state[:, self.spans[k]])
+                if k < self.last:
+                    after = self.sizes[k + 1]
+                    update = work[:, :after * (after + 1)].reshape(count, after, after + 1)
+                    step.below = rows[k + 1][:, :, :size]
+                    step.below_t, step.gain = step.below.transpose(0, 2, 1), next(parts)
+                    step.update, step.schur, step.z = update, update[:, :, :-1], update[:, :, -1]
+                    step.next, step.coupled = state[:, self.spans[k + 1], None], work[:, :size, None]
+                factor = next(parts)
+                head = factor[:, :-1]
+                step.factor, step.factor_t, step.y = factor, factor.transpose(0, 2, 1), factor[:, -1]
+                step.out, step.w = head if k == 0 else factor, head.transpose(0, 2, 1)
+                steps.append(step)
+            self._views[count] = (self._blocks[:count], state, self._bound[:count],
+                                  self._sums[:count], steps)
         return self._views[count]
 
     def solve(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Steady-state coordinates and ||M^-1||_1 of a stack of real Liouvillians.
+        """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        Returns vecs, of shape (N, n), the norms, NaN in each row not solved
-        (see inverse), and LAPACK's error for each singular pivot.
+        beta is NaN in a row of skip or off the block pattern, solved as the
+        identity, and in one whose singular pivot inverse is the identity.
         """
-        inverse, solved, singular = self.inverse(liou, skip)
-        # a C-ordered copy: the observables sum along its rows
-        vecs = np.take(inverse[:, :, 0], self.position, axis=1)
-        norms = np.abs(inverse, out=inverse).sum(axis=1).max(axis=1)
-        norms[~solved] = np.nan
-        return vecs, norms, singular
-
-    def inverse(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """M^-1 of each Liouvillian of a stack, in block order, the rows solved, and why not.
-
-        The inverses are written to the kernel's buffer, which the next call
-        overwrites. A row of skip, one with a nonzero outside the block
-        pattern, and one whose Schur complement LAPACK finds singular are
-        not solved: the first two are replaced by the identity, for which
-        every pivot block is regular, and the last gets the identity in
-        place of that pivot's inverse and its error in the returned dict.
-        """
-        count, n = liou.shape[0], self.n
-        blocks, inverse, work, diag, upper, below, factors = self._buffers(count)
+        count, n, last = liou.shape[0], self.n, self.last
+        blocks, state, bound, sums, steps = self._buffers(count)
         flat = liou.reshape(count, n * n)
         np.take(flat, self._gather, axis=1, out=blocks, mode="clip")
+        blocks[:, self._rhs] = 0.0
         outside = np.count_nonzero(flat, axis=1) != np.count_nonzero(blocks, axis=1)
-        stand_in = skip | outside
-        for r in np.flatnonzero(stand_in):
+        unsolved = list(np.flatnonzero(skip | outside))
+        for r in unsolved:
             blocks[r] = 0.0
             blocks[r, self._unit] = 1.0
         blocks[:, :self._trace.size] = self._trace
-        if upper:
-            upper[0][:, 0] = 0.0
-        np.negative(blocks[:, self._below:], out=blocks[:, self._below:])
 
         singular = {}
-        pivots = []
-        for k, span in enumerate(self.spans):
-            z = inverse[:, span]
-            if k:
-                # S_k = A_k - B_{k-1} W_{k-1}, with -B_{k-1} in the buffer
-                schur = work[:, :diag[k][0].size].reshape(diag[k].shape)
-                diag[k] += np.matmul(below[k - 1], factors[k - 1], out=schur)
-            pivots.append(_pivot_inverse(diag[k], singular))
-            if k + 1 < len(self.spans):
-                np.matmul(pivots[k], upper[k], out=factors[k])
-            if k:
-                done = self.spans[k - 1].stop
-                coupled = work[:, :z[0, :, :done].size].reshape(count, -1, done)
-                np.matmul(below[k - 1], inverse[:, self.spans[k - 1], :done], out=coupled)
-                np.matmul(pivots[k], coupled, out=z[:, :, :done])
-            z[:, :, span] = pivots[k]
-            z[:, :, span.stop:] = 0.0
-        for k in reversed(range(len(self.spans) - 1)):
-            x = inverse[:, self.spans[k]]
-            coupled = work[:, :x[0].size].reshape(x.shape)
-            np.subtract(x, np.matmul(factors[k], inverse[:, self.spans[k + 1]], out=coupled), out=x)
-        solved = ~stand_in
-        for r in singular:
-            solved[r] = False
-        return inverse, solved, singular
+        for k, step in enumerate(steps):
+            pivot = _pivot_inverse(step.diag, singular)
+            pivot_t = pivot.transpose(0, 2, 1)
+            np.matmul(step.right, pivot_t, out=step.out)
+            if k == 0:
+                step.y[:] = pivot[:, :, 0]
+            if k < last:
+                # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
+                np.matmul(step.below, step.factor_t, out=step.update)
+                steps[k + 1].diag -= step.schur
+                np.negative(step.z, out=steps[k + 1].rhs)
+                np.matmul(pivot_t, step.below_t, out=step.gain)
+            np.abs(pivot_t, out=step.inverse)
+        steps[last].x[:] = steps[last].y
+        for step in reversed(steps[:last]):
+            np.matmul(step.w, step.next, out=step.coupled)
+            np.subtract(step.y, step.coupled[:, :, 0], out=step.x)
+        # a C-ordered copy: the observables sum along its rows
+        vecs = np.take(state, self.position, axis=1)
+
+        # the norms, then u and l as sums of running products along the chains
+        np.add.reduceat(np.abs(bound, out=bound), self._runs, axis=1, out=sums[:, :-2])
+        tops = np.maximum.reduceat(sums, self._segments, axis=1)
+        chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
+        beta = chains.sum(axis=-1).max(axis=-1).prod(axis=-1)
+        unsolved += singular
+        if unsolved:
+            beta[unsolved] = np.nan
+        return vecs, beta, singular
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Views of consecutive (rows, cols) matrices laid out along the last axis of a stack."""
-    views, start = [], 0
-    for r, c in shapes:
-        views.append(flat[:, start:start + r * c].reshape(-1, r, c))
-        start += r * c
-    return views
+    ends = np.cumsum([r * c for r, c in shapes], dtype=int)
+    return [flat[:, e - r * c:e].reshape(len(flat), r, c) for (r, c), e in zip(shapes, ends)]
 
 
 def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
@@ -584,12 +599,11 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     """Unique trace-one fixed point of the real Liouvillian, as a Hermitian matrix.
 
-    The solve of steady_states on a stack of one; see there for the method,
-    the certificate of uniqueness and the gates. With coordinates on, the
-    real coordinates of the state are returned instead of the matrix, with
+    The solve of steady_states on a stack of one; see there for the method
+    and the gates. With coordinates on, it returns the real coordinates with
     the bits steady_states gives them (vectorize of the matrix may differ in
-    the last bit off the diagonal). Raises the error of the first gate that
-    refuses liou, or ValueError if liou is complex or not of size d^2.
+    the last bit). Raises the error of the first gate that refuses liou, or
+    ValueError if liou is complex or not of size d^2.
     """
     liou = np.asarray(liou)
     vecs, failures = steady_states(liou[None])
@@ -608,50 +622,35 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     refused it.
 
     In each L_r the first row, the balance of the coordinate of rho_00, is
-    replaced by the trace row, which is one at the d diagonal coordinates and
-    zero elsewhere. This gives the bordered matrix M, and the coordinates of
-    rho, M^-1 e0, are the first column of M's inverse. M^-1 is formed by the
-    block LU kernel over the coherence orders of the atom x cavity basis
-    (_BlockKernel), in about a fifth of the time of a dense inverse at
-    n_max 10. A row is solved again by the same kernel with a single block
-    of all coordinates, which is the dense inverse of its M, if its L_r has
-    a nonzero outside the block pattern (which no Liouvillian of this
-    package has), if a pivot block is singular, or if the kernel's state
-    fails the certificate or the residual gate; the gates then judge the
-    dense result, so a refused row gets the error and message of the dense
-    solve. For odd d the first pass is already the dense one. Neither pass
-    mixes rows, so a row's bits do not depend on the rows stacked with it.
+    replaced by the trace row, one at the d diagonal coordinates: this gives
+    the bordered matrix M, and the coordinates x of rho solve M x = e0. The
+    block kernel (_BlockKernel) solves for x and bounds ||M^-1||_1 by beta.
+    A row is solved again by the kernel with one block, a dense inverse of M
+    whose beta is ||M^-1||_1, if its L_r is off the block pattern, if a pivot
+    block is singular, or if its state fails the certificate or the residual
+    gate; a refused row thus gets the error and message of the dense solve.
+    For odd d the one pass is the dense one. No pass mixes rows, so a row's
+    bits do not depend on the rows stacked with it.
 
-    That one inverse also certifies that the null space of L_r is one
-    dimensional. T is unitary and maps the bordered matrix of the
-    column-stacking basis to M, so L_r and M have the singular values of L
-    and of its bordered matrix, and the argument is that of the complex
-    basis:
-
-    - M differs from L_r in one row, a rank-one update, so by Weyl's
-      interlacing s[-2](L) >= s_min(M) >= lo = 1 / (sqrt(n) ||M^-1||_1);
-    - s[-1](L) <= ||L_r x|| / ||x|| for the coordinates x of rho, and
-      s[0](L) <= ||L_r||_F.
-
-    s[-1] is exactly zero for a trace-preserving L, so any computed value of
-    it, ||L_r x|| and a singular value decomposition's alike, is rounding
-    noise of up to about eps ||L_r||_F. The bound used is therefore
-    hi = max(||L_r x|| / ||x||, eps ||L_r||_F), and the state is accepted
-    only if lo >= 1e6 hi. Then s[-2] >= 1e6 s[-1] and s[-2] > 2e-10 s[0]:
-    every L accepted here also passes the singular-value gap test
-    s[-2] >= 1e6 s[-1], s[-2] > 1e-12 s[0], at the cost of an inverse
-    instead of a singular value decomposition. The certificate refuses some
-    nearly degenerate L that the gap test accepts, those with s[-2] below
-    about 1e-7 s[0]; the points of the fig1 to fig4 presets clear the bound
-    by a factor above 1e3.
+    The certificate of a one-dimensional null space: T is unitary, so L_r
+    and M have the singular values of L and of its bordered matrix. M
+    differs from L_r in one row, so by Weyl's interlacing s[-2](L) >=
+    s_min(M) >= lo = 1 / (sqrt(n) beta); s[-1](L) <= ||L_r x|| / ||x||, and
+    s[0](L) <= ||L_r||_F. s[-1] is exactly zero for a trace-preserving L, so
+    any computed value of it is rounding noise of up to about eps ||L_r||_F.
+    With hi = max(||L_r x|| / ||x||, eps ||L_r||_F), the state is accepted
+    only if lo >= 1e6 hi. Then s[-2] >= 1e6 s[-1] and s[-2] > 2e-10 s[0], so
+    every L accepted here passes the singular-value gap test s[-2] >= 1e6
+    s[-1], s[-2] > 1e-12 s[0]; as beta >= ||M^-1||_1, it is never laxer than
+    the test on the exact norm. It refuses some nearly degenerate L that the
+    gap test accepts, with s[-2] below about 1e-7 s[0]; the points of the
+    fig1 to fig4 presets clear it by a factor above 2e3.
 
     The gates, in order, and the error each raises:
 
     - ValueError: L_r has a non-finite entry;
-    - NoDissipationError: L_r is exactly antisymmetric, L_r + L_r^T = 0
-      (a purely unitary generator: all rates zero). Assembly keeps that
-      symmetry to the bit, and any dissipation, however small beside the
-      detunings, breaks it;
+    - NoDissipationError: L_r is exactly antisymmetric, L_r + L_r^T = 0 (all
+      rates zero; assembly keeps that symmetry to the bit);
     - DegenerateSteadyStateError: M is singular, or the certificate fails;
     - SolverError: the residual max |L_r x| exceeds 1e-6 max(1, max |L_r|).
 
@@ -679,19 +678,20 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
             no_dissipation[r] = not np.any(liou[r] + liou[r].T)
         refused = non_finite | no_dissipation
 
-        vecs, inv_norms, _ = _block_kernel(d).solve(liou, refused)
-        gates = _gates(liou, vecs, inv_norms, top_hi, scale)
+        kernel = _block_kernel(d)
+        vecs, beta, reasons = kernel.solve(liou, refused)
+        gates = _gates(liou, vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
-        # a row the block solve left unsolved has a NaN norm, so it is uncertified
+        # a row the block solve left unsolved has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
-        singular, reasons = np.zeros(count, dtype=bool), {}
-        if retry.size:
-            vecs[retry], inv_norms[retry], errors = _block_kernel(d, single=True).solve(
+        if retry.size and len(kernel.spans) > 1:
+            vecs[retry], beta[retry], errors = _block_kernel(d, single=True).solve(
                 liou[retry], np.zeros(retry.size, dtype=bool))
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
-            singular[list(reasons)] = True
-            gates = _gates(liou, vecs, inv_norms, top_hi, scale)
+            gates = _gates(liou, vecs, beta, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates
+        singular = np.zeros(count, dtype=bool)
+        singular[list(reasons)] = True
 
     failures = first_failures(
         (non_finite, lambda r: ValueError("Liouvillian has a non-finite entry")),
@@ -708,7 +708,7 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     return vecs, failures
 
 
-def _gates(liou, vecs, inv_norms, top_hi, scale):
+def _gates(liou, vecs, beta, top_hi, scale):
     """The certificate and residual gates of steady_states, per row.
 
     Returns gap_lo, null_hi, uncertified, residual and unsettled. Entry 0
@@ -718,7 +718,7 @@ def _gates(liou, vecs, inv_norms, top_hi, scale):
     n = vecs.shape[1]
     drift = np.matmul(liou, vecs[:, :, None])[:, :, 0]
     drift[:, 0] = np.matmul(liou[:, 0, :].copy()[:, None, :], vecs[:, :, None])[:, 0, 0]
-    gap_lo = 1.0 / (np.sqrt(n) * inv_norms)
+    gap_lo = 1.0 / (np.sqrt(n) * beta)
     null_hi = np.maximum(_norms(drift) / _norms(vecs), np.finfo(float).eps * top_hi)
     uncertified = ~(gap_lo >= 1e6 * null_hi)
     residual = np.abs(drift).max(axis=1)

@@ -39,11 +39,11 @@ _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
 # Bytes of one stacked Liouvillian chunk, which set its points per chunk:
-# 4 at n_max 4 and 1 from n_max 5 up. Measured on a 2-core Intel Xeon
-# (numpy 2.4.6, OpenBLAS on one thread, 2 MiB of L2 per core), the fig1
-# sweep at n_max 4 takes 0.80x the time of one point at a time with 4
-# points a chunk, 0.79x with 8 and 0.76x with 16, while its peak RSS grows
-# by about 0.6 MB at each doubling. 4 points keep that growth under 3%.
+# 4 at n_max 4 and 1 from n_max 5 up. The size was chosen when each point
+# was a dense inverse. With the block solve of one right-hand side, the
+# detuning_scan benchmark (2-core Intel Xeon, numpy 2.4.6, OpenBLAS on one
+# thread) reads wall_s 0.116 / 0.096 / 0.092 reference s and peak RSS
+# 42.5 / 43.0 / 44.8 MB at 4 / 8 / 16 points a chunk (BENCH_one_rhs.json).
 _CHUNK_BYTES = 320 * 1024
 
 

@@ -1,5 +1,6 @@
 """Master-equation engine: generator construction, steady states, propagation."""
 
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -210,12 +211,21 @@ def bordered_solve_state(liou):
 
 @pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
                          ids=["fig1", "fig3_5x5_nmax10"])
-def test_certificate_accepts_every_preset_point(spec):
+def test_certificate_accepts_every_preset_point(spec, monkeypatch):
+    kernels, block_kernel = [], lindblad._block_kernel
+
+    def counted(dim, single=False):
+        kernels.append(single)
+        return block_kernel(dim, single)
+
+    monkeypatch.setattr(lindblad, "_block_kernel", counted)
     basis = LiouvillianBasis(spec.hilbert)
     for row in _grid_rows(spec, _mesh(spec.axes)):
         liou = basis.assemble(SystemParams(*row))
         rho = steady_state(liou)
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
+    # the bound of the block factors certified every row: none took the one-block solve
+    assert kernels and not any(kernels)
 
 
 def complex_basis_state(liou):
@@ -303,21 +313,96 @@ def bordered(liou):
     return mat
 
 
+def block_solve(liou, single=False):
+    """The state and beta of the block kernel on one Liouvillian, NaN beta if it is not solved.
+
+    As in steady_states, an overflow is left to the gates, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vecs, beta, _ = lindblad._block_kernel(math.isqrt(liou.shape[0]), single).solve(
+            liou[None], np.zeros(1, dtype=bool))
+    return vecs[0], beta[0]
+
+
 @pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
                          ids=["fig1", "fig3_5x5_nmax10"])
-def test_block_inverse_is_the_dense_inverse(spec):
-    kernel = lindblad._block_kernel(spec.hilbert.dim)
-    position = kernel.position
+def test_block_solve_is_column_0_of_the_dense_inverse(spec):
     for row in _grid_rows(spec, _mesh(spec.axes)):
         liou = liouvillian(SystemParams(*row), spec.hilbert)
         want = np.linalg.inv(bordered(liou))
-        inverse, solved, _ = kernel.inverse(liou[None], np.zeros(1, dtype=bool))
-        assert solved[0], row
-        got = inverse[0][np.ix_(position, position)]
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), row
-        vecs, norms, _ = kernel.solve(liou[None], np.zeros(1, dtype=bool))
-        assert abs(norms[0] - np.abs(want).sum(axis=0).max()) <= 1e-12 * norms[0], row
-        assert np.max(np.abs(vecs[0] - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0])), row
+        exact = np.abs(want).sum(axis=0).max()
+        vec, beta = block_solve(liou)
+        assert np.max(np.abs(vec - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0])), row
+        assert exact <= beta <= 4.0 * exact, row
+        # with one block, the state is the dense inverse's and the bound its norm
+        vec, beta = block_solve(liou, single=True)
+        assert np.array_equal(vec, want[:, 0]), row
+        assert abs(beta - exact) <= 1e-13 * exact, row
+
+
+def block_factor_bound(liou, kernel):
+    """beta = u l of the kernel's docstring, from the block LU factors of M formed densely."""
+    order = np.argsort(kernel.position)
+    m = bordered(liou)[np.ix_(order, order)]
+    spans = kernel.spans
+    block = lambda i, j: m[spans[i], spans[j]]  # noqa: E731
+    schur, pivots, steps, gains = block(0, 0), [], [], []
+    for k in range(len(spans)):
+        inverse = np.linalg.inv(schur)
+        pivots.append(np.abs(inverse).sum(axis=0).max())
+        if k + 1 < len(spans):
+            w = inverse @ block(k, k + 1)
+            steps.append(np.abs(w).sum(axis=0).max())
+            gains.append(np.abs(block(k + 1, k) @ inverse).sum(axis=0).max())
+            schur = block(k + 1, k + 1) - block(k + 1, k) @ w
+    chain, upper = 1.0, pivots[0]
+    for j in range(1, len(spans)):
+        chain = 1.0 + steps[j - 1] * chain
+        upper = max(upper, pivots[j] * chain)
+    chain = lower = 1.0
+    for j in reversed(range(len(spans) - 1)):
+        chain = 1.0 + gains[j] * chain
+        lower = max(lower, chain)
+    return upper * lower
+
+
+@pytest.mark.parametrize("spec, every", [(fig1_spec(), 10), (fig3_spec(nmax=10, grid=2), 1)],
+                         ids=["fig1", "fig3_2x2_nmax10"])
+def test_beta_is_the_bound_of_the_block_factors(spec, every):
+    kernel = lindblad._block_kernel(spec.hilbert.dim)
+    for row in _grid_rows(spec, _mesh(spec.axes))[::every]:
+        liou = liouvillian(SystemParams(*row), spec.hilbert)
+        want = block_factor_bound(liou, kernel)
+        assert abs(block_solve(liou)[1] - want) <= 1e-10 * want, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_g=st.floats(-12.0, 1.0),
+    log_kappa=st.floats(-12.0, 1.0),
+    log_gamma=st.one_of(st.none(), st.floats(-12.0, 1.0)),
+    eta=st.floats(0.0, 0.5),
+    delta=st.floats(-2.0, 2.0),
+    nmax=st.sampled_from((1, 2, 4)),
+)
+def test_the_block_bound_is_never_below_the_norm_of_the_inverse(
+    log_g, log_kappa, log_gamma, eta, delta, nmax
+):
+    # the space of the certificate test
+    gamma = 0.0 if log_gamma is None else 10.0**log_gamma
+    p = SystemParams(g=10.0**log_g, kappa=10.0**log_kappa, gamma=gamma, eta=eta,
+                     delta_a=delta, delta=delta)
+    liou = liouvillian(p, HilbertConfig(nmax))
+    _, beta = block_solve(liou)
+    if np.isnan(beta):  # a singular pivot: the row goes to the dense solve
+        return
+    try:
+        exact = np.abs(np.linalg.inv(bordered(liou))).sum(axis=0).max()
+    except np.linalg.LinAlgError:  # M is singular to LAPACK: there is no norm to bound
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(liou)
+        return
+    assert beta >= (1.0 - 1e-12) * exact
 
 
 def dense_steady_state(liou):
@@ -381,11 +466,14 @@ def test_block_solve_keeps_the_status_and_message_of_the_dense_solve(
 def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
     liou = liouvillian(FIG1, H4)
     q = coherence_orders(H4)
-    kernel = lindblad._block_kernel(H4.dim)
-    assert kernel.inverse(liou[None], np.zeros(1, dtype=bool))[1][0]
+    assert np.isfinite(block_solve(liou)[1])
+    # L_r[0, 0] is on the pattern, though the trace row replaces it
+    balance = liou.copy()
+    balance[0, 0] = 0.5
+    assert np.array_equal(block_solve(balance)[0], block_solve(liou)[0])
     i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
     liou[i, j] = 1e-9
-    assert not kernel.inverse(liou[None], np.zeros(1, dtype=bool))[1][0]
+    assert np.isnan(block_solve(liou)[1])
     want = dense_steady_state(liou)
     assert np.array_equal(steady_state(liou, coordinates=True), want)
     # stacked between rows on the pattern and before one whose M is exactly
@@ -414,6 +502,24 @@ def test_a_liouvillian_of_odd_dimension_gets_the_dense_solve():
     rho = steady_state(liou)
     amplitude = -1j * 0.05 / (0.4 / 2 + 1j * 0.3)
     assert abs(np.trace(a @ rho) - amplitude) < 1e-3 * abs(amplitude)
+
+
+def test_a_refused_liouvillian_of_odd_dimension_is_inverted_once(monkeypatch):
+    # a cavity at kappa = 1e-13: d = 3, and its steady state is not certified
+    a = annihilation(2)
+    ham = 0.3 * (a.conj().T @ a) + 0.05 * (a + a.conj().T)
+    liou = dense_real_part(dense_hamiltonian_superop(ham)) + 1e-13 * dense_real_part(
+        dense_dissipator_superop(a))
+    calls, pivot_inverse = [], lindblad._pivot_inverse
+
+    def counted(stack, singular):
+        calls.append(stack.shape)
+        return pivot_inverse(stack, singular)
+
+    monkeypatch.setattr(lindblad, "_pivot_inverse", counted)
+    with pytest.raises(DegenerateSteadyStateError, match="not certified"):
+        steady_state(liou)
+    assert calls == [(1, 9, 9)]
 
 
 def test_a_fig1_sweep_builds_only_the_block_kernel():
