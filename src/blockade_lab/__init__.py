@@ -14,7 +14,6 @@ detunings Delta = +/- g.
 
 from .analytic import (
     atom_coherence_analytic,
-    dressed_energies,
     g2_zero_analytic,
     steady_amplitudes,
 )

@@ -27,37 +27,6 @@ from .quantum_core import SystemParams
 _SQRT2 = math.sqrt(2.0)
 
 
-def alpha_beta(p: SystemParams) -> tuple[complex, complex]:
-    """The complex rates alpha = gamma/2 + i delta, beta = kappa/2 + i delta_a."""
-    return complex(p.gamma / 2.0, p.delta), complex(p.kappa / 2.0, p.delta_a)
-
-
-@dataclass(frozen=True)
-class DressedLevel:
-    """Energies of the n-excitation dressed doublet at equal detunings."""
-
-    n: int
-    energy_plus: float
-    energy_minus: float
-
-
-def dressed_energies(p: SystemParams, n: int) -> DressedLevel:
-    """Dressed-state energies n*Delta +/- g*sqrt(n).
-
-    Only defined when the two detunings coincide (delta_a = delta = Delta);
-    otherwise the doublet is not symmetric and this form does not apply.
-    """
-    if p.delta_a != p.delta:
-        raise ValueError(
-            f"unequal detunings: delta_a={p.delta_a}, delta={p.delta}"
-        )
-    if n < 1:
-        raise ValueError("excitation number must be >= 1")
-    center = n * p.delta_a
-    split = p.g * math.sqrt(n)
-    return DressedLevel(n=n, energy_plus=center + split, energy_minus=center - split)
-
-
 @dataclass(frozen=True)
 class AmplitudeSet:
     """The five ansatz amplitudes with c0g first."""
@@ -171,14 +140,13 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
         If D1 or D2 vanishes.
     """
     with np.errstate(all="ignore"):
-        *_, d1, _, d2, singular = _denominators(p.row())
+        alpha, beta, _, d1, _, d2, singular = _denominators(p.row())
     if not np.isfinite([*d1, *d2]).all():
         raise OverflowError("D1 or D2 is not finite in double precision at these parameters")
     failures = first_failures(singular)
     if failures:
         raise failures[0]
-    alpha, beta = alpha_beta(p)
-    d1, d2 = complex(d1[0][0], d1[1][0]), complex(d2[0][0], d2[1][0])
+    alpha, beta, d1, d2 = (complex(z[0][0], z[1][0]) for z in (alpha, beta, d1, d2))
     eta = p.eta
     c1g = -1j * eta * alpha / d1
     c0e = -p.g * eta / d1
@@ -189,7 +157,7 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
 
 def _ode_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Generator and drive vector for the amplitude vector (c1g, c0e, c2g, c1e)."""
-    alpha, beta = alpha_beta(p)
+    alpha, beta = complex(p.gamma / 2.0, p.delta), complex(p.kappa / 2.0, p.delta_a)
     g, eta = p.g, p.eta
     mat = np.array(
         [
@@ -216,10 +184,10 @@ def integrate_amplitude_odes(p: SystemParams, t_final: float, dt: float,
     tenth of the run raises NotConvergedError; pass False when evaluating a
     transient on purpose.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be >= 0 and finite, got {t_final!r}")
     mat, drive = _ode_matrix(p)
     gen = np.zeros((5, 5), dtype=complex)
     gen[:4, :4] = mat
@@ -233,7 +201,7 @@ def integrate_amplitude_odes(p: SystemParams, t_final: float, dt: float,
     u = z[:4]
     if check_convergence:
         drift = float(np.max(np.abs(u - u_mark))) / max(float(np.max(np.abs(u))), 1e-30)
-        if drift > 1e-6:
+        if not drift <= 1e-6:
             raise NotConvergedError(
                 f"amplitude drift {drift:.3e} over the final 10% of t={t_final:g}"
             )
@@ -260,15 +228,6 @@ def g2_zero_analytic(p: SystemParams) -> float:
     if failures:
         raise failures[0]
     return float(g2[0])
-
-
-def atom_rho_from_amplitudes(amps: AmplitudeSet) -> np.ndarray:
-    """Reduced 2x2 atomic state of the ansatz, normalized by its trace."""
-    gg = abs(amps.c0g) ** 2 + abs(amps.c1g) ** 2 + abs(amps.c2g) ** 2
-    ee = abs(amps.c0e) ** 2 + abs(amps.c1e) ** 2
-    ge = amps.c0g * np.conjugate(amps.c0e) + amps.c1g * np.conjugate(amps.c1e)
-    rho = np.array([[gg, ge], [np.conjugate(ge), ee]], dtype=complex)
-    return rho / rho.trace().real
 
 
 def atom_coherence_analytic(p: SystemParams) -> float:

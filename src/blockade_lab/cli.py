@@ -22,7 +22,6 @@ from .sweep import (
     OUTPUT_COLUMNS,
     Axis,
     SweepSpec,
-    _first_failures,
     check_correspondence,
     evaluate,
     parse_sweep_config,
@@ -134,10 +133,9 @@ def _cmd_point(args) -> int:
     params = SystemParams(g=args.g, kappa=args.kappa, gamma=args.gamma,
                           eta=args.eta, delta_a=delta_a, delta=delta)
     # The sweep's kernel and first failure on one row: those of the matching sweep row.
-    values, failures = evaluate(params.row(), HilbertConfig(args.nmax), OUTPUT_COLUMNS)
-    first = _first_failures(failures)
-    if first:
-        raise first[0]
+    values, failed = evaluate(params.row(), HilbertConfig(args.nmax), OUTPUT_COLUMNS)
+    if failed:
+        raise failed[0]
     lines = [f"{name} = {float(values[name][0])!r}" for name in OUTPUT_COLUMNS]
     with _out_stream(args.out) as stream:
         stream.write("\n".join(lines) + "\n")

@@ -27,18 +27,6 @@ class CorrelationCurve:
 
 
 @cache
-def _photon_operators(h: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only a'a and a'a'aa on truncation h, built once per truncation.
-
-    The products are taken left to right; both operators are diagonal with
-    integer entries, so they are exact.
-    """
-    a, _ = lowering_operators(h)
-    ad = a.conj().T
-    return _read_only(ad @ a), _read_only(ad @ ad @ a @ a)
-
-
-@cache
 def _functionals(h: HilbertConfig) -> np.ndarray:
     """Read-only (4, n) matrix whose rows read observables off real coordinates.
 
@@ -47,11 +35,12 @@ def _functionals(h: HilbertConfig) -> np.ndarray:
     orthonormal and real. The rows are those of a'a, a'a'aa and the two
     Hermitian halves of s+ = |e><g| (x) 1, (s+ + s-)/2 and (s+ - s-)/2i,
     whose expectations are the real and imaginary parts of
-    Tr(s+ rho) = rho_atom[0, 1].
+    Tr(s+ rho) = rho_atom[0, 1]. The photon products are taken left to
+    right; both operators are diagonal with integer entries, so they are exact.
     """
-    _, sm = lowering_operators(h)
-    sp = sm.conj().T
-    ops = (*_photon_operators(h), (sp + sm) / 2, (sp - sm) / 2j)
+    a, sm = lowering_operators(h)
+    ad, sp = a.conj().T, sm.conj().T
+    ops = (ad @ a, ad @ ad @ a @ a, (sp + sm) / 2, (sp - sm) / 2j)
     return _read_only(np.array([vectorize(op) for op in ops]))
 
 
@@ -149,8 +138,8 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 1:
         raise ValueError("tau_grid must be a 1d array")
-    if tau_grid[0] != 0.0 or np.any(np.diff(tau_grid) <= 0):
-        raise ValueError("tau_grid must ascend strictly from 0")
+    if not (tau_grid[0] == 0.0 and np.all(np.diff(tau_grid) > 0) and tau_grid[-1] < np.inf):
+        raise ValueError("tau_grid must be finite and ascend strictly from 0")
     _check_step(liou, dt)
     stationary, failures = _observables(rho_ss, h)
     if failures:

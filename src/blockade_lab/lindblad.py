@@ -619,7 +619,7 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     shape (N, n), whose row r holds the real coordinates of the unique
     trace-one fixed point of liou[r] (NaN if it failed), and a dict from each
     failed row to the error it raised: the first of the gates below that
-    refused it.
+    refused it. An empty stack (N = 0) gives an empty vecs and no failures.
 
     In each L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, one at the d diagonal coordinates: this gives
@@ -666,6 +666,8 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     d = math.isqrt(n)
     if liou.shape != (count, n, n) or d * d != n:
         raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
+    if not count:
+        return np.empty((0, n)), {}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|
         scale = np.maximum(liou.max(axis=(1, 2)), -liou.min(axis=(1, 2)))
@@ -735,13 +737,16 @@ def _check_step(liou: np.ndarray, dt: float) -> None:
     """Refuse a step beyond the RK4 stability bound, taken on ||L_r||_inf.
 
     ||L_r||_inf bounds the spectrum of L as ||L||_inf does, since L_r is
-    similar to L; it is not the same number.
+    similar to L; it is not the same number. Each test accepts only when it
+    holds, so a NaN dt or a non-finite entry of L never passes.
     """
     _require_real(liou)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(liou).all():
+        raise ValueError("Liouvillian has a non-finite entry")
     norm = float(np.linalg.norm(liou, np.inf))
-    if norm * dt > MAX_STEP_FACTOR:
+    if not norm * dt <= MAX_STEP_FACTOR:
         raise StepTooLargeError(
             f"||L||_inf * dt = {norm * dt:.3g} exceeds {MAX_STEP_FACTOR}; reduce dt"
         )
@@ -803,14 +808,14 @@ def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.
     initial trace) raises, since the generator preserves the trace exactly
     and any drift signals an unstable step.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be >= 0 and finite, got {t_final!r}")
     _check_step(liou, dt)
     rho0 = np.asarray(rho0)
     trace0 = float(np.trace(rho0).real)
     vec = RK4Propagator(liou, dt).advance(vectorize(rho0), t_final)
     rho = unvectorize(vec, rho0.shape[0])
     drift = abs(float(np.trace(rho).real) - trace0)
-    if drift > 1e-8 * max(1.0, abs(trace0)):
+    if not drift <= 1e-8 * max(1.0, abs(trace0)):
         raise SolverError(f"trace drift {drift:.3e} over the run; step too coarse")
     return rho

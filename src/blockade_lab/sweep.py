@@ -6,9 +6,11 @@ are recorded in a per-row status column. The grid is laid out in a fixed
 row-major order (first axis outer) as a matrix of parameter rows, and
 evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of stacked
-Liouvillians sized to stay in cache. A row's bits do not depend on the rows
-evaluated with it, so a point query prints the bits of its sweep row and
-identical specs produce byte-identical CSV files.
+Liouvillians sized to stay in cache. evaluate alone decides what a failure
+does to a row: its branch's later outputs become NaN, and its first error
+is what a sweep's status column and a point query report. A row's bits do
+not depend on the rows evaluated with it, so a point query prints the bits
+of its sweep row and identical specs produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -159,26 +161,31 @@ def _solve(stack: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def evaluate(rows: np.ndarray, h: HilbertConfig,
-             outputs: tuple[str, ...]) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
-    """The requested outputs at each (N, 6) parameter row, and what failed where.
+             outputs: tuple[str, ...]) -> tuple[dict[str, np.ndarray], dict[int, Exception]]:
+    """The requested outputs at each (N, 6) parameter row, and each failed row's first error.
 
-    Returns values, one array per requested output, and failures, a dict
-    from row to exception for each requested output and, when a numeric
-    output is requested, for "steady_state". An output whose own step failed
-    at a row has no value there. The closed forms are evaluated as arrays
-    over all rows at once. The numeric branch runs in chunks of _chunk_size
-    rows: one stacked Liouvillian assembly, one stacked solve with the gates
-    of steady_state applied per row, and one elementwise product with the
-    observable functionals. No step mixes rows, so a row's bits do not
-    depend on N or on the chunk it falls in.
+    Returns values, one array per requested output, and failed, a dict from
+    each failed row to its first error: the analytic branch's first failed
+    step, else the numeric branch's. Within a branch a failed step leaves
+    its own output and the later ones NaN at that row, in the order g2,
+    coherence for the analytic branch and steady state, g2, coherence, mean
+    photon number for the numeric one. Only the steps whose output was
+    requested count, and the steady state when any numeric output is.
+
+    The closed forms are evaluated as arrays over all rows at once. The
+    numeric branch runs in chunks of _chunk_size rows: one stacked
+    Liouvillian assembly, one stacked solve with the gates of steady_state
+    applied per row, and one elementwise product with the observable
+    functionals. No step mixes rows, so a row's bits do not depend on N or
+    on the chunk it falls in.
     """
-    values, failures = {}, {}
+    values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):
         g2, coh, g2_failed, coh_failed = closed_forms(rows)
-        for name, column, failed in (("g2_analytic", g2, g2_failed),
-                                     ("coh_analytic", coh, coh_failed)):
+        for name, column, failures in (("g2_analytic", g2, g2_failed),
+                                       ("coh_analytic", coh, coh_failed)):
             if name in outputs:
-                values[name], failures[name] = column, failed
+                values[name], step_failed[name] = column, failures
     numeric = [name for name in _NUMERIC_STEPS[1:] if name in outputs]
     if numeric:
         values.update((name, np.empty(len(rows))) for name in numeric)
@@ -189,15 +196,26 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
         liou = np.empty((size, h.dim**2, h.dim**2))
         for start in range(0, len(rows), size):
             chunk = rows[start:start + size]
-            vecs, failed = _solve(liouvillians(chunk, h, liou[:len(chunk)]))
+            vecs, failures = _solve(liouvillians(chunk, h, liou[:len(chunk)]))
             observed, undefined = steady_observables(vecs, h)
             for name in numeric:
                 values[name][start:start + len(chunk)] = observed[name]
-            solve_failed.update((start + r, e) for r, e in failed.items())
+            solve_failed.update((start + r, e) for r, e in failures.items())
             g2_failed.update((start + r, e) for r, e in undefined.items())
-        failures["steady_state"] = solve_failed
-        failures.update((name, g2_failed if name == "g2_numeric" else {}) for name in numeric)
-    return values, failures
+        step_failed["steady_state"] = solve_failed
+        if "g2_numeric" in outputs:
+            step_failed["g2_numeric"] = g2_failed
+
+    failed: dict[int, Exception] = {}
+    for steps in (_ANALYTIC_STEPS, _NUMERIC_STEPS):
+        earlier: set[int] = set()
+        for name in steps:
+            for row, exc in step_failed.get(name, {}).items():
+                failed.setdefault(row, exc)
+                earlier.add(row)
+            if name in values:
+                values[name][list(earlier)] = np.nan
+    return values, failed
 
 
 def _grid_rows(spec: SweepSpec, mesh: list[np.ndarray]) -> np.ndarray:
@@ -209,38 +227,19 @@ def _grid_rows(spec: SweepSpec, mesh: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
-def _first_failures(failures: dict[str, dict]) -> dict[int, Exception]:
-    """Each failed row's first failed step: the analytic branch's first, else the numeric's."""
-    first: dict[int, Exception] = {}
-    for name in _ANALYTIC_STEPS + _NUMERIC_STEPS:
-        for row, exc in failures.get(name, {}).items():
-            first.setdefault(row, exc)
-    return first
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point through the requested branches.
 
     The grid's parameter rows go through evaluate in one call, so each row
     carries the same bits as a point query at its parameters. A failed
-    point gets NaN in the affected columns and the error class name in the
-    status column; the sweep continues. Within a branch a failed step leaves
-    the later ones NaN, in the order steady state, g2, coherence, mean photon
-    number for the numeric branch and g2, coherence for the analytic one.
-    The status is the class name of the row's first failure (_first_failures).
+    point keeps the NaN that evaluate leaves in its columns and gets the
+    class name of its first error in the status column; the sweep continues.
     """
     axes = spec.axes
     mesh = _mesh(axes)
-    values, failures = evaluate(_grid_rows(spec, mesh), spec.hilbert, spec.outputs)
-
-    for steps in (_ANALYTIC_STEPS, _NUMERIC_STEPS):
-        failed: set[int] = set()
-        for name in steps:
-            failed.update(failures.get(name, {}))
-            if name in values:
-                values[name][list(failed)] = np.nan
+    values, failed = evaluate(_grid_rows(spec, mesh), spec.hilbert, spec.outputs)
     status = [STATUS_OK] * mesh[0].size
-    for row, exc in _first_failures(failures).items():
+    for row, exc in failed.items():
         status[row] = type(exc).__name__
 
     coords = {ax.name: np.asarray(grid, dtype=float) for ax, grid in zip(axes, mesh)}
@@ -269,29 +268,16 @@ def _refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, float]:
     return float(coord), float(value)
 
 
-def _curve_for(result: SweepResult, column: str, row: int | None) -> tuple[np.ndarray, np.ndarray]:
-    vals = result.column(column)
-    if len(result.axes) == 1:
-        if row is not None:
-            raise ConfigError("row selection only applies to 2d sweeps")
-        return result.coords[result.axes[0].name], vals
-    if row is None:
-        raise ConfigError("2d sweep: pass row to select a slice along the first axis")
-    n2 = result.axes[1].count
-    if not 0 <= row < result.axes[0].count:
-        raise ConfigError(f"row {row} outside axis1 range")
-    sl = slice(row * n2, (row + 1) * n2)
-    return result.coords[result.axes[1].name][sl], vals[sl]
+def locate_extrema(result: SweepResult, column: str) -> list[Extremum]:
+    """Interior local extrema of one output column of a 1d sweep, endpoints excluded.
 
-
-def locate_extrema(result: SweepResult, column: str, row: int | None = None) -> list[Extremum]:
-    """Interior local extrema of one output column, endpoints excluded.
-
-    For a 2d sweep, `row` picks an index along the first axis and the scan
-    runs along the second. Raises NoInteriorExtremumError when the curve is
-    monotone (or too short to have an interior point).
+    Raises ConfigError for a 2d sweep, and NoInteriorExtremumError when the
+    curve is monotone (or too short to have an interior point).
     """
-    x, y = _curve_for(result, column, row)
+    y = result.column(column)
+    if len(result.axes) != 1:
+        raise ConfigError("extrema are located on 1d sweeps only")
+    x = result.coords[result.axes[0].name]
     found: list[Extremum] = []
     for i in range(1, len(y) - 1):
         if y[i] > y[i - 1] and y[i] > y[i + 1]:

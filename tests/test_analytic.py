@@ -1,4 +1,4 @@
-"""Truncated-ansatz branch: closed forms, amplitude ODEs, dressed levels."""
+"""Truncated-ansatz branch: closed forms, steady amplitudes and amplitude ODEs."""
 
 import warnings
 
@@ -12,18 +12,27 @@ from blockade_lab import (
     SystemParams,
     atom_coherence_analytic,
     default_step,
-    dressed_energies,
     g2_zero_analytic,
     g2_zero_numeric,
     liouvillian,
     steady_amplitudes,
     steady_state,
 )
-from blockade_lab.analytic import atom_rho_from_amplitudes, closed_forms, integrate_amplitude_odes
+from blockade_lab.analytic import closed_forms, integrate_amplitude_odes
 from blockade_lab.correlations import atom_coherence_numeric
 from blockade_lab.errors import NotConvergedError, SingularDenominatorError
 
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
+
+
+def atom_rho_from_amplitudes(amps):
+    """Reduced 2x2 atomic state of the ansatz, normalized by its trace."""
+    gg = abs(amps.c0g) ** 2 + abs(amps.c1g) ** 2 + abs(amps.c2g) ** 2
+    ee = abs(amps.c0e) ** 2 + abs(amps.c1e) ** 2
+    ge = amps.c0g * np.conjugate(amps.c0e) + amps.c1g * np.conjugate(amps.c1e)
+    rho = np.array([[gg, ge], [np.conjugate(ge), ee]], dtype=complex)
+    return rho / rho.trace().real
+
 
 # draws stay inside the weakly driven, moderately damped regime where the
 # two-excitation ansatz is meaningful (and its denominators provably nonzero)
@@ -38,26 +47,6 @@ weak_params = st.builds(
     d1=st.floats(-1.5, 1.5),
     d2=st.floats(-1.5, 1.5),
 )
-
-
-def test_dressed_ladder():
-    p = SystemParams(g=1.3, kappa=0.1, gamma=0.05, eta=0.0, delta_a=0.4, delta=0.4)
-    one = dressed_energies(p, 1)
-    two = dressed_energies(p, 2)
-    assert one.energy_plus == pytest.approx(0.4 + 1.3)
-    assert one.energy_minus == pytest.approx(0.4 - 1.3)
-    assert two.energy_plus == pytest.approx(0.8 + 1.3 * np.sqrt(2))
-    # anharmonicity: the second rung is not at twice the first, which is the
-    # blockade mechanism; for the lower branch the offset is (2 - sqrt(2)) g
-    assert two.energy_minus - 2 * one.energy_minus == pytest.approx((2 - np.sqrt(2)) * 1.3)
-
-
-def test_dressed_energies_need_equal_detunings():
-    p = SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.0, delta_a=0.3, delta=0.2)
-    with pytest.raises(ValueError):
-        dressed_energies(p, 1)
-    with pytest.raises(ValueError):
-        dressed_energies(FIG1, 0)
 
 
 def test_amplitude_hierarchy_under_weak_drive():
@@ -207,6 +196,16 @@ def test_ode_convergence_gate():
     # the same call with the gate off returns the transient snapshot
     res = integrate_amplitude_odes(p, 5.0, default_step(p), check_convergence=False)
     assert res.c0g == 1.0
+    # a step beyond RK4's stability bound overflows to NaN, which the gate refuses too
+    with np.errstate(all="ignore"), pytest.raises(NotConvergedError, match="drift nan"):
+        integrate_amplitude_odes(p, 2000.0, 5.0)
+
+
+@pytest.mark.parametrize("t_final, dt", [(5.0, np.nan), (5.0, np.inf), (np.nan, 0.01), (np.inf, 0.01)])
+def test_ode_accepts_only_a_finite_positive_step_and_a_finite_time(t_final, dt):
+    p = SystemParams(g=1.0, kappa=0.1, gamma=0.1, eta=0.005, delta_a=1.0, delta=1.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite|t_final must be >= 0"):
+        integrate_amplitude_odes(p, t_final, dt, check_convergence=False)
 
 
 def test_analytic_and_numeric_g2_agree_where_drive_is_gentle():

@@ -134,3 +134,20 @@ def test_tau_grid_validation():
         g2_tau(rho, liou, H4, np.array([0.0, 0.2, 0.2]), dt)  # strictly ascending
     with pytest.raises(StepTooLargeError):
         g2_tau(rho, liou, H4, np.array([0.0, 0.2]), 10.0)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.5, np.nan], [0.0, np.inf], [0.0, np.nan, 0.5]])
+def test_tau_grid_must_be_finite(grid):
+    liou = liouvillian(FIG2, H4)
+    rho = steady_state(liou)
+    with pytest.raises(ValueError, match="tau_grid must be finite and ascend strictly from 0"):
+        g2_tau(rho, liou, H4, np.array(grid), default_step(FIG2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_g2_tau_refuses_a_non_finite_liouvillian(bad):
+    liou = liouvillian(FIG2, H4)
+    rho = steady_state(liou)
+    liou[3, 5] = bad
+    with pytest.raises(ValueError, match="Liouvillian has a non-finite entry"):
+        g2_tau(rho, liou, H4, np.array([0.0, 0.2, 0.5]), default_step(FIG2))

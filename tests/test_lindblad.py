@@ -14,7 +14,7 @@ from blockade_lab import lindblad
 from blockade_lab.analytic import _ode_matrix, integrate_amplitude_odes
 from blockade_lab.cli import fig1_spec, fig2_params, fig3_spec
 from blockade_lab.correlations import (
-    _photon_operators,
+    _functionals,
     atom_coherence_numeric,
     g2_zero_numeric,
     mean_photon,
@@ -551,6 +551,12 @@ def test_steady_states_only_reads_its_argument():
     assert np.array_equal(steady_state(stack[0], coordinates=True), vecs[0])
 
 
+@pytest.mark.parametrize("n", [4, 9, 100])
+def test_steady_states_of_an_empty_stack_is_empty(n):
+    vecs, failures = steady_states(np.empty((0, n, n)))
+    assert vecs.shape == (0, n) and failures == {}
+
+
 def test_threads_solving_at_once_get_the_bits_of_one_thread():
     rng = np.random.default_rng(7)
     rows = np.column_stack([rng.uniform(0.5, 2.0, 16), rng.uniform(0.05, 0.5, 16),
@@ -780,13 +786,14 @@ def test_cached_operators_are_read_only():
     h = HilbertConfig(3)
     a, sm = lowering_operators(h)
     assert lowering_operators(h)[0] is a
-    for op in (a, sm, *_photon_operators(h)):
+    functionals = _functionals(h)
+    assert _functionals(h) is functionals
+    for op in (a, sm, functionals):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
-    number, pairs = _photon_operators(h)
     ad = a.conj().T
-    assert np.array_equal(number, ad @ a)
-    assert np.array_equal(pairs, ad @ ad @ a @ a)
+    assert functionals[0].tobytes() == vectorize(ad @ a).tobytes()
+    assert functionals[1].tobytes() == vectorize(ad @ ad @ a @ a).tobytes()
 
 
 def test_liouvillian_basis_matches_direct_build():
@@ -862,6 +869,24 @@ def test_step_guard():
         evolve(liou, rho0, 1.0, 10.0)
     with pytest.raises(ValueError):
         evolve(liou, rho0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1.0, np.nan), (1.0, np.inf), (np.nan, 0.005), (np.inf, 0.005)])
+def test_evolve_accepts_only_a_finite_positive_step_and_a_finite_time(t_final, dt):
+    rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(ValueError, match="dt must be positive and finite|t_final must be >= 0"):
+        evolve(liouvillian(FIG1, H4), rho0, t_final, dt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evolve_refuses_a_non_finite_liouvillian(bad):
+    liou = liouvillian(FIG1, H4)
+    liou[3, 5] = bad
+    rho0 = np.zeros((H4.dim, H4.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(ValueError, match="Liouvillian has a non-finite entry"):
+        evolve(liou, rho0, 1.0, 0.005)
 
 
 def test_trace_drift_is_an_error_not_hidden():

@@ -22,12 +22,13 @@ from blockade_lab import (
 )
 from blockade_lab import cli, sweep
 from blockade_lab.cli import fig1_spec
-from blockade_lab.errors import ConfigError, NoInteriorExtremumError
+from blockade_lab.errors import ConfigError, NoInteriorExtremumError, SingularDenominatorError
 from blockade_lab.sweep import (
     OUTPUT_COLUMNS,
     _grid_rows,
     _mesh,
     csv_columns,
+    evaluate,
     locate_extrema,
     parse_sweep_config,
     read_sweep_csv,
@@ -139,13 +140,28 @@ def test_sweep_records_failures_and_continues():
     # analytic branch is singular only on resonance (D1 = g^2 - Delta^2 = 0);
     # each row carries whichever failure was hit first, and the sweep finishes
     base = SystemParams(g=1.0, kappa=0.0, gamma=0.0, eta=0.001, delta_a=0.0, delta=0.0)
-    res = run_sweep(SweepSpec(base=base, axis1=Axis("Delta", 0.5, 1.5, 3)))
+    spec = SweepSpec(base=base, axis1=Axis("Delta", 0.5, 1.5, 3))
+    res = run_sweep(spec)
     assert res.status == ["NoDissipationError", "SingularDenominatorError",
                           "NoDissipationError"]
     assert np.all(np.isnan(res.column("g2_numeric")))
     assert np.isnan(res.column("g2_analytic")[1])
     assert np.all(np.isfinite(res.column("g2_analytic")[[0, 2]]))
     assert np.all(np.isfinite(res.column("coh_analytic")[[0, 2]]))
+
+    # evaluate owns that policy: on the analytic branch only the lossless
+    # resonance fails, and its coherence is NaN with its g2
+    rows = _grid_rows(spec, _mesh(spec.axes))
+    values, failed = evaluate(rows, spec.hilbert, ("g2_analytic", "coh_analytic"))
+    assert list(failed) == [1] and type(failed[1]) is SingularDenominatorError
+    assert np.isnan(values["coh_analytic"][1])
+    assert np.all(np.isfinite(values["coh_analytic"][[0, 2]]))
+    # at alpha = 0 only g2 fails; the coherence after it is NaN only if g2 was asked for
+    row = SystemParams(g=1.0, kappa=0.05, gamma=0.0, eta=0.01, delta_a=0.0, delta=0.0).row()
+    values, failed = evaluate(row, HilbertConfig(4), ("coh_analytic",))
+    assert failed == {} and values["coh_analytic"][0] == 0.02
+    values, failed = evaluate(row, HilbertConfig(4), ("g2_analytic", "coh_analytic"))
+    assert type(failed[0]) is SingularDenominatorError and np.isnan(values["coh_analytic"][0])
 
 
 def _point_values(args, nmax, out):
@@ -231,19 +247,13 @@ def test_locate_extrema_excludes_endpoints():
 
 
 def test_locate_extrema_row_selection():
+    # extrema are located along a 1d sweep; a 2d result has no one curve to scan
     res = run_sweep(SweepSpec(base=BASE,
                               axis1=Axis("kappa", 0.05, 0.1, 2),
                               axis2=Axis("Delta", -2.0, 2.0, 41),
                               outputs=("coh_analytic",)))
-    found = locate_extrema(res, "coh_analytic", row=0)
-    peaks = sorted(e.coordinate for e in found if e.kind == "max")
-    assert len(peaks) == 2
-    assert peaks[0] == pytest.approx(-1.0, abs=0.1)
-    assert peaks[1] == pytest.approx(+1.0, abs=0.1)
-    with pytest.raises(ConfigError):
-        locate_extrema(res, "coh_analytic")  # 2d needs a row
-    with pytest.raises(ConfigError):
-        locate_extrema(res, "coh_analytic", row=7)
+    with pytest.raises(ConfigError, match="1d sweeps only"):
+        locate_extrema(res, "coh_analytic")
 
 
 # --- the correspondence check
