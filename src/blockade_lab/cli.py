@@ -1,8 +1,10 @@
 """Command line front end: figure presets, free-form sweeps, and checks.
 
-Exit codes: 0 success, 2 configuration problem (any ValueError, ConfigError
-included, or a closed form that overflows), 3 solver failure, 4 failed
-correspondence check, 141 standard output closed by its reader.
+Each subcommand's parser names its handler; main calls it and maps what it
+raises to the exit code. Exit codes: 0 success, 2 configuration problem (any
+ValueError, ConfigError included, or a closed form that overflows), 3 solver
+failure, 4 failed correspondence check, 141 standard output closed by its
+reader.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from .sweep import (
     write_sweep_csv,
 )
 
-_STANDARD_OUTPUTS = ("g2_analytic", "g2_numeric", "coh_analytic", "coh_numeric")
-
-
 def fig1_spec(nmax: int = 4, grid: int = 401) -> SweepSpec:
     """Detuning sweep at g = 1: kappa = gamma = 0.05 g, eta = 0.01 g."""
     base = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
@@ -40,7 +39,6 @@ def fig1_spec(nmax: int = 4, grid: int = 401) -> SweepSpec:
         base=base,
         axis1=Axis("Delta", -2.0, 2.0, grid),
         hilbert=HilbertConfig(nmax),
-        outputs=_STANDARD_OUTPUTS,
     )
 
 
@@ -62,7 +60,6 @@ def fig3_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
         axis1=Axis("g", 5.0, 30.0, grid),
         axis2=Axis("Delta", -40.0, 40.0, grid),
         hilbert=HilbertConfig(nmax),
-        outputs=_STANDARD_OUTPUTS,
     )
 
 
@@ -74,7 +71,6 @@ def fig4_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
         axis1=Axis("Delta", -2.0, 2.0, grid),
         axis2=Axis("kappa", 0.01, 0.5, grid),
         hilbert=HilbertConfig(nmax),
-        outputs=_STANDARD_OUTPUTS,
     )
 
 
@@ -101,6 +97,10 @@ def _cmd_figure_sweep(spec: SweepSpec, out: str | None) -> int:
     with _out_stream(out) as stream:
         write_sweep_csv(result, stream)
     return 0
+
+
+def _cmd_preset(args) -> int:
+    return _cmd_figure_sweep(args.spec(args.nmax, args.grid), args.out)
 
 
 def _cmd_fig2(args) -> int:
@@ -154,31 +154,36 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 4
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="blockade-lab",
         description="Photon statistics and atomic coherence of a driven atom-cavity system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext, grid in (
-        ("fig1", "detuning sweep, both branches", 401),
-        ("fig2", "delayed correlation curve", 200),
-        ("fig3", "coupling vs detuning map", 101),
-        ("fig4", "detuning vs cavity-decay map", 101),
+    for name, helptext, grid, spec in (
+        ("fig1", "detuning sweep, both branches", 401, fig1_spec),
+        ("fig2", "delayed correlation curve", 200, None),
+        ("fig3", "coupling vs detuning map", 101, fig3_spec),
+        ("fig4", "detuning vs cavity-decay map", 101, fig4_spec),
     ):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=_cmd_fig2 if spec is None else _cmd_preset, spec=spec)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--nmax", type=int, default=4, help="cavity photon cutoff (default 4)")
         p.add_argument("--grid", type=int, default=grid,
                        help=f"grid points per axis (default {grid})")
 
     p = sub.add_parser("sweep", help="run a sweep from a config file")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--out", default=None)
     p.add_argument("--nmax", type=int, default=None, help="override the config cutoff")
 
     p = sub.add_parser("point", help="evaluate one parameter point, both branches")
+    p.set_defaults(run=_cmd_point)
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
@@ -191,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="correspondence check on a sweep CSV")
+    p.set_defaults(run=_cmd_check)
     p.add_argument("file", help="CSV produced by fig1 or sweep")
     p.add_argument("--gap-threshold", type=float, default=1.0)
     p.add_argument("--out", default=None)
@@ -198,30 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built on the first call and reused by later ones."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "fig1":
-            return _cmd_figure_sweep(fig1_spec(args.nmax, args.grid), args.out)
-        if args.command == "fig2":
-            return _cmd_fig2(args)
-        if args.command == "fig3":
-            return _cmd_figure_sweep(fig3_spec(args.nmax, args.grid), args.out)
-        if args.command == "fig4":
-            return _cmd_figure_sweep(fig4_spec(args.nmax, args.grid), args.out)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "point":
-            return _cmd_point(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except BrokenPipeError:
         # `blockade-lab fig1 | head -1`: end quietly, with the status of a
         # process killed by SIGPIPE. No SIGPIPE handler is installed, since

@@ -499,11 +499,12 @@ class _BlockKernel:
                                   self._sums[:count], steps)
         return self._views[count]
 
-    def solve(self, liou: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    def solve(self, liou: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        beta is NaN in a row of skip or off the block pattern, solved as the
-        identity, and in one whose singular pivot inverse is the identity.
+        beta is NaN in a row off the block pattern, solved as the identity,
+        and in one whose singular pivot inverse is the identity. Whether a
+        row's L is fit to solve at all is for the caller to judge.
         """
         count, n, last = liou.shape[0], self.n, self.last
         blocks, state, bound, sums, steps = self._buffers(count)
@@ -511,7 +512,7 @@ class _BlockKernel:
         np.take(flat, self._gather, axis=1, out=blocks, mode="clip")
         blocks[:, self._rhs] = 0.0
         outside = np.count_nonzero(flat, axis=1) != np.count_nonzero(blocks, axis=1)
-        unsolved = list(np.flatnonzero(skip | outside))
+        unsolved = list(np.flatnonzero(outside))
         for r in unsolved:
             blocks[r] = 0.0
             blocks[r, self._unit] = 1.0
@@ -628,9 +629,10 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     A row is solved again by the kernel with one block, a dense inverse of M
     whose beta is ||M^-1||_1, if its L_r is off the block pattern, if a pivot
     block is singular, or if its state fails the certificate or the residual
-    gate; a refused row thus gets the error and message of the dense solve.
-    For odd d the one pass is the dense one. No pass mixes rows, so a row's
-    bits do not depend on the rows stacked with it.
+    gate, and not if the first two gates below refuse it; a row refused
+    later thus gets the error and message of the dense solve. For odd d the
+    one pass is the dense one. No pass mixes rows, so a row's bits do not
+    depend on the rows stacked with it.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -681,14 +683,13 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
         refused = non_finite | no_dissipation
 
         kernel = _block_kernel(d)
-        vecs, beta, reasons = kernel.solve(liou, refused)
+        vecs, beta, reasons = kernel.solve(liou)
         gates = _gates(liou, vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block solve left unsolved has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
         if retry.size and len(kernel.spans) > 1:
-            vecs[retry], beta[retry], errors = _block_kernel(d, single=True).solve(
-                liou[retry], np.zeros(retry.size, dtype=bool))
+            vecs[retry], beta[retry], errors = _block_kernel(d, single=True).solve(liou[retry])
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
             gates = _gates(liou, vecs, beta, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates

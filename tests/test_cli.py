@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, deterministic output."""
 
+import io
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from blockade_lab import Axis, SweepSpec, SystemParams, cli, g2_zero_analytic, run_sweep
+from blockade_lab.sweep import write_sweep_csv
 
 FIG1_POINT = ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01")
 
@@ -31,6 +33,16 @@ def test_preset_sweep_defaults_to_stdout():
     assert proc.returncode == 0
     assert proc.stdout.startswith("Delta,")
     assert len(proc.stdout.splitlines()) == 6
+
+
+@pytest.mark.parametrize("name, spec", [("fig1", cli.fig1_spec), ("fig3", cli.fig3_spec),
+                                        ("fig4", cli.fig4_spec)])
+def test_each_preset_runs_its_own_spec(tmp_path, name, spec):
+    out = tmp_path / f"{name}.csv"
+    assert cli.main([name, "--grid", "5", "--out", str(out)]) == 0
+    want = io.StringIO()
+    write_sweep_csv(run_sweep(spec(4, 5)), want)
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_output_is_byte_deterministic(tmp_path):
