@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (NotConvergedError, SingularDenominatorError, StepTooLargeError,
                      first_failures)
 from .lindblad import RK4Propagator
-from .quantum_core import SystemParams
+from .quantum_core import PARAM_FIELDS, SystemParams
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -67,14 +67,15 @@ def _abs2(a):
 def _denominators(rows: np.ndarray):
     """alpha, beta, g^2, D1, |D1| and D2 at each (N, 6) parameter row, and the singular rows.
 
-    Each complex quantity is a (real, imaginary) pair of arrays. g^2 is
-    taken with the C library's pow, as Python's float power takes it. The
-    singular rows are a (mask, make) case of first_failures: those where
-    |D1| or |D2| is below 1e-12, with a SingularDenominatorError each.
+    Columns are read by their PARAM_FIELDS names. Each complex quantity is
+    a (real, imaginary) pair of arrays. g^2 is taken with the C library's
+    pow, as Python's float power takes it. The singular rows are a (mask,
+    make) case of first_failures: those where |D1| or |D2| is below 1e-12,
+    with a SingularDenominatorError each.
     """
-    g, kappa, gamma, _, delta_a, delta = rows.T
-    alpha, beta = (gamma / 2.0, delta), (kappa / 2.0, delta_a)
-    gg = np.float_power(g, 2.0)
+    col = dict(zip(PARAM_FIELDS, rows.T))
+    alpha, beta = (col["gamma"] / 2.0, col["delta"]), (col["kappa"] / 2.0, col["delta_a"])
+    gg = np.float_power(col["g"], 2.0)
     ab = _mul(alpha, beta)
     bb = _mul(beta, beta)
     d1 = (gg + ab[0], ab[1])
@@ -97,7 +98,7 @@ def closed_forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict, dict]:
     arithmetic is elementwise, so a row's bits do not depend on the other
     rows, and it runs with floating-point warnings off.
     """
-    g, eta = rows[:, 0], rows[:, 3]
+    col = dict(zip(PARAM_FIELDS, rows.T))
     with np.errstate(all="ignore"):
         alpha, beta, gg, d1, abs1, d2, singular = _denominators(rows)
         aab = _mul(alpha, (alpha[0] + beta[0], alpha[1] + beta[1]))
@@ -105,7 +106,7 @@ def closed_forms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict, dict]:
         x, y, z = _abs2(d1), _abs2((gg - aab[0], -aab[1])), aa * aa * _abs2(d2)
         xy = x * y
         g2 = xy / z
-        coh = 2.0 * g * eta / abs1
+        coh = 2.0 * col["g"] * col["eta"] / abs1
         # x, y and z are not negative. If x or y overflows, so does g2, and
         # if z does, g2 is NaN or 0; the finite z test catches the 0.
         tiny = z < 1e-300 * np.maximum(1.0, xy)
@@ -156,21 +157,20 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
     return AmplitudeSet(c0g=1.0 + 0.0j, c1g=c1g, c0e=c0e, c2g=c2g, c1e=c1e)
 
 
-def _ode_matrix(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Generator and drive vector for the amplitude vector (c1g, c0e, c2g, c1e)."""
+def _ode_matrix(p: SystemParams) -> np.ndarray:
+    """Generator [[M, b], [0, 0]] of z = (c1g, c0e, c2g, c1e, 1): z' = gen z is u' = M u + b."""
     alpha, beta = complex(p.gamma / 2.0, p.delta), complex(p.kappa / 2.0, p.delta_a)
     g, eta = p.g, p.eta
-    mat = np.array(
+    return np.array(
         [
-            [-beta, -1j * g, -_SQRT2 * 1j * eta, 0.0],
-            [-1j * g, -alpha, 0.0, -1j * eta],
-            [-_SQRT2 * 1j * eta, 0.0, -2.0 * beta, -_SQRT2 * 1j * g],
-            [0.0, -1j * eta, -_SQRT2 * 1j * g, -(alpha + beta)],
+            [-beta, -1j * g, -_SQRT2 * 1j * eta, 0.0, -1j * eta],
+            [-1j * g, -alpha, 0.0, -1j * eta, 0.0],
+            [-_SQRT2 * 1j * eta, 0.0, -2.0 * beta, -_SQRT2 * 1j * g, 0.0],
+            [0.0, -1j * eta, -_SQRT2 * 1j * g, -(alpha + beta), 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
         ],
         dtype=complex,
     )
-    drive = np.array([-1j * eta, 0.0, 0.0, 0.0], dtype=complex)
-    return mat, drive
 
 
 def integrate_amplitude_odes(p: SystemParams, t_final: float, dt: float) -> AmplitudeSet:
@@ -178,21 +178,17 @@ def integrate_amplitude_odes(p: SystemParams, t_final: float, dt: float) -> Ampl
 
     Initial condition is |0,g>, i.e. all excited amplitudes zero and c0g = 1
     (held fixed throughout). The affine system u' = M u + b is integrated as
-    the linear one z' = [[M, b], [0, 0]] z on z = (u, 1), on which RK4 acts
-    stage for stage as it does on the affine system. A state that is not
-    finite at the end raises StepTooLargeError: dt is beyond RK4's stability
-    bound for M. A relative change of the amplitude vector above 1e-6 over
-    the final tenth of the run raises NotConvergedError.
+    the linear one z' = [[M, b], [0, 0]] z of _ode_matrix on z = (u, 1), on
+    which RK4 acts stage for stage as it does on the affine system. A state
+    that is not finite at the end raises StepTooLargeError: dt is beyond
+    RK4's stability bound for M. A relative change of the amplitude vector
+    above 1e-6 over the final tenth of the run raises NotConvergedError.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= t_final < math.inf:
         raise ValueError(f"t_final must be >= 0 and finite, got {t_final!r}")
-    mat, drive = _ode_matrix(p)
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = mat
-    gen[:4, 4] = drive
-    propagator = RK4Propagator(gen, dt)
+    propagator = RK4Propagator(_ode_matrix(p), dt)
     t_mark = 0.9 * t_final
     with np.errstate(over="ignore", invalid="ignore"):
         u_mark = propagator.advance(np.array([0, 0, 0, 0, 1], dtype=complex), t_mark)

@@ -32,7 +32,7 @@ from .sweep import (
     write_sweep_csv,
 )
 
-def fig1_spec(nmax: int = 4, grid: int = 401) -> SweepSpec:
+def fig1_spec(nmax: int = HilbertConfig.n_max, grid: int = 401) -> SweepSpec:
     """Detuning sweep at g = 1: kappa = gamma = 0.05 g, eta = 0.01 g."""
     base = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
     return SweepSpec(
@@ -52,7 +52,7 @@ def fig2_params() -> SystemParams:
     return SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
 
 
-def fig3_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
+def fig3_spec(nmax: int = HilbertConfig.n_max, grid: int = 101) -> SweepSpec:
     """Coupling vs detuning map at kappa = 1: gamma = 0.5, eta = 0.1."""
     base = SystemParams(g=1.0, kappa=1.0, gamma=0.5, eta=0.1, delta_a=0.0, delta=0.0)
     return SweepSpec(
@@ -63,7 +63,7 @@ def fig3_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
     )
 
 
-def fig4_spec(nmax: int = 4, grid: int = 101) -> SweepSpec:
+def fig4_spec(nmax: int = HilbertConfig.n_max, grid: int = 101) -> SweepSpec:
     """Detuning vs cavity decay map at g = 1: gamma = 0.01, eta = 0.001."""
     base = SystemParams(g=1.0, kappa=0.01, gamma=0.01, eta=0.001, delta_a=0.0, delta=0.0)
     return SweepSpec(
@@ -172,7 +172,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(run=_cmd_fig2 if spec is None else _cmd_preset, spec=spec)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--nmax", type=int, default=4, help="cavity photon cutoff (default 4)")
+        p.add_argument("--nmax", type=int, default=HilbertConfig.n_max,
+                       help="cavity photon cutoff (default %(default)s)")
         p.add_argument("--grid", type=int, default=grid,
                        help=f"grid points per axis (default {grid})")
 
@@ -192,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="sets both detunings unless overridden")
     p.add_argument("--delta-cavity", type=float, default=None, dest="delta_cavity")
     p.add_argument("--delta-atom", type=float, default=None, dest="delta_atom")
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--nmax", type=int, default=HilbertConfig.n_max)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="correspondence check on a sweep CSV")

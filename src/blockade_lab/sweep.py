@@ -16,7 +16,7 @@ of its sweep row and identical specs produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -79,14 +79,19 @@ class Axis:
         return (self.stop - self.start) / (self.count - 1)
 
 
+def _fields_of(axis_name: str) -> tuple[str, ...]:
+    """The SystemParams fields an axis sets; Delta sets both detunings."""
+    return ("delta_a", "delta") if axis_name == "Delta" else (axis_name,)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base parameters, one or two axes, truncation, and requested outputs."""
+    """Base parameters, one or two axes setting disjoint fields, truncation, and outputs."""
 
     base: SystemParams
     axis1: Axis
     axis2: Axis | None = None
-    hilbert: HilbertConfig = HilbertConfig(4)
+    hilbert: HilbertConfig = HilbertConfig()
     outputs: tuple[str, ...] = ("g2_analytic", "g2_numeric", "coh_analytic", "coh_numeric")
 
     def __post_init__(self):
@@ -95,7 +100,8 @@ class SweepSpec:
             raise ConfigError(f"unknown outputs {bad}; choose from {OUTPUT_COLUMNS}")
         if not self.outputs:
             raise ConfigError("at least one output column is required")
-        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+        fields = [name for ax in self.axes for name in _fields_of(ax.name)]
+        if len(set(fields)) < len(fields):
             raise ConfigError("the two axes must sweep different parameters")
         if "g2_numeric" in self.outputs and self.hilbert.n_max < 2:
             raise ConfigError(f"g2_numeric needs n_max >= 2, got {self.hilbert.n_max}: "
@@ -113,7 +119,7 @@ class SweepResult:
     axes: tuple[Axis, ...]
     coords: dict[str, np.ndarray]
     columns: dict[str, np.ndarray]
-    status: list[str] = field(default_factory=list)
+    status: list[str]
 
     @property
     def n_rows(self) -> int:
@@ -123,11 +129,6 @@ class SweepResult:
         if name not in self.columns:
             raise ConfigError(f"result has no column {name!r}")
         return self.columns[name]
-
-
-def _fields_of(axis_name: str) -> tuple[str, ...]:
-    """The SystemParams fields an axis sets; Delta sets both detunings."""
-    return ("delta_a", "delta") if axis_name == "Delta" else (axis_name,)
 
 
 def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
@@ -512,7 +513,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
     base_kwargs = {name: 0.0 for name in PARAM_FIELDS}
     axes: dict[str, Axis] = {}
-    nmax = 4
+    nmax = HilbertConfig.n_max
     outputs = None
     for key, value in entries.items():
         if key in PARAM_FIELDS:

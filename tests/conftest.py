@@ -11,14 +11,10 @@ def _amplitude_rk4(p, t_final, dt):
     """(c1g, c0e, c2g, c1e) at t_final from the vacuum, with no gate.
 
     The propagation of integrate_amplitude_odes: RK4Propagator on the
-    augmented generator [[M, b], [0, 0]] of _ode_matrix, advanced to
-    0.9 t_final and then on to t_final. Use it to look at a transient.
+    generator [[M, b], [0, 0]] of _ode_matrix, advanced to 0.9 t_final and
+    then on to t_final. Use it to look at a transient.
     """
-    mat, drive = _ode_matrix(p)
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = mat
-    gen[:4, 4] = drive
-    propagator = RK4Propagator(gen, dt)
+    propagator = RK4Propagator(_ode_matrix(p), dt)
     t_mark = 0.9 * t_final
     z = propagator.advance(np.array([0, 0, 0, 0, 1], dtype=complex), t_mark)
     return propagator.advance(z, t_final - t_mark)[:4]

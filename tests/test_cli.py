@@ -163,10 +163,13 @@ def test_point_raises_the_first_failure_of_its_sweep_row():
 
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("axis1 = Delta -2 2 21\nbogus = 1\n")
-    proc = run_cli("sweep", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+    # the second config's Delta axis would also set delta_a, overriding axis1
+    for text in ("axis1 = Delta -2 2 21\nbogus = 1\n",
+                 "axis1 = delta_a 5 6 2\naxis2 = Delta -1 1 3\n"):
+        cfg.write_text(text)
+        proc = run_cli("sweep", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
 
 
 def test_check_on_a_header_only_csv_exits_2(tmp_path):

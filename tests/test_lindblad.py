@@ -956,7 +956,8 @@ def test_propagator_is_the_stage_loop_rk4_map():
 
 def test_augmented_affine_propagation_is_the_affine_stage_loop(amplitude_rk4):
     p = fig2_params()
-    mat, drive = _ode_matrix(p)
+    gen = _ode_matrix(p)
+    mat, drive = gen[:4, :4], gen[:4, 4]
     dt = default_step(p)
     t_final = 2.0 / p.kappa  # a transient, with a shortened step in each half
     t_mark = 0.9 * t_final

@@ -100,8 +100,12 @@ def test_spec_validation():
     ax = Axis("Delta", -1.0, 1.0, 11)
     with pytest.raises(ConfigError):
         SweepSpec(base=BASE, axis1=ax, outputs=("g2_numeric", "bogus"))
-    with pytest.raises(ConfigError):
-        SweepSpec(base=BASE, axis1=ax, axis2=Axis("Delta", 0.0, 1.0, 5))
+    # two axes may not set a common field, and Delta sets delta_a and delta
+    for first, second in [("Delta", "Delta"), ("Delta", "delta_a"), ("delta_a", "Delta"),
+                          ("Delta", "delta"), ("delta", "Delta")]:
+        with pytest.raises(ConfigError, match="different parameters"):
+            SweepSpec(base=BASE, axis1=Axis(first, -1.0, 1.0, 3), axis2=Axis(second, 0.0, 1.0, 3))
+    SweepSpec(base=BASE, axis1=Axis("delta_a", -1.0, 1.0, 3), axis2=Axis("delta", 0.0, 1.0, 3))
 
 
 def test_numeric_g2_needs_n_max_2_but_the_other_numeric_columns_do_not():
@@ -433,6 +437,18 @@ def test_parse_config_two_axes():
     text = "eta = 0.001\ngamma = 0.01\naxis1 = g 5 30 6\naxis2 = Delta -40 40 101\n"
     spec = parse_sweep_config(text)
     assert spec.axis2 is not None and spec.axis2.count == 101
+
+
+def test_every_default_cutoff_is_hilbert_configs():
+    n_max = HilbertConfig().n_max
+    assert parse_sweep_config("axis1 = Delta -2 2 81\n").hilbert.n_max == n_max
+    assert SweepSpec(base=BASE, axis1=Axis("Delta", -1.0, 1.0, 3)).hilbert.n_max == n_max
+    assert all(spec().hilbert.n_max == n_max
+               for spec in (cli.fig1_spec, cli.fig3_spec, cli.fig4_spec))
+    parser = cli._parser()
+    assert parser.parse_args(["fig1"]).nmax == n_max
+    assert parser.parse_args(["point", "--g", "1", "--kappa", "1", "--gamma", "1",
+                              "--eta", "1"]).nmax == n_max
 
 
 @pytest.mark.parametrize("text", [
