@@ -52,9 +52,10 @@ class AmplitudeSet:
 def _mul(a, b):
     """Product of complex numbers held as (real, imaginary) pairs of arrays.
 
-    The two parts are formed as Python's complex product forms them, so the
-    closed forms below carry the bits of the same expressions written with
-    Python complex scalars.
+    Each part is a correctly rounded real operation taken elementwise, so a
+    row's bits do not depend on the rows beside it. The parts are the ones
+    Python's complex product forms, so D1 and D2, which steady_amplitudes goes
+    on to use as Python complex numbers, are those Python's arithmetic gives.
     """
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 

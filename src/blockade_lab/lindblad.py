@@ -402,8 +402,13 @@ class _BlockKernel:
         u = max_j ||S_j^-1||_1 (1 + ||W_{j-1}||_1 + ||W_{j-2}||_1 ||W_{j-1}||_1 + ...),
         l = max_j (1 + ||G_j||_1 + ||G_j||_1 ||G_{j+1}||_1 + ...).
 
-    With one block, the state is column 0 of the one LAPACK inverse of M,
-    and beta is ||M^-1||_1.
+    With one block, the state S_0^-1 e0 is column 0 of the one LAPACK
+    inverse of M, and beta is ||M^-1||_1.
+
+    NaN is the one mark of a row the kernel cannot solve: the blocks of a row
+    with a nonzero of L_r off the pattern are written NaN, and so is the
+    inverse of a singular pivot. The NaN runs on into that row's state and
+    beta, and no step mixes rows, so the other rows of a stack keep their bits.
     """
 
     def __init__(self, dim: int, single: bool):
@@ -425,20 +430,20 @@ class _BlockKernel:
         bounds = np.cumsum([0] + self.sizes)
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # Block row k is gathered as one matrix [B_{k-1} | A_k | U_k | z_k], so
-        # each row of L is read once. Row 0 has no B and no z (z_0 = e0 is not
-        # stored), the last no U. A z column is a placeholder, zeroed.
+        # each row of L is read once. Row 0 has no B, the last no U. A z column
+        # is a placeholder, zeroed; the trace row sets z_0 = e0.
         self._rows, pieces = [], []
         for k, group in enumerate(groups):
-            cols = np.concatenate(groups[k - 1:k] + groups[k:k + 2] + [np.full(int(k > 0), -1)])
+            cols = np.concatenate(groups[k - 1:k] + groups[k:k + 2] + [[-1]])
             pieces.append(np.where(cols < 0, -1, group[:, None] * n + cols))
             self._rows.append((group.size, cols.size, self.sizes[k - 1] if k else 0))
         gather = np.concatenate([p.reshape(-1) for p in pieces])
         self._rhs = _read_only(np.flatnonzero(gather < 0))
         self._gather = _read_only(np.maximum(gather, 0))
-        self._unit = _read_only(np.flatnonzero(gather % (n + 1) == 0))  # the diagonal of M
-        # row 0 of block row 0: the trace row, zero in U_0
-        self._trace = _read_only(np.isin(np.arange(pieces[0].shape[1]),
-                                         self.position[first[~off]]).astype(float))
+        # row 0 of block row 0: the trace row, zero in U_0, and 1 in z_0
+        trace = np.isin(np.arange(pieces[0].shape[1]), self.position[first[~off]]).astype(float)
+        trace[-1] = 1.0
+        self._trace = _read_only(trace)
 
         # The bound's buffer holds S_0^-T, G_0^T, [W_0 | y_0]^T, S_1^-T, ...: the
         # maxima of its row sums over segments are the norms; a 1 and a 0 follow.
@@ -491,9 +496,8 @@ class _BlockKernel:
                     step.update, step.schur, step.z = update, update[:, :, :-1], update[:, :, -1]
                     step.next, step.coupled = state[:, self.spans[k + 1], None], work[:, :size, None]
                 factor = next(parts)
-                head = factor[:, :-1]
                 step.factor, step.factor_t, step.y = factor, factor.transpose(0, 2, 1), factor[:, -1]
-                step.out, step.w = head if k == 0 else factor, head.transpose(0, 2, 1)
+                step.w = factor[:, :-1].transpose(0, 2, 1)
                 steps.append(step)
             self._views[count] = (self._blocks[:count], state, self._bound[:count],
                                   self._sums[:count], steps)
@@ -502,9 +506,9 @@ class _BlockKernel:
     def solve(self, liou: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        beta is NaN in a row off the block pattern, solved as the identity,
-        and in one whose singular pivot inverse is the identity. Whether a
-        row's L is fit to solve at all is for the caller to judge.
+        The state and beta are NaN in a row the kernel cannot solve: one off
+        the block pattern or with a singular pivot. Whether a row's L is fit
+        to solve at all is for the caller to judge.
         """
         count, n, last = liou.shape[0], self.n, self.last
         blocks, state, bound, sums, steps = self._buffers(count)
@@ -512,19 +516,14 @@ class _BlockKernel:
         np.take(flat, self._gather, axis=1, out=blocks, mode="clip")
         blocks[:, self._rhs] = 0.0
         outside = np.count_nonzero(flat, axis=1) != np.count_nonzero(blocks, axis=1)
-        unsolved = list(np.flatnonzero(outside))
-        for r in unsolved:
-            blocks[r] = 0.0
-            blocks[r, self._unit] = 1.0
+        blocks[outside] = np.nan
         blocks[:, :self._trace.size] = self._trace
 
         singular = {}
         for k, step in enumerate(steps):
             pivot = _pivot_inverse(step.diag, singular)
             pivot_t = pivot.transpose(0, 2, 1)
-            np.matmul(step.right, pivot_t, out=step.out)
-            if k == 0:
-                step.y[:] = pivot[:, :, 0]
+            np.matmul(step.right, pivot_t, out=step.factor)
             if k < last:
                 # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
                 np.matmul(step.below, step.factor_t, out=step.update)
@@ -544,9 +543,6 @@ class _BlockKernel:
         tops = np.maximum.reduceat(sums, self._segments, axis=1)
         chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
         beta = chains.sum(axis=-1).max(axis=-1).prod(axis=-1)
-        unsolved += singular
-        if unsolved:
-            beta[unsolved] = np.nan
         return vecs, beta, singular
 
 
@@ -557,7 +553,7 @@ def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
-    """np.linalg.inv of a stack of pivot blocks, with the identity for each singular one.
+    """np.linalg.inv of a stack of pivot blocks, with NaN for each singular one.
 
     Records in singular the first LAPACK error of each row with a singular block.
     """
@@ -570,7 +566,7 @@ def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
                 out[r] = np.linalg.inv(block)
             except np.linalg.LinAlgError as exc:
                 singular.setdefault(r, exc)
-                out[r] = np.eye(block.shape[0])
+                out[r] = np.nan
         return out
 
 
@@ -626,13 +622,14 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     replaced by the trace row, one at the d diagonal coordinates: this gives
     the bordered matrix M, and the coordinates x of rho solve M x = e0. The
     block kernel (_BlockKernel) solves for x and bounds ||M^-1||_1 by beta.
+    It leaves x and beta NaN in a row whose L_r is off the block pattern or
+    that meets a singular pivot block, and a NaN bound fails the certificate.
     A row is solved again by the kernel with one block, a dense inverse of M
-    whose beta is ||M^-1||_1, if its L_r is off the block pattern, if a pivot
-    block is singular, or if its state fails the certificate or the residual
-    gate, and not if the first two gates below refuse it; a row refused
-    later thus gets the error and message of the dense solve. For odd d the
-    one pass is the dense one. No pass mixes rows, so a row's bits do not
-    depend on the rows stacked with it.
+    whose beta is ||M^-1||_1, if its state fails the certificate or the
+    residual gate, and not if the first two gates below refuse it; a row
+    refused later thus gets the error and message of the dense solve. For
+    odd d the one pass is the dense one. No pass mixes rows, so a row's bits
+    do not depend on the rows stacked with it.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -686,7 +683,7 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
         vecs, beta, reasons = kernel.solve(liou)
         gates = _gates(liou, vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
-        # a row the block solve left unsolved has a NaN bound, so it is uncertified
+        # a row the block kernel could not solve has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
         if retry.size and len(kernel.spans) > 1:
             vecs[retry], beta[retry], errors = _block_kernel(d, single=True).solve(liou[retry])
@@ -714,13 +711,12 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
 def _gates(liou, vecs, beta, top_hi, scale):
     """The certificate and residual gates of steady_states, per row.
 
-    Returns gap_lo, null_hi, uncertified, residual and unsettled. Entry 0
-    of the drift L_r x, the balance row that M replaces, is taken as a dot
-    product of its own, the others by one matrix-vector product.
+    Returns gap_lo, null_hi, uncertified, residual and unsettled, all from
+    beta and the drift L_r x. A NaN bound fails the certificate, and a NaN
+    state fails both gates.
     """
     n = vecs.shape[1]
     drift = np.matmul(liou, vecs[:, :, None])[:, :, 0]
-    drift[:, 0] = np.matmul(liou[:, 0, :].copy()[:, None, :], vecs[:, :, None])[:, 0, 0]
     gap_lo = 1.0 / (np.sqrt(n) * beta)
     null_hi = np.maximum(_norms(drift) / _norms(vecs), np.finfo(float).eps * top_hi)
     uncertified = ~(gap_lo >= 1e6 * null_hi)

@@ -349,8 +349,9 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
     gap_threshold grid steps and none of its g2 or coherence values is
     missing (non-finite): a failed point can hide an extremum, so it fails the
     branch and its summary line counts the missing points. The dark-point
-    ratio (coherence at Delta = 0 over the coherence grid maximum) is
-    reported, not gated. A negative or non-finite gap_threshold is a ConfigError.
+    ratio (coherence at Delta = 0 over the coherence grid maximum, NaN where
+    that maximum is zero) is reported, not gated. A negative or non-finite
+    gap_threshold is a ConfigError.
     """
     if not 0.0 <= gap_threshold < math.inf:
         raise ConfigError(f"gap threshold must be finite and >= 0, got {gap_threshold!r}")
@@ -379,7 +380,8 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
         max_gap = max(gap for _, _, gap in pairs)
         coh_vals = result.column(coh_name)
         dark = float(coh_vals[np.argmin(np.abs(x))])
-        ratio = dark / float(np.max(coh_vals))
+        peak = float(np.max(coh_vals))
+        ratio = dark / peak if peak != 0.0 else math.nan
         finite = np.isfinite(result.column(g2_name)) & np.isfinite(coh_vals)
         missing = int(np.count_nonzero(~finite))
         reports.append(BranchReport(

@@ -422,7 +422,6 @@ def dense_steady_state(liou):
         return DegenerateSteadyStateError(f"trace-constrained solve failed: {exc}")
     vec = inv[:, 0].copy()
     drift = liou @ vec
-    drift[0] = liou[0] @ vec
     gap_lo = 1.0 / (np.sqrt(n) * np.abs(inv).sum(axis=0).max())
     null_hi = max(np.linalg.norm(drift) / np.linalg.norm(vec), np.finfo(float).eps * top_hi)
     if not gap_lo >= 1e6 * null_hi:
@@ -472,13 +471,17 @@ def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
     assert np.array_equal(block_solve(balance)[0], block_solve(liou)[0])
     i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
     liou[i, j] = 1e-9
-    assert np.isnan(block_solve(liou)[1])
+    vec, beta = block_solve(liou)
+    assert np.isnan(vec).all() and np.isnan(beta)
     want = dense_steady_state(liou)
     assert np.array_equal(steady_state(liou, coordinates=True), want)
+    # a singular pivot leaves its row NaN as well, with LAPACK's error kept
+    lossless = liouvillian(replace(FIG1, g=0.0, gamma=0.0), H4)
+    vecs, beta, singular = lindblad._block_kernel(H4.dim).solve(lossless[None])
+    assert list(singular) == [0] and np.isnan(vecs).all() and np.isnan(beta).all()
     # stacked between rows on the pattern and before one whose M is exactly
     # singular, each row keeps the bits and the error it gets alone
     fine = [liouvillian(replace(FIG1, delta=delta), H4) for delta in (0.5, 1.5)]
-    lossless = liouvillian(replace(FIG1, g=0.0, gamma=0.0), H4)
     vecs, failures = steady_states(np.stack([fine[0], liou, lossless, fine[1]]))
     assert list(failures) == [2]
     assert str(failures[2]) == str(dense_steady_state(lossless))

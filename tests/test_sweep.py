@@ -2,6 +2,7 @@
 
 import io
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -283,6 +284,21 @@ def test_correspondence_fails_on_displaced_extrema():
     report = check_correspondence(res)
     assert not report.passed
     assert any("FAIL" in line for line in report.format_lines())
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_coherence_maximum_gives_a_nan_dark_ratio(zero):
+    deltas = np.linspace(-2.0, 2.0, 9)
+    g2 = 0.5 + (deltas**2 - 1.0) ** 2  # minima of 0.5 at +-1
+    coh = -((deltas**2 - 1.0) ** 2)  # -1 at Delta = 0, peaks of 0 at +-1
+    coh[np.abs(deltas) == 1.0] = zero
+    res = synthetic_result(rows_from_curves(deltas, g2, coh))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_correspondence(res)
+    assert report.passed
+    assert all(np.isnan(b.dark_ratio) for b in report.branches)
+    assert "numeric: dark-point coherence ratio nan; " in "\n".join(report.format_lines())
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0, float("inf")])
