@@ -65,8 +65,7 @@ def steady_observables(vecs: np.ndarray, h: HilbertConfig) -> tuple[dict[str, np
         (number <= 1e-14, lambda r: ValueError(
             f"mean photon number {number[r]:.3e} too small for g2")),
     )
-    if failures:
-        g2[list(failures)] = np.nan
+    g2[list(failures)] = np.nan
     return {"mean_photon": number, "g2_numeric": g2, "coh_numeric": 2.0 * np.hypot(re, im)}, failures
 
 
@@ -151,10 +150,7 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     number = _functionals(h)[0]
     vec = vectorize(a @ rho_ss @ a.conj().T)
     values = np.empty(tau_grid.size, dtype=float)
-    previous = 0.0
-    for k, tau in enumerate(tau_grid):
-        if tau > previous:
-            vec = propagator.advance(vec, tau - previous)
-            previous = tau
+    for k, step in enumerate(np.diff(tau_grid, prepend=0.0)):
+        vec = propagator.advance(vec, step)
         values[k] = (number @ vec) / norm
     return CorrelationCurve(tau=tau_grid, values=values, normalization=norm)

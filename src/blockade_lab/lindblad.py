@@ -121,9 +121,12 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian dim x dim matrix with real coordinates vec; inverse of vectorize.
 
     The result is Hermitian by construction: each element above the diagonal
-    is the conjugate of its mirror, and the diagonal is real.
+    is the conjugate of its mirror, and the diagonal is real. vec must have
+    shape (dim^2,), else ValueError.
     """
     vec = np.asarray(vec)
+    if vec.shape != (dim * dim,):
+        raise ValueError(f"expected {dim * dim} coordinates for dim {dim}, got shape {vec.shape}")
     rows, cols, off, first = _layout(dim)
     lower = vec[first].astype(complex)
     lower[off] = _SCALES[1] * (vec[first[off]] - 1j * vec[first[off] + 1])
@@ -276,8 +279,7 @@ def _real_part(part, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _combine(terms, lambda ll, lu, ul, uu: ll + lu + ul + uu)
 
 
-def _weighted_sum(dim: int, idx: np.ndarray, aligned: np.ndarray,
-                  weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _weighted_sum(dim: int, idx: np.ndarray, aligned: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Dense superoperators sum_k weights[r, k] * part_k, one for each row r of weights.
 
     The parts come aligned on the union idx of their nonzeros (_align) and
@@ -286,15 +288,14 @@ def _weighted_sum(dim: int, idx: np.ndarray, aligned: np.ndarray,
     not depend on the rows stacked with it. A part absent at an entry adds
     w * 0, a signed zero, to a running sum that starts at +0 and so is never
     -0; that changes no bit. Each row therefore equals the dense sum of the
-    parts in the same order exactly, whatever its weights. Returns a
-    (rows, dim^2, dim^2) array: out, if given, else a new one.
+    parts in the same order exactly, whatever its weights. Returns a new
+    (rows, dim^2, dim^2) array, zero off idx.
     """
     n = dim * dim
     acc = np.zeros((weights.shape[0], idx.size))
     for k, part in enumerate(aligned):
         acc += weights[:, k, None] * part
-    liou = np.empty((weights.shape[0], n, n)) if out is None else out
-    liou.fill(0.0)
+    liou = np.zeros((weights.shape[0], n, n))
     liou.reshape(-1, n * n)[:, idx] = acc
     return liou
 
@@ -339,14 +340,14 @@ class LiouvillianBasis:
     def assemble(self, p: SystemParams) -> np.ndarray:
         return self.assemble_rows(p.row())[0]
 
-    def assemble_rows(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Real Liouvillians of (N, 6) parameter rows, as an (N, n, n) array.
+    def assemble_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Real Liouvillians of (N, 6) parameter rows, as a new (N, n, n) array.
 
-        Written into out if it is given, else into a new array. An entry that
-        overflows is left non-finite, without a warning, for steady_states.
+        An entry that overflows is left non-finite, without a warning, for
+        steady_states.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return _weighted_sum(self.hilbert.dim, *self._aligned, rows[:, self._columns], out)
+            return _weighted_sum(self.hilbert.dim, *self._aligned, rows[:, self._columns])
 
 
 @cache
@@ -363,14 +364,13 @@ def liouvillian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
     return _basis(h).assemble(p)
 
 
-def liouvillians(rows: np.ndarray, h: HilbertConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Real Liouvillians of (N, 6) parameter rows on truncation h, as a stack.
+def liouvillians(rows: np.ndarray, h: HilbertConfig) -> np.ndarray:
+    """Real Liouvillians of (N, 6) parameter rows on truncation h, as a new stack.
 
     Row r of the result carries the bits of liouvillian at the parameters of
-    row r, so a sweep row and a point query agree bit for bit. The stack is
-    written into out if it is given, else into a new array.
+    row r, so a sweep row and a point query agree bit for bit.
     """
-    return _basis(h).assemble_rows(rows, out)
+    return _basis(h).assemble_rows(rows)
 
 
 class _BlockKernel:
@@ -612,11 +612,13 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
 def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     """Steady-state coordinates of a stack of real Liouvillians, and the rows that failed.
 
-    liou has shape (N, n, n) with n = d^2; it is only read. Returns vecs, of
-    shape (N, n), whose row r holds the real coordinates of the unique
-    trace-one fixed point of liou[r] (NaN if it failed), and a dict from each
-    failed row to the error it raised: the first of the gates below that
-    refused it. An empty stack (N = 0) gives an empty vecs and no failures.
+    liou has shape (N, n, n) with n = d^2 >= 1, of any real float or integer
+    dtype; it is taken as float64 (a float64 stack is not copied) and only
+    read. Returns vecs, of shape (N, n), whose row r holds the real
+    coordinates of the unique trace-one fixed point of liou[r] (NaN if it
+    failed), and a dict from each failed row to the error it raised: the
+    first of the gates below that refused it. An empty stack (N = 0) gives an
+    empty vecs and no failures.
 
     In each L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, one at the d diagonal coordinates: this gives
@@ -658,12 +660,13 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     Raises
     ------
     ValueError
-        If liou is complex or not a stack of square matrices of size d^2.
+        If liou is complex or not a stack of square matrices of size d^2 >= 1.
     """
     _require_real(liou)
+    liou = np.asarray(liou, dtype=float)
     count, n = liou.shape[0], liou.shape[-1]
     d = math.isqrt(n)
-    if liou.shape != (count, n, n) or d * d != n:
+    if liou.shape != (count, n, n) or d * d != n or not n:
         raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
     if not count:
         return np.empty((0, n)), {}
@@ -770,10 +773,13 @@ class RK4Propagator:
     only up to the bit length of the longest span asked for, and kept for the
     life of the object, so one propagator serves every span of a delay grid.
     This is the RK4 map itself, not a matrix exponential, so its step-size
-    error and its stability bound are those of RK4. dt must be positive.
+    error and its stability bound are those of RK4. dt must be positive and
+    finite, else ValueError; the stability bound is not checked here.
     """
 
     def __init__(self, gen: np.ndarray, dt: float):
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         self.gen = gen
         self.dt = dt
         self._powers = [_rk4_step(gen, np.eye(gen.shape[0], dtype=gen.dtype), dt)]
@@ -782,8 +788,11 @@ class RK4Propagator:
         """Advance vec by `duration`: full steps of dt, then one shortened step.
 
         The shortened final step lands exactly on the requested time; one
-        shorter than 1e-9 dt is skipped.
+        shorter than 1e-9 dt is skipped, so a duration of 0 returns vec
+        itself. A duration that is negative or not finite raises ValueError.
         """
+        if not 0.0 <= duration < math.inf:
+            raise ValueError(f"duration must be >= 0 and finite, got {duration!r}")
         n_full = int(duration / self.dt)
         remainder = duration - n_full * self.dt
         for j in range(n_full.bit_length()):

@@ -191,13 +191,10 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     if numeric:
         values.update((name, np.empty(len(rows))) for name in numeric)
         solve_failed, g2_failed = {}, {}
-        size = min(_chunk_size(h), max(len(rows), 1))
-        # One stack serves every chunk: a fresh stack-sized array in each
-        # chunk would cost page faults.
-        liou = np.empty((size, h.dim**2, h.dim**2))
+        size = _chunk_size(h)
         for start in range(0, len(rows), size):
             chunk = rows[start:start + size]
-            vecs, failures = _solve(liouvillians(chunk, h, liou[:len(chunk)]))
+            vecs, failures = _solve(liouvillians(chunk, h))
             observed, undefined = steady_observables(vecs, h)
             for name in numeric:
                 values[name][start:start + len(chunk)] = observed[name]
@@ -400,10 +397,6 @@ def check_correspondence(result: SweepResult, gap_threshold: float = 1.0) -> Cor
 # ---------------------------------------------------------------------------
 # CSV
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def csv_columns(result: SweepResult) -> list[str]:
     """Column layout: coordinates, outputs, log10 of g2 columns (2d only), status."""
     names = [ax.name for ax in result.axes]
@@ -415,20 +408,21 @@ def csv_columns(result: SweepResult) -> list[str]:
 
 
 def write_sweep_csv(result: SweepResult, stream: TextIO) -> None:
-    """Emit the result as CSV: LF endings, shortest round-trip floats."""
+    """Emit the result as CSV: LF endings, shortest round-trip floats.
+
+    The numeric cells of the csv_columns layout are stacked once into a
+    float64 table, and each row is written as the repr of its Python floats,
+    then the status.
+    """
     header = csv_columns(result)
-    log_cols = {}
+    cells = [result.coords[ax.name] for ax in result.axes]
+    cells += list(result.columns.values())
     with np.errstate(divide="ignore", invalid="ignore"):
-        for name in header:
-            if name.startswith("log10_"):
-                log_cols[name] = np.log10(result.column(name[len("log10_"):]))
+        cells += [np.log10(result.column(name[len("log10_"):]))
+                  for name in header if name.startswith("log10_")]
     stream.write(",".join(header) + "\n")
-    for row in range(result.n_rows):
-        cells = [_format_value(result.coords[ax.name][row]) for ax in result.axes]
-        cells += [_format_value(col[row]) for col in result.columns.values()]
-        cells += [_format_value(log_cols[name][row]) for name in header if name in log_cols]
-        cells.append(result.status[row])
-        stream.write(",".join(cells) + "\n")
+    for row, status in zip(np.column_stack(cells).tolist(), result.status):
+        stream.write(",".join(map(repr, row)) + "," + status + "\n")
 
 
 def read_sweep_csv(stream: Iterable[str]) -> SweepResult:

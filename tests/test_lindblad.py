@@ -559,6 +559,31 @@ def test_steady_states_of_an_empty_stack_is_empty(n):
     assert vecs.shape == (0, n) and failures == {}
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_steady_states_takes_a_real_stack_of_any_dtype_as_float64(dtype):
+    def outcome(liou):
+        try:
+            return steady_state(liou).tobytes()
+        except (ValueError, SolverError) as exc:
+            return repr(exc)
+
+    # the integer casts are not Liouvillians, so the gates may refuse them,
+    # but they do so as they refuse the float64 copy
+    stack = np.stack([liouvillian(FIG1, H4), liouvillian(FIG1, H4) * 1e3]).astype(dtype)
+    vecs, failures = steady_states(stack)
+    want, want_failures = steady_states(stack.astype(float))
+    assert vecs.tobytes() == want.tobytes()
+    assert {r: repr(e) for r, e in failures.items()} == {r: repr(e) for r, e in want_failures.items()}
+    for liou in stack:
+        assert outcome(liou) == outcome(liou.astype(float))
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (0, 0, 0), (2, 3, 3), (2, 4, 9)])
+def test_steady_states_refuses_a_stack_that_is_not_of_d2_by_d2_matrices(shape):
+    with pytest.raises(ValueError, match="expected a stack of d\\^2 x d\\^2 Liouvillians"):
+        steady_states(np.zeros(shape))
+
+
 def test_threads_solving_at_once_get_the_bits_of_one_thread():
     rng = np.random.default_rng(7)
     rows = np.column_stack([rng.uniform(0.5, 2.0, 16), rng.uniform(0.05, 0.5, 16),
@@ -730,6 +755,12 @@ def test_vectorize_refuses_a_matrix_that_is_not_hermitian():
         vectorize(rho)
     with pytest.raises(ValueError, match="not Hermitian"):
         vectorize(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3,), (2, 2), (1, 4)])
+def test_unvectorize_refuses_a_vector_that_is_not_of_dim_squared_coordinates(shape):
+    with pytest.raises(ValueError, match="expected 4 coordinates for dim 2"):
+        unvectorize(np.zeros(shape), 2)
 
 
 @pytest.mark.parametrize("nmax", [1, 4, 10])
@@ -955,6 +986,22 @@ def test_propagator_is_the_stage_loop_rk4_map():
     # is 2.3e-11 away here
     exact = sla.expm(liou * duration) @ vec0
     assert relative_gap(got, exact) > 1e-11
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_propagator_refuses_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        RK4Propagator(liouvillian(FIG1, H4), dt)
+
+
+@pytest.mark.parametrize("duration", [-0.05, -1e-300, np.nan, np.inf, -np.inf])
+def test_propagator_refuses_a_duration_that_is_negative_or_not_finite(duration):
+    liou = liouvillian(FIG1, H4)
+    propagator = RK4Propagator(liou, 0.01)
+    vec = np.ones(liou.shape[0])
+    with pytest.raises(ValueError, match="duration must be >= 0 and finite"):
+        propagator.advance(vec, duration)
+    assert propagator.advance(vec, 0.0) is vec
 
 
 def test_augmented_affine_propagation_is_the_affine_stage_loop(amplitude_rk4):
