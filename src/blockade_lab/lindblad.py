@@ -465,18 +465,20 @@ class _BlockKernel:
         self._chain = _read_only(np.array([
             [[at.get(("w", j - t), zero) if t else at["p", j] for t in steps] for j in steps],
             [[at.get(("g", j + t - 1), zero) if t else one for t in steps] for j in steps]]))
+        # a row's doubles in each buffer of _buffers: blocks, work, state, bound, sums
+        self._widths = (self._gather.size, max(self.sizes) * (max(self.sizes) + 1), n,
+                        sum(r * c for r, c in self._factors), self._runs.size + 2)
+        self.row_bytes = 8 * sum(self._widths)
 
     def _buffers(self, count: int) -> tuple:
         """The buffers for a stack of count, and the views each step of solve takes of them.
 
-        They hold the largest stack met so far: fresh ones cost page faults.
+        They hold the largest stack met so far, row_bytes a row: fresh ones
+        cost page faults.
         """
         if count > self._capacity:
-            self._blocks = np.empty((count, self._gather.size))
-            self._work = np.empty((count, max(self.sizes) * (max(self.sizes) + 1)))
-            self._state = np.empty((count, self.n))
-            self._bound = np.empty((count, sum(r * c for r, c in self._factors)))
-            self._sums = np.empty((count, self._runs.size + 2))
+            self._blocks, self._work, self._state, self._bound, self._sums = (
+                np.empty((count, width)) for width in self._widths)
             self._sums[:, -2:] = (1.0, 0.0)
             self._capacity, self._views = count, {}
         if count not in self._views:
@@ -591,6 +593,11 @@ def _require_real(liou: np.ndarray) -> None:
 def _norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, from the BLAS dot product as np.linalg.norm takes it."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def steady_state_bytes(dim: int) -> int:
+    """Bytes one row of a steady_states stack holds: its dense L and the block kernel's buffers."""
+    return 8 * dim ** 4 + _block_kernel(dim).row_bytes
 
 
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:

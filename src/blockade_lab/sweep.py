@@ -6,11 +6,12 @@ are recorded in a per-row status column. The grid is laid out in a fixed
 row-major order (first axis outer) as a matrix of parameter rows, and
 evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of stacked
-Liouvillians sized to stay in cache. evaluate alone decides what a failure
-does to a row: its branch's later outputs become NaN, and its first error
-is what a sweep's status column and a point query report. A row's bits do
-not depend on the rows evaluated with it, so a point query prints the bits
-of its sweep row and identical specs produce byte-identical CSV files.
+Liouvillians, as many as a fixed memory budget holds. evaluate alone
+decides what a failure does to a row: its branch's later outputs become
+NaN, and its first error is what a sweep's status column and a point
+query report. A row's bits do not depend on the rows evaluated with it,
+so a point query prints the bits of its sweep row and identical specs
+produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .analytic import closed_forms
 from .correlations import steady_observables
 from .errors import ConfigError, NoInteriorExtremumError, SolverError
-from .lindblad import liouvillians, steady_state, steady_states
+from .lindblad import liouvillians, steady_state, steady_state_bytes, steady_states
 from .quantum_core import PARAM_FIELDS, HilbertConfig, SystemParams
 
 # Axis names: the six physical parameters plus the linked detuning "Delta"
@@ -40,13 +41,13 @@ _ANALYTIC_STEPS = ("g2_analytic", "coh_analytic")
 _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
-# Bytes of one stacked Liouvillian chunk, which set its points per chunk:
-# 4 at n_max 4 and 1 from n_max 5 up. The size was chosen when each point
-# was a dense inverse. With the block solve of one right-hand side, the
-# detuning_scan benchmark (2-core Intel Xeon, numpy 2.4.6, OpenBLAS on one
-# thread) reads wall_s 0.116 / 0.096 / 0.092 reference s and peak RSS
-# 42.5 / 43.0 / 44.8 MB at 4 / 8 / 16 points a chunk (BENCH_one_rhs.json).
-_CHUNK_BYTES = 320 * 1024
+# The memory a numeric chunk may hold, in its L stack and the block
+# kernel's buffers (steady_state_bytes a point): 16 points at n_max 4,
+# 8 / 4 / 3 at n_max 5 / 6 / 7 and 1 from n_max 8 up. Against 4 points at
+# n_max 4, the detuning_scan benchmark reads wall_s 20% lower and peak RSS
+# 5.6% higher (2-core Intel Xeon, numpy 2.4.6, OpenBLAS on one thread;
+# BENCH_chunk_budget.json).
+_CHUNK_BYTES = 2970 * 1024
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,18 @@ def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
 
 
 def _chunk_size(h: HilbertConfig) -> int:
-    """Points per numeric chunk: as many n x n stacks of doubles as fit _CHUNK_BYTES, at least 1."""
-    n = h.dim * h.dim
-    return max(1, _CHUNK_BYTES // (8 * n * n))
+    """Points per numeric chunk: as many of steady_state_bytes as fit _CHUNK_BYTES, at least 1."""
+    return max(1, _CHUNK_BYTES // steady_state_bytes(h.dim))
 
 
 def _solve(stack: np.ndarray) -> tuple[np.ndarray, dict]:
     """steady_states of a chunk; a chunk of one matrix is solved by steady_state.
 
     steady_state is steady_states on a stack of one, so the bits and the
-    gates are the same either way. A point query and every chunk of one, at
-    n_max 5 and up, thus make one steady_state call per point, where the
-    solve of a point shows to a profiler or tracer.
+    gates are the same either way. Every chunk of one point (a point query,
+    every chunk from n_max 8 up, a grid's one-row remainder) thus makes one
+    steady_state call, where its solve shows to a profiler or tracer; the
+    solve of a larger chunk does not.
     """
     if len(stack) > 1:
         return steady_states(stack)

@@ -2,6 +2,7 @@
 
 import io
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from blockade_lab import (
     g2_zero_analytic,
     run_sweep,
 )
-from blockade_lab import cli, sweep
+from blockade_lab import cli, lindblad, sweep
 from blockade_lab.cli import fig1_spec
 from blockade_lab.errors import ConfigError, NoInteriorExtremumError, SingularDenominatorError
 from blockade_lab.sweep import (
@@ -214,6 +215,44 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
             if values is not None:
                 for name in OUTPUT_COLUMNS:
                     assert values[name] == repr(float(whole.column(name)[row])), (row, name)
+
+
+def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
+    # 401 rows are 25 chunks of 16 and one row, which _solve hands to steady_state
+    spec = replace(fig1_spec(), outputs=OUTPUT_COLUMNS)
+    assert sweep._chunk_size(spec.hilbert) == 16 and spec.axis1.count % 16 == 1
+    whole = run_sweep(spec)
+    with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
+        ones = run_sweep(spec)
+    assert ones.status == whole.status
+    for name in OUTPUT_COLUMNS:
+        assert np.array_equal(ones.column(name).view(np.int64),
+                              whole.column(name).view(np.int64)), name
+
+
+def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
+    held = {}
+
+    def solve_one_chunk(h):
+        # a new thread has new kernels, so the buffers are those of this call alone
+        size = sweep._chunk_size(h)
+        liou = lindblad.liouvillians(np.repeat(BASE.row(), size, axis=0), h)
+        lindblad.steady_states(liou)
+        kernel = lindblad._block_kernel(h.dim)
+        buffers = (kernel._blocks, kernel._work, kernel._state, kernel._bound, kernel._sums)
+        nbytes = liou.nbytes + sum(b.nbytes for b in buffers)
+        held[h.n_max] = size, {len(b) for b in buffers}, nbytes
+
+    for nmax in range(1, 11):
+        worker = threading.Thread(target=solve_one_chunk, args=(HilbertConfig(nmax),))
+        worker.start()
+        worker.join()
+        size, lengths, nbytes = held[nmax]
+        assert lengths == {size}, nmax
+        assert size == 1 or nbytes <= sweep._CHUNK_BYTES, nmax
+        # and one more point would not fit
+        assert nbytes // size * (size + 1) > sweep._CHUNK_BYTES, nmax
+    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [16, 8, 4, 3, 1, 1]
 
 
 def test_two_axis_sweep_layout():
