@@ -33,7 +33,10 @@ reference.
 The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
 ordered by that order L_r is block tridiagonal, and steady_states solves
-the bordered system block by block along that order (_BlockKernel).
+the bordered system block by block along that order (_BlockKernel). That
+pattern is fixed for each truncation, so a sweep never forms its dense
+Liouvillians: steady_states_at writes the nonzeros of each assembled L_r
+straight into the kernel's blocks, and reads its gates from them too.
 """
 
 from __future__ import annotations
@@ -279,24 +282,28 @@ def _real_part(part, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _combine(terms, lambda ll, lu, ul, uu: ll + lu + ul + uu)
 
 
-def _weighted_sum(dim: int, idx: np.ndarray, aligned: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Dense superoperators sum_k weights[r, k] * part_k, one for each row r of weights.
+def _weighted_sum(aligned: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The nonzeros of sum_k weights[r, k] * part_k, one row for each row r of weights.
 
-    The parts come aligned on the union idx of their nonzeros (_align) and
-    are added in order, entry by entry, as ((0 + w_0 v_0) + w_1 v_1) + ...,
-    by elementwise products and not by a matrix product, so a row's bits do
-    not depend on the rows stacked with it. A part absent at an entry adds
-    w * 0, a signed zero, to a running sum that starts at +0 and so is never
-    -0; that changes no bit. Each row therefore equals the dense sum of the
-    parts in the same order exactly, whatever its weights. Returns a new
-    (rows, dim^2, dim^2) array, zero off idx.
+    The parts come aligned on the union of their nonzeros (_align) and are
+    added in order, entry by entry, as ((0 + w_0 v_0) + w_1 v_1) + ..., by
+    elementwise products and not by a matrix product, so a row's bits do not
+    depend on the rows stacked with it. A part absent at an entry adds w * 0,
+    a signed zero, to a running sum that starts at +0 and so is never -0;
+    that changes no bit. Each row therefore holds the entries of the dense
+    sum of the parts in the same order exactly, whatever its weights.
     """
-    n = dim * dim
-    acc = np.zeros((weights.shape[0], idx.size))
+    acc = np.zeros((weights.shape[0], aligned.shape[1]))
     for k, part in enumerate(aligned):
         acc += weights[:, k, None] * part
-    liou = np.zeros((weights.shape[0], n, n))
-    liou.reshape(-1, n * n)[:, idx] = acc
+    return acc
+
+
+def _dense(dim: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A new (rows, dim^2, dim^2) stack with each row of values at the flat indices idx, 0 elsewhere."""
+    n = dim * dim
+    liou = np.zeros((values.shape[0], n, n))
+    liou.reshape(-1, n * n)[:, idx] = values
     return liou
 
 
@@ -306,7 +313,8 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
     parts = [_real_part(_hamiltonian_superop(model.hamiltonian), d)]
     parts += [_real_part(_dissipator_superop(op), d) for op, _ in model.channels]
     weights = np.array([[1.0] + [rate for _, rate in model.channels]])
-    return _weighted_sum(d, *_align(parts), weights)[0]
+    idx, aligned = _align(parts)
+    return _dense(d, idx, _weighted_sum(aligned, weights))[0]
 
 
 class LiouvillianBasis:
@@ -315,10 +323,14 @@ class LiouvillianBasis:
     L is linear in every field of SystemParams, so the Liouvillian at any
     point is a weighted sum of six fixed superoperators. Each is built
     sparsely in the column-stacking basis, taken once to real coordinates,
-    and kept as the flat indices and values of its nonzeros (at most 2.9% of
-    the entries at n_max 4, 0.72% at n_max 10), also laid out on their
-    common index set. assemble_rows adds them in a fixed field order, so the
-    result is bit-reproducible and the same for a row alone or in a stack.
+    and kept as the flat indices and values of its nonzeros, also laid out
+    on their common index set idx (710 of L_r's 10,000 entries at n_max 4,
+    3,986 of 234,256 at n_max 10). values adds them in a fixed field order,
+    so the result is bit-reproducible and the same for a row alone or in a
+    stack; assemble_rows lays those values out as dense matrices. The basis
+    also keeps what the steady-state gates read from the nonzeros alone: the
+    entries on the diagonal, the rows for the product L_r x, and the slot of
+    each nonzero in a block kernel's buffer (slots).
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -335,7 +347,42 @@ class LiouvillianBasis:
         self._parts["kappa"] = _real_part(_dissipator_superop(a), d)
         self._parts["gamma"] = _real_part(_dissipator_superop(sm), d)
         self._columns = [PARAM_FIELDS.index(field) for field in self._parts]
-        self._aligned = _align(list(self._parts.values()))
+        self.idx, self._aligned = _align(list(self._parts.values()))
+        # idx ascends, so each row's nonzeros are one run, starting at _starts
+        rows, self._cols = np.divmod(self.idx, d * d)
+        self._diagonal = np.flatnonzero(rows == self._cols)
+        self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._filled = rows[self._starts]
+        self._slots = {}
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, idx.size) array.
+
+        An entry that overflows is left non-finite, without a warning, for
+        steady_states.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _weighted_sum(self._aligned, rows[:, self._columns])
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The (N, n, n) real Liouvillians whose nonzeros are the rows of values."""
+        return _dense(self.hilbert.dim, self.idx, values)
+
+    def product(self, values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
+        out = np.zeros_like(vecs)
+        out[:, self._filled] = np.add.reduceat(values * np.take(vecs, self._cols, axis=1),
+                                               self._starts, axis=1)
+        return out
+
+    def slots(self, kernel: _BlockKernel) -> np.ndarray:
+        """Where each nonzero sits in a row of the kernel's blocks buffer, found once per layout.
+
+        Threads that race here each find the same map, so either one may stay.
+        """
+        if kernel.single not in self._slots:
+            self._slots[kernel.single] = kernel.slots(self.idx)
+        return self._slots[kernel.single]
 
     def assemble(self, p: SystemParams) -> np.ndarray:
         return self.assemble_rows(p.row())[0]
@@ -346,8 +393,7 @@ class LiouvillianBasis:
         An entry that overflows is left non-finite, without a warning, for
         steady_states.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _weighted_sum(self.hilbert.dim, *self._aligned, rows[:, self._columns])
+        return self.dense(self.values(rows))
 
 
 @cache
@@ -405,6 +451,12 @@ class _BlockKernel:
     With one block, the state S_0^-1 e0 is column 0 of the one LAPACK
     inverse of M, and beta is ||M^-1||_1.
 
+    Two loaders fill the kernel's blocks buffer, and _factor solves it: solve
+    gathers the blocks of a dense stack of L_r and checks its pattern, and
+    solve_values writes the nonzeros of assembled L_r at their slots (slots,
+    found once per truncation by LiouvillianBasis.slots), the other entries
+    zero. Both give a row the same blocks, bit for bit.
+
     NaN is the one mark of a row the kernel cannot solve: the blocks of a row
     with a nonzero of L_r off the pattern are written NaN, and so is the
     inverse of a singular pivot. The NaN runs on into that row's state and
@@ -414,6 +466,7 @@ class _BlockKernel:
     def __init__(self, dim: int, single: bool):
         rows, cols, off, first = _layout(dim)
         n = dim * dim
+        self.single = single
         order_of = np.zeros(n, dtype=np.intp)
         if not single:
             excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
@@ -423,10 +476,11 @@ class _BlockKernel:
         # (No argsort: its first use costs a process up to 0.4 MB of RSS.)
         groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
         self.sizes = [g.size for g in groups]
-        self.n, self.last, self._capacity = n, len(groups) - 1, 0
+        self.n, self.last, self._capacity, self._order = n, len(groups) - 1, 0, order_of
+        # Neither index array of np.take is read-only: take copies a read-only
+        # index on every call (607,400 B for the gather at n_max 10).
         self.position = np.empty(n, dtype=np.intp)
         self.position[np.concatenate(groups)] = np.arange(n)
-        _read_only(self.position)
         bounds = np.cumsum([0] + self.sizes)
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # Block row k is gathered as one matrix [B_{k-1} | A_k | U_k | z_k], so
@@ -439,7 +493,12 @@ class _BlockKernel:
             self._rows.append((group.size, cols.size, self.sizes[k - 1] if k else 0))
         gather = np.concatenate([p.reshape(-1) for p in pieces])
         self._rhs = _read_only(np.flatnonzero(gather < 0))
-        self._gather = _read_only(np.maximum(gather, 0))
+        self._gather = np.maximum(gather, 0)
+        # for slots: where block row k starts in the buffer, and the coordinates
+        # that open its rows and its columns
+        self._slot_start = np.cumsum([0] + [h * w for h, w, _ in self._rows])[:-1]
+        self._slot_width = np.array([w for _, w, _ in self._rows])
+        self._slot_row, self._slot_col = bounds[:-1], bounds[np.maximum(np.arange(len(groups)) - 1, 0)]
         # row 0 of block row 0: the trace row, zero in U_0, and 1 in z_0
         trace = np.isin(np.arange(pieces[0].shape[1]), self.position[first[~off]]).astype(float)
         trace[-1] = 1.0
@@ -505,20 +564,57 @@ class _BlockKernel:
                                   self._sums[:count], steps)
         return self._views[count]
 
-    def solve(self, liou: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The states' coordinates, beta, and LAPACK's error for each singular pivot.
+    def slots(self, idx: np.ndarray) -> np.ndarray:
+        """The position in a row of the blocks buffer of each entry of L_r at the flat indices idx.
 
-        The state and beta are NaN in a row the kernel cannot solve: one off
-        the block pattern or with a singular pivot. Whether a row's L is fit
-        to solve at all is for the caller to judge.
+        Raises ValueError if an entry lies off the block pattern, where it has
+        no slot.
         """
-        count, n, last = liou.shape[0], self.n, self.last
-        blocks, state, bound, sums, steps = self._buffers(count)
-        flat = liou.reshape(count, n * n)
+        r, c = np.divmod(idx, self.n)
+        k = self._order[r]
+        if np.any(np.abs(self._order[c] - k) > 1):
+            raise ValueError("an entry off the block pattern has no slot")
+        return (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
+                + self.position[c] - self._slot_col[k])
+
+    def solve(self, liou: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The solve of a dense (N, n, n) stack of L_r, its blocks gathered.
+
+        A row with a nonzero of L_r off the block pattern has its blocks
+        written NaN.
+        """
+        count = liou.shape[0]
+        blocks = self._buffers(count)[0]
+        flat = liou.reshape(count, self.n * self.n)
         np.take(flat, self._gather, axis=1, out=blocks, mode="clip")
         blocks[:, self._rhs] = 0.0
         outside = np.count_nonzero(flat, axis=1) != np.count_nonzero(blocks, axis=1)
         blocks[outside] = np.nan
+        return self._factor(count)
+
+    def solve_values(self, values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The solve of a stack of L_r given by their nonzeros: values[:, j] at slots[j] of its blocks.
+
+        Every other entry of the blocks is zero, so a row gets the blocks that
+        solve gathers from its dense L_r, bit for bit.
+        """
+        blocks = self._buffers(len(values))[0]
+        blocks.fill(0.0)
+        for row, nonzeros in zip(blocks, values):  # a row at a time: 3x faster than blocks[:, slots]
+            row[slots] = nonzeros
+        return self._factor(len(values))
+
+    def _factor(self, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The states' coordinates, beta, and LAPACK's error for each singular pivot.
+
+        Solves the first count rows of the blocks buffer as a loader of solve
+        or solve_values left them, with the trace row written in. The state
+        and beta are NaN in a row the kernel cannot solve: one off the block
+        pattern or with a singular pivot. Whether a row's L is fit to solve at
+        all is for the caller to judge.
+        """
+        last = self.last
+        blocks, state, bound, sums, steps = self._buffers(count)
         blocks[:, :self._trace.size] = self._trace
 
         singular = {}
@@ -595,9 +691,9 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def steady_state_bytes(dim: int) -> int:
-    """Bytes one row of a steady_states stack holds: its dense L and the block kernel's buffers."""
-    return 8 * dim ** 4 + _block_kernel(dim).row_bytes
+def steady_state_bytes(h: HilbertConfig) -> int:
+    """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers."""
+    return 8 * _basis(h).idx.size + _block_kernel(h.dim).row_bytes
 
 
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
@@ -630,15 +726,17 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     In each L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, one at the d diagonal coordinates: this gives
     the bordered matrix M, and the coordinates x of rho solve M x = e0. The
-    block kernel (_BlockKernel) solves for x and bounds ||M^-1||_1 by beta.
-    It leaves x and beta NaN in a row whose L_r is off the block pattern or
-    that meets a singular pivot block, and a NaN bound fails the certificate.
-    A row is solved again by the kernel with one block, a dense inverse of M
-    whose beta is ||M^-1||_1, if its state fails the certificate or the
-    residual gate, and not if the first two gates below refuse it; a row
-    refused later thus gets the error and message of the dense solve. For
-    odd d the one pass is the dense one. No pass mixes rows, so a row's bits
-    do not depend on the rows stacked with it.
+    block kernel (_BlockKernel) gathers the blocks of each L_r, solves for x
+    and bounds ||M^-1||_1 by beta. It leaves x and beta NaN in a row whose
+    L_r is off the block pattern or that meets a singular pivot block, and a
+    NaN bound fails the certificate. A row is solved again by the kernel with
+    one block, a dense inverse of M whose beta is ||M^-1||_1, if its state
+    fails the certificate or the residual gate, and not if the first two
+    gates below refuse it; a row refused later thus gets the error and
+    message of the dense solve. For odd d the one pass is the dense one. No
+    pass mixes rows, so a row's bits do not depend on the rows stacked with
+    it. steady_states_at runs the same passes and gates on the nonzeros of
+    assembled Liouvillians.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -677,30 +775,89 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
     if not count:
         return np.empty((0, n)), {}
+    return _solve_stack(_DenseStack(liou), d)
+
+
+def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
+    """steady_states(liouvillians(rows, h)), solved from the nonzeros of each L_r.
+
+    The nonzeros of each row's L_r are written straight into the block
+    kernel's buffer through the basis's slots, and the gates read them
+    alone: max |L_r|, ||L_r||_F, the diagonal and the product L_r x. No
+    dense L is formed, but for a row whose diagonal is zero (its
+    antisymmetry test). The states, the failed rows and their error
+    classes are those of steady_states on the dense stack; a message may
+    differ in its last digits, since the residual, null_hi and ||L_r||_F
+    are summed in another order.
+    """
+    basis = _basis(h)
+    if not len(rows):
+        return np.empty((0, h.dim ** 2)), {}
+    return _solve_stack(_Nonzeros(basis, basis.values(rows)), h.dim)
+
+
+class _DenseStack:
+    """A stack of dense L_r, as steady_states takes it: what its gates and passes read."""
+
+    def __init__(self, liou: np.ndarray):
+        self.liou, self.flat = liou, liou.reshape(len(liou), -1)
+        self.diagonal = np.diagonal(liou, axis1=1, axis2=2)
+
+    def dense(self, r: int) -> np.ndarray:
+        return self.liou[r]
+
+    def solve(self, kernel: _BlockKernel, rows=slice(None)):
+        return kernel.solve(self.liou[rows])
+
+    def drift(self, vecs: np.ndarray) -> np.ndarray:
+        return np.matmul(self.liou, vecs[:, :, None])[:, :, 0]
+
+
+class _Nonzeros:
+    """A stack of basis L_r as the values of the basis's nonzeros, read like a _DenseStack."""
+
+    def __init__(self, basis: LiouvillianBasis, values: np.ndarray):
+        # the zeros of a dense L_r change neither max |L_r| nor ||L_r||_F
+        self.basis, self.values, self.flat = basis, values, values
+        self.diagonal = values[:, basis._diagonal]
+
+    def dense(self, r: int) -> np.ndarray:
+        return self.basis.dense(self.values[r:r + 1])[0]
+
+    def solve(self, kernel: _BlockKernel, rows=slice(None)):
+        return kernel.solve_values(self.values[rows], self.basis.slots(kernel))
+
+    def drift(self, vecs: np.ndarray) -> np.ndarray:
+        return self.basis.product(self.values, vecs)
+
+
+def _solve_stack(stack, d: int) -> tuple[np.ndarray, dict]:
+    """The passes and gates of steady_states on a non-empty _DenseStack or _Nonzeros."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|
-        scale = np.maximum(liou.max(axis=(1, 2)), -liou.min(axis=(1, 2)))
-        top_hi = _norms(liou.reshape(count, -1))
+        scale = np.maximum(stack.flat.max(axis=1), -stack.flat.min(axis=1))
+        top_hi = _norms(stack.flat)
         non_finite = ~np.isfinite(scale)
         # (L + L^T)_ii = 2 L_ii, so a nonzero diagonal entry settles the
         # test; only the other rows need the full L + L^T.
-        no_dissipation = ~(np.abs(np.diagonal(liou, axis1=1, axis2=2)).max(axis=1) > 0.0)
-        for r in np.nonzero(no_dissipation)[0]:
-            no_dissipation[r] = not np.any(liou[r] + liou[r].T)
+        no_dissipation = ~(np.abs(stack.diagonal).max(axis=1) > 0.0)
+        for r in np.flatnonzero(no_dissipation):
+            liou = stack.dense(r)
+            no_dissipation[r] = not np.any(liou + liou.T)
         refused = non_finite | no_dissipation
 
         kernel = _block_kernel(d)
-        vecs, beta, reasons = kernel.solve(liou)
-        gates = _gates(liou, vecs, beta, top_hi, scale)
+        vecs, beta, reasons = stack.solve(kernel)
+        gates = _gates(stack.drift(vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
         if retry.size and len(kernel.spans) > 1:
-            vecs[retry], beta[retry], errors = _block_kernel(d, single=True).solve(liou[retry])
+            vecs[retry], beta[retry], errors = stack.solve(_block_kernel(d, single=True), retry)
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
-            gates = _gates(liou, vecs, beta, top_hi, scale)
+            gates = _gates(stack.drift(vecs), vecs, beta, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates
-        singular = np.zeros(count, dtype=bool)
+        singular = np.zeros(len(vecs), dtype=bool)
         singular[list(reasons)] = True
 
     failures = first_failures(
@@ -718,7 +875,7 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     return vecs, failures
 
 
-def _gates(liou, vecs, beta, top_hi, scale):
+def _gates(drift, vecs, beta, top_hi, scale):
     """The certificate and residual gates of steady_states, per row.
 
     Returns gap_lo, null_hi, uncertified, residual and unsettled, all from
@@ -726,7 +883,6 @@ def _gates(liou, vecs, beta, top_hi, scale):
     state fails both gates.
     """
     n = vecs.shape[1]
-    drift = np.matmul(liou, vecs[:, :, None])[:, :, 0]
     gap_lo = 1.0 / (np.sqrt(n) * beta)
     null_hi = np.maximum(_norms(drift) / _norms(vecs), np.finfo(float).eps * top_hi)
     uncertified = ~(gap_lo >= 1e6 * null_hi)

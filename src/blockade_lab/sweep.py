@@ -5,8 +5,9 @@ outputs at every grid point, and never aborts on a single bad point; failures
 are recorded in a per-row status column. The grid is laid out in a fixed
 row-major order (first axis outer) as a matrix of parameter rows, and
 evaluate computes every row through one kernel: the closed forms as arrays
-over the whole grid, and the numeric branch in chunks of stacked
-Liouvillians, as many as a fixed memory budget holds. evaluate alone
+over the whole grid, and the numeric branch in chunks of rows, as many as a
+fixed memory budget holds, whose Liouvillians go into the steady-state
+solve as their nonzeros, with no dense stack formed. evaluate alone
 decides what a failure does to a row: its branch's later outputs become
 NaN, and its first error is what a sweep's status column and a point
 query report. A row's bits do not depend on the rows evaluated with it,
@@ -25,7 +26,7 @@ import numpy as np
 from .analytic import closed_forms
 from .correlations import steady_observables
 from .errors import ConfigError, NoInteriorExtremumError, SolverError
-from .lindblad import liouvillians, steady_state, steady_state_bytes, steady_states
+from .lindblad import liouvillians, steady_state, steady_state_bytes, steady_states_at
 from .quantum_core import PARAM_FIELDS, HilbertConfig, SystemParams
 
 # Axis names: the six physical parameters plus the linked detuning "Delta"
@@ -41,12 +42,14 @@ _ANALYTIC_STEPS = ("g2_analytic", "coh_analytic")
 _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
-# The memory a numeric chunk may hold, in its L stack and the block
-# kernel's buffers (steady_state_bytes a point): 16 points at n_max 4,
-# 8 / 4 / 3 at n_max 5 / 6 / 7 and 1 from n_max 8 up. Against 4 points at
-# n_max 4, the detuning_scan benchmark reads wall_s 20% lower and peak RSS
-# 5.6% higher (2-core Intel Xeon, numpy 2.4.6, OpenBLAS on one thread;
-# BENCH_chunk_budget.json).
+# The memory a numeric chunk may hold, in the nonzero values of its
+# Liouvillians and the block kernel's buffers (steady_state_bytes a point):
+# 26 points at n_max 4, 14 / 9 / 6 / 4 / 3 at n_max 5 / 6 / 7 / 8 / 9 and 2
+# at n_max 10. Against a dense L stack in the same budget (16 points at
+# n_max 4, 1 from n_max 8 up), the cutoff_map benchmark (n_max 10) reads
+# wall_s 34% lower and peak RSS 2.9% higher, and detuning_scan (n_max 4)
+# wall_s 19% lower and peak RSS 0.3% higher (2-core Intel Xeon, numpy
+# 2.4.6, OpenBLAS on one thread; BENCH_block_assembly.json).
 _CHUNK_BYTES = 2970 * 1024
 
 
@@ -142,24 +145,25 @@ def _mesh(axes: tuple[Axis, ...]) -> list[np.ndarray]:
 
 def _chunk_size(h: HilbertConfig) -> int:
     """Points per numeric chunk: as many of steady_state_bytes as fit _CHUNK_BYTES, at least 1."""
-    return max(1, _CHUNK_BYTES // steady_state_bytes(h.dim))
+    return max(1, _CHUNK_BYTES // steady_state_bytes(h))
 
 
-def _solve(stack: np.ndarray) -> tuple[np.ndarray, dict]:
-    """steady_states of a chunk; a chunk of one matrix is solved by steady_state.
+def _solve(chunk: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
+    """steady_states_at of a chunk of parameter rows; a chunk of one row is solved by steady_state.
 
-    steady_state is steady_states on a stack of one, so the bits and the
-    gates are the same either way. Every chunk of one point (a point query,
-    every chunk from n_max 8 up, a grid's one-row remainder) thus makes one
-    steady_state call, where its solve shows to a profiler or tracer; the
-    solve of a larger chunk does not.
+    steady_states_at gives the states and error classes of steady_states
+    on the dense stack, and steady_state is steady_states on a stack of
+    one, so the bits and the gates are the same either way. A chunk of one
+    row (a point query, a grid's one-row remainder) thus makes one
+    steady_state call on its dense L, where its solve shows to a profiler
+    or tracer; the solve of a larger chunk does not.
     """
-    if len(stack) > 1:
-        return steady_states(stack)
+    if len(chunk) > 1:
+        return steady_states_at(chunk, h)
     try:
-        return steady_state(stack[0], coordinates=True)[None], {}
+        return steady_state(liouvillians(chunk, h)[0], coordinates=True)[None], {}
     except (ValueError, SolverError) as exc:
-        return np.full(stack.shape[:2], np.nan), {0: exc}
+        return np.full((1, h.dim ** 2), np.nan), {0: exc}
 
 
 def evaluate(rows: np.ndarray, h: HilbertConfig,
@@ -175,11 +179,12 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     requested count, and the steady state when any numeric output is.
 
     The closed forms are evaluated as arrays over all rows at once. The
-    numeric branch runs in chunks of _chunk_size rows: one stacked
-    Liouvillian assembly, one stacked solve with the gates of steady_state
-    applied per row, and one elementwise product with the observable
-    functionals. No step mixes rows, so a row's bits do not depend on N or
-    on the chunk it falls in.
+    numeric branch runs in chunks of _chunk_size rows: one stacked assembly
+    of the nonzeros of their Liouvillians and one stacked solve from them,
+    with the gates of steady_state applied per row (steady_states_at; a
+    chunk of one row goes through steady_state, see _solve), and one
+    elementwise product with the observable functionals. No step mixes
+    rows, so a row's bits do not depend on N or on the chunk it falls in.
     """
     values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):
@@ -195,7 +200,7 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
         size = _chunk_size(h)
         for start in range(0, len(rows), size):
             chunk = rows[start:start + size]
-            vecs, failures = _solve(liouvillians(chunk, h))
+            vecs, failures = _solve(chunk, h)
             observed, undefined = steady_observables(vecs, h)
             for name in numeric:
                 values[name][start:start + len(chunk)] = observed[name]

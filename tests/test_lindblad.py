@@ -37,6 +37,7 @@ from blockade_lab.lindblad import (
     model_for,
     steady_state,
     steady_states,
+    steady_states_at,
     unvectorize,
     vectorize,
 )
@@ -522,6 +523,64 @@ def test_a_refused_liouvillian_of_odd_dimension_is_inverted_once(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError, match="not certified"):
         steady_state(liou)
     assert calls == [(1, 9, 9)]
+
+
+# Fine rows between the failing kinds: a lossless row (no dissipation), one
+# whose entries overflow, one with a singular pivot and an exactly singular M,
+# one that the block bound does not certify but the one-block solve does
+# (from n_max 2 up), and one that neither certifies.
+MIXED_ROWS = np.concatenate([
+    FIG1.row(), replace(FIG1, kappa=0.0, gamma=0.0).row(),
+    replace(FIG1, delta_a=1.7e308, delta=1.7e308).row(), replace(FIG1, g=0.0, gamma=0.0).row(),
+    SystemParams(g=4.0, kappa=0.01, gamma=0.0, eta=0.3, delta_a=1.6, delta=1.6).row(),
+    SystemParams(g=0.0, kappa=0.3, gamma=1e-12, eta=0.05, delta_a=0.5, delta=0.2).row(),
+    replace(FIG1, delta_a=0.5, delta=0.5).row()])
+
+
+@pytest.mark.parametrize("nmax", range(1, 11))
+def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch):
+    h = HilbertConfig(nmax)
+    want, want_failures = steady_states(liouvillians(MIXED_ROWS, h))
+    retried, dense, block_kernel, to_dense = [], [], lindblad._block_kernel, lindblad._dense
+
+    def counted(dim, single=False):
+        retried.append(single)
+        return block_kernel(dim, single)
+
+    def formed(dim, idx, values):
+        dense.append(values.shape[0])
+        return to_dense(dim, idx, values)
+
+    monkeypatch.setattr(lindblad, "_block_kernel", counted)
+    monkeypatch.setattr(lindblad, "_dense", formed)
+    vecs, failures = steady_states_at(MIXED_ROWS, h)
+    assert vecs.tobytes() == want.tobytes()
+    assert {r: type(e) for r, e in failures.items()} == {r: type(e) for r, e in want_failures.items()}
+    assert sorted(failures) == [1, 2, 3, 5]
+    assert np.isfinite(vecs[[0, 4, 6]]).all()
+    assert any(retried)
+    # a dense L is formed only for the row whose diagonal is zero
+    assert dense == [1]
+    vecs, failures = steady_states_at(MIXED_ROWS[:0], h)
+    assert vecs.shape == (0, h.dim**2) and failures == {}
+
+
+@pytest.mark.parametrize("nmax", range(1, 11))
+def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
+    h = HilbertConfig(nmax)
+    basis = LiouvillianBasis(h)
+    for single in (False, True):
+        kernel = lindblad._block_kernel(h.dim, single)
+        slots = basis.slots(kernel)
+        assert slots.shape == basis.idx.shape
+        assert np.unique(slots).size == slots.size
+        assert np.array_equal(kernel._gather[slots], basis.idx)
+        assert not np.isin(slots, kernel._rhs).any()
+    if nmax == 4:
+        q = coherence_orders(h)
+        i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
+        with pytest.raises(ValueError, match="off the block pattern"):
+            lindblad._block_kernel(h.dim).slots(np.array([i * h.dim**2 + j]))
 
 
 def test_a_fig1_sweep_builds_only_the_block_kernel():

@@ -3,6 +3,7 @@
 import io
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from blockade_lab import (
 from blockade_lab import cli, lindblad, sweep
 from blockade_lab.cli import fig1_spec
 from blockade_lab.errors import ConfigError, NoInteriorExtremumError, SingularDenominatorError
+from blockade_lab.quantum_core import PARAM_FIELDS
 from blockade_lab.sweep import (
     OUTPUT_COLUMNS,
     _grid_rows,
@@ -218,16 +220,20 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows are 25 chunks of 16 and one row, which _solve hands to steady_state
-    spec = replace(fig1_spec(), outputs=OUTPUT_COLUMNS)
-    assert sweep._chunk_size(spec.hilbert) == 16 and spec.axis1.count % 16 == 1
-    whole = run_sweep(spec)
-    with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
-        ones = run_sweep(spec)
-    assert ones.status == whole.status
-    for name in OUTPUT_COLUMNS:
-        assert np.array_equal(ones.column(name).view(np.int64),
-                              whole.column(name).view(np.int64)), name
+    # 401 rows are 15 chunks of 26 and one of 11; 53 rows are 2 chunks of 26
+    # and one row, which _solve hands to steady_state on its dense L
+    for grid, remainder in ((401, 11), (53, 1)):
+        spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
+        assert sweep._chunk_size(spec.hilbert) == 26 and spec.axis1.count % 26 == remainder
+        with mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
+            whole = run_sweep(spec)
+        assert single.call_count == (remainder == 1), grid
+        with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
+            ones = run_sweep(spec)
+        assert ones.status == whole.status
+        for name in OUTPUT_COLUMNS:
+            assert np.array_equal(ones.column(name).view(np.int64),
+                                  whole.column(name).view(np.int64)), (grid, name)
 
 
 def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
@@ -236,11 +242,12 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
     def solve_one_chunk(h):
         # a new thread has new kernels, so the buffers are those of this call alone
         size = sweep._chunk_size(h)
-        liou = lindblad.liouvillians(np.repeat(BASE.row(), size, axis=0), h)
-        lindblad.steady_states(liou)
+        rows = np.repeat(BASE.row(), size, axis=0)
+        lindblad.steady_states_at(rows, h)
         kernel = lindblad._block_kernel(h.dim)
         buffers = (kernel._blocks, kernel._work, kernel._state, kernel._bound, kernel._sums)
-        nbytes = liou.nbytes + sum(b.nbytes for b in buffers)
+        # the chunk's nonzero values, and no L stack
+        nbytes = lindblad._basis(h).values(rows).nbytes + sum(b.nbytes for b in buffers)
         held[h.n_max] = size, {len(b) for b in buffers}, nbytes
 
     for nmax in range(1, 11):
@@ -252,7 +259,24 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         assert size == 1 or nbytes <= sweep._CHUNK_BYTES, nmax
         # and one more point would not fit
         assert nbytes // size * (size + 1) > sweep._CHUNK_BYTES, nmax
-    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [16, 8, 4, 3, 1, 1]
+    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [26, 14, 9, 6, 4, 2]
+
+
+def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian():
+    h = HilbertConfig(10)
+    rows = np.repeat(BASE.row(), 2, axis=0)
+    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 1.0)
+    rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 1.0)
+    assert sweep._chunk_size(h) == 2
+    evaluate(rows, h, OUTPUT_COLUMNS)
+    tracemalloc.start()
+    try:
+        values, failed = evaluate(rows, h, OUTPUT_COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not failed and np.isfinite(values["g2_numeric"]).all()
+    assert peak < 8 * h.dim ** 4, peak
 
 
 def test_two_axis_sweep_layout():
