@@ -329,8 +329,9 @@ class LiouvillianBasis:
     so the result is bit-reproducible and the same for a row alone or in a
     stack; assemble_rows lays those values out as dense matrices. The basis
     also keeps what the steady-state gates read from the nonzeros alone: the
-    entries on the diagonal, the rows for the product L_r x, and the slot of
-    each nonzero in a block kernel's buffer (slots).
+    entries on the diagonal, the nonzero at the transpose position of each
+    (-1 where there is none), the rows for the product L_r x, and
+    the slot of each nonzero in a block kernel's buffer (slots).
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -351,6 +352,9 @@ class LiouvillianBasis:
         # idx ascends, so each row's nonzeros are one run, starting at _starts
         rows, self._cols = np.divmod(self.idx, d * d)
         self._diagonal = np.flatnonzero(rows == self._cols)
+        mirror = self._cols * (d * d) + rows
+        at = np.minimum(np.searchsorted(self.idx, mirror), self.idx.size - 1)
+        self._transpose = _read_only(np.where(self.idx[at] == mirror, at, -1))
         self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self._filled = rows[self._starts]
         self._slots = {}
@@ -457,15 +461,27 @@ class _BlockKernel:
     found once per truncation by LiouvillianBasis.slots), the other entries
     zero. Both give a row the same blocks, bit for bit.
 
+    A solve leaves the blocks buffer holding what the norms of beta read:
+    the A_k slot of block row k holds |S_k^-T| and its U_k slot |G_k^T|,
+    each written once the block it replaces is spent. The bound buffer keeps
+    only [W_k | y_k]^T, which the back substitution reads. So a loader must
+    write every entry of the blocks, and solve_values zero-fills the whole
+    buffer rather than the entries off its slots.
+
     NaN is the one mark of a row the kernel cannot solve: the blocks of a row
     with a nonzero of L_r off the pattern are written NaN, and so is the
     inverse of a singular pivot. The NaN runs on into that row's state and
     beta, and no step mixes rows, so the other rows of a stack keep their bits.
+
+    A kernel holds only its read-only layout, built once per dimension and
+    layout (_block_kernel) and shared by all threads; the buffers it writes
+    belong to the calling thread (_thread_kernels).
     """
 
     def __init__(self, dim: int, single: bool):
         rows, cols, off, first = _layout(dim)
         n = dim * dim
+        self.key = (dim, single)
         self.single = single
         order_of = np.zeros(n, dtype=np.intp)
         if not single:
@@ -476,7 +492,7 @@ class _BlockKernel:
         # (No argsort: its first use costs a process up to 0.4 MB of RSS.)
         groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
         self.sizes = [g.size for g in groups]
-        self.n, self.last, self._capacity, self._order = n, len(groups) - 1, 0, order_of
+        self.n, self.last, self._order = n, len(groups) - 1, order_of
         # Neither index array of np.take is read-only: take copies a read-only
         # index on every call (607,400 B for the gather at n_max 10).
         self.position = np.empty(n, dtype=np.intp)
@@ -504,65 +520,82 @@ class _BlockKernel:
         trace[-1] = 1.0
         self._trace = _read_only(trace)
 
-        # The bound's buffer holds S_0^-T, G_0^T, [W_0 | y_0]^T, S_1^-T, ...: the
-        # maxima of its row sums over segments are the norms; a 1 and a 0 follow.
-        self._factors, runs, segments, at, start = [], [], [], {}, 0
-        for k, size in enumerate(self.sizes):
-            after = self.sizes[k + 1] if k < self.last else 0
-            self._factors += [(size, size)] + [(size, after)] * (after > 0) + [(after + 1, size)]
-            for name, width, length in (("p", size, size), ("g", size if after else 0, after),
-                                        ("w", after, size), ("y", 1, size)):
-                if width:
-                    at[name, k], start = len(segments), start + width * length
-                    segments.append(len(runs))
-                    runs += range(start - width * length, start, length)
-        self._runs = _read_only(np.array(runs))
-        self._segments = _read_only(np.array(segments + [len(runs), len(runs) + 1]))
+        # The norms are the maxima of row sums over segments. A sum is named by
+        # its norm, k and where it starts: the rows of |S_k^-T| (p) and |G_k^T|
+        # (g) in the blocks, each followed by a sum from its z on that no norm
+        # reads (None), then the rows of W_k^T (w) and y_k^T (y) in the bound;
+        # a 1 and a 0 follow. _kept takes the sums each norm reads, in segments
+        # p_0, g_0, w_0, y_0, p_1, ... that open at _segments.
+        self._factors = [(self.sizes[k + 1] + 1 if k < self.last else 1, size)
+                         for k, size in enumerate(self.sizes)]
+        named = []
+        for k, (size, width, lo) in enumerate(self._rows):
+            after = width - lo - size - 1
+            for opens in self._slot_start[k] + lo + width * np.arange(size):
+                named += [("p", k, opens)] + [("g", k, opens + size)] * (after > 0)
+                named.append((None, k, opens + size + after))
+        self._blocks_runs = _read_only(np.array([start for *_, start in named]))
+        start = 0
+        for k, (height, size) in enumerate(self._factors):
+            named += [("w" if i < height - 1 else "y", k, start + i * size) for i in range(height)]
+            start += height * size
+        self._bound_runs = _read_only(np.array([start for *_, start in named[self._blocks_runs.size:]]))
+        kept, segments, at = [], [], {}
+        for k, rank, j in sorted((k, "pgwy".index(name), j) for j, (name, k, _) in enumerate(named) if name):
+            if ("pgwy"[rank], k) not in at:
+                at["pgwy"[rank], k] = len(segments)
+                segments.append(len(kept))
+            kept.append(j)
+        one, zero, steps = len(segments), len(segments) + 1, range(self.last + 1)
+        self._kept = np.array(kept + [len(named), len(named) + 1])  # writeable, for np.take
+        self._segments = _read_only(np.array(segments + [len(kept), len(kept) + 1]))
         # Row j of chain[0] is p_j, w_{j-1}, ..., w_0 and of chain[1] 1, g_j, ...,
         # g_{last-1}, padded with 0: its running products sum to a term of u, l.
-        one, zero, steps = len(segments), len(segments) + 1, range(self.last + 1)
         self._chain = _read_only(np.array([
             [[at.get(("w", j - t), zero) if t else at["p", j] for t in steps] for j in steps],
             [[at.get(("g", j + t - 1), zero) if t else one for t in steps] for j in steps]]))
         # a row's doubles in each buffer of _buffers: blocks, work, state, bound, sums
         self._widths = (self._gather.size, max(self.sizes) * (max(self.sizes) + 1), n,
-                        sum(r * c for r, c in self._factors), self._runs.size + 2)
+                        sum(r * c for r, c in self._factors), len(named) + 2)
         self.row_bytes = 8 * sum(self._widths)
 
     def _buffers(self, count: int) -> tuple:
-        """The buffers for a stack of count, and the views each step of solve takes of them.
+        """This thread's buffers for a stack of count, and the views each step of solve takes of them.
 
-        They hold the largest stack met so far, row_bytes a row: fresh ones
-        cost page faults.
+        They hold the largest stack the thread has met so far, row_bytes a
+        row: fresh ones cost page faults. After a solve, the A_k and U_k
+        slots of the blocks hold |S_k^-T| and |G_k^T| (see the class
+        docstring).
         """
-        if count > self._capacity:
-            self._blocks, self._work, self._state, self._bound, self._sums = (
+        kernels = vars(_thread_kernels).setdefault("by_dim", {})
+        mine = kernels.get(self.key) or kernels.setdefault(self.key, SimpleNamespace(capacity=0))
+        if count > mine.capacity:
+            mine.blocks, mine.work, mine.state, mine.bound, mine.sums = (
                 np.empty((count, width)) for width in self._widths)
-            self._sums[:, -2:] = (1.0, 0.0)
-            self._capacity, self._views = count, {}
-        if count not in self._views:
-            work, state = self._work[:count], self._state[:count]
-            rows = _split(self._blocks[:count], [shape for *shape, _ in self._rows])
-            parts = iter(_split(self._bound[:count], self._factors))
+            mine.sums[:, -2:] = (1.0, 0.0)
+            mine.capacity, mine.views = count, {}
+        if count not in mine.views:
+            work, state = mine.work[:count], mine.state[:count]
+            rows = _split(mine.blocks[:count], [shape for *shape, _ in self._rows])
+            factors = _split(mine.bound[:count], self._factors)
             steps = []
-            for k, (row, (size, _, lo)) in enumerate(zip(rows, self._rows)):
+            for k, (row, factor, (size, _, lo)) in enumerate(zip(rows, factors, self._rows)):
                 step = SimpleNamespace(diag=row[:, :, lo:lo + size], rhs=row[:, :, -1],
                                        right=row[:, :, lo + size:].transpose(0, 2, 1),
-                                       inverse=next(parts), x=state[:, self.spans[k]])
+                                       x=state[:, self.spans[k]])
                 if k < self.last:
                     after = self.sizes[k + 1]
                     update = work[:, :after * (after + 1)].reshape(count, after, after + 1)
                     step.below = rows[k + 1][:, :, :size]
-                    step.below_t, step.gain = step.below.transpose(0, 2, 1), next(parts)
+                    step.below_t, step.gain = step.below.transpose(0, 2, 1), row[:, :, lo + size:-1]
                     step.update, step.schur, step.z = update, update[:, :, :-1], update[:, :, -1]
                     step.next, step.coupled = state[:, self.spans[k + 1], None], work[:, :size, None]
-                factor = next(parts)
                 step.factor, step.factor_t, step.y = factor, factor.transpose(0, 2, 1), factor[:, -1]
                 step.w = factor[:, :-1].transpose(0, 2, 1)
                 steps.append(step)
-            self._views[count] = (self._blocks[:count], state, self._bound[:count],
-                                  self._sums[:count], steps)
-        return self._views[count]
+            mine.views[count] = (mine.blocks[:count], state, mine.bound[:count],
+                                 mine.sums[:count], steps)
+        return mine.views[count]
 
     def slots(self, idx: np.ndarray) -> np.ndarray:
         """The position in a row of the blocks buffer of each entry of L_r at the flat indices idx.
@@ -612,6 +645,12 @@ class _BlockKernel:
         and beta are NaN in a row the kernel cannot solve: one off the block
         pattern or with a singular pivot. Whether a row's L is fit to solve at
         all is for the caller to judge.
+
+        Each A_k slot takes S_k^-T once S_k is inverted, and each U_k slot
+        G_k^T once [W_k | y_k] is formed; one abs of the whole blocks then
+        leaves |S_k^-T| and |G_k^T| there, and the norms of beta are the row
+        sums of those slots and of the bound's |[W_k | y_k]^T|, each row
+        summed contiguously and in the same order as in a buffer of its own.
         """
         last = self.last
         blocks, state, bound, sums, steps = self._buffers(count)
@@ -621,14 +660,15 @@ class _BlockKernel:
         for k, step in enumerate(steps):
             pivot = _pivot_inverse(step.diag, singular)
             pivot_t = pivot.transpose(0, 2, 1)
+            np.copyto(step.diag, pivot_t)  # A_k is spent: its slot keeps S_k^-T
             np.matmul(step.right, pivot_t, out=step.factor)
             if k < last:
                 # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
                 np.matmul(step.below, step.factor_t, out=step.update)
                 steps[k + 1].diag -= step.schur
                 np.negative(step.z, out=steps[k + 1].rhs)
+                # U_k is spent too: its slot keeps G_k^T
                 np.matmul(pivot_t, step.below_t, out=step.gain)
-            np.abs(pivot_t, out=step.inverse)
         steps[last].x[:] = steps[last].y
         for step in reversed(steps[:last]):
             np.matmul(step.w, step.next, out=step.coupled)
@@ -637,8 +677,11 @@ class _BlockKernel:
         vecs = np.take(state, self.position, axis=1)
 
         # the norms, then u and l as sums of running products along the chains
-        np.add.reduceat(np.abs(bound, out=bound), self._runs, axis=1, out=sums[:, :-2])
-        tops = np.maximum.reduceat(sums, self._segments, axis=1)
+        # (one abs of the whole blocks costs less than one of each strided slot)
+        spent = self._blocks_runs.size
+        np.add.reduceat(np.abs(blocks, out=blocks), self._blocks_runs, axis=1, out=sums[:, :spent])
+        np.add.reduceat(np.abs(bound, out=bound), self._bound_runs, axis=1, out=sums[:, spent:-2])
+        tops = np.maximum.reduceat(np.take(sums, self._kept, axis=1), self._segments, axis=1)
         chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
         beta = chains.sum(axis=-1).max(axis=-1).prod(axis=-1)
         return vecs, beta, singular
@@ -668,17 +711,15 @@ def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
         return out
 
 
-# Each thread keeps its own kernels: a kernel's buffers are written on every call.
+# Each thread keeps its own buffers for each kernel, by the kernel's key: a
+# kernel's buffers are written on every call.
 _thread_kernels = threading.local()
 
 
+@cache
 def _block_kernel(dim: int, single: bool = False) -> _BlockKernel:
-    """This thread's kernel of dimension dim; one block if single or dim is odd (not atom x cavity)."""
-    key = (dim, single or dim % 2 == 1)
-    kernels = vars(_thread_kernels).setdefault("by_dim", {})
-    if key not in kernels:
-        kernels[key] = _BlockKernel(*key)
-    return kernels[key]
+    """The kernel of dimension dim, shared by all threads; one block if single or dim is odd (not atom x cavity)."""
+    return _BlockKernel(dim, single or dim % 2 == 1)
 
 
 def _require_real(liou: np.ndarray) -> None:
@@ -692,7 +733,14 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def steady_state_bytes(h: HilbertConfig) -> int:
-    """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers."""
+    """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers.
+
+    The buffers are the blocks, work, state, bound and sums rows of one
+    thread (_BlockKernel._buffers): 82,544 B a row in all at n_max 4 and
+    909,760 B at n_max 10. The bound holds [W_k | y_k]^T alone, since a solve
+    writes |S_k^-T| and |G_k^T| into the spent A_k and U_k slots of the
+    blocks; each thread that solves holds its own rows.
+    """
     return 8 * _basis(h).idx.size + _block_kernel(h.dim).row_bytes
 
 
@@ -783,9 +831,9 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
 
     The nonzeros of each row's L_r are written straight into the block
     kernel's buffer through the basis's slots, and the gates read them
-    alone: max |L_r|, ||L_r||_F, the diagonal and the product L_r x. No
-    dense L is formed, but for a row whose diagonal is zero (its
-    antisymmetry test). The states, the failed rows and their error
+    alone: max |L_r|, ||L_r||_F, the diagonal, the antisymmetry test (each
+    nonzero plus the one at its transpose) and the product L_r x. No dense
+    L is formed. The states, the failed rows and their error
     classes are those of steady_states on the dense stack; a message may
     differ in its last digits, since the residual, null_hi and ||L_r||_F
     are summed in another order.
@@ -803,8 +851,8 @@ class _DenseStack:
         self.liou, self.flat = liou, liou.reshape(len(liou), -1)
         self.diagonal = np.diagonal(liou, axis1=1, axis2=2)
 
-    def dense(self, r: int) -> np.ndarray:
-        return self.liou[r]
+    def antisymmetric(self, r: int) -> bool:
+        return not np.any(self.liou[r] + self.liou[r].T)
 
     def solve(self, kernel: _BlockKernel, rows=slice(None)):
         return kernel.solve(self.liou[rows])
@@ -821,8 +869,10 @@ class _Nonzeros:
         self.basis, self.values, self.flat = basis, values, values
         self.diagonal = values[:, basis._diagonal]
 
-    def dense(self, r: int) -> np.ndarray:
-        return self.basis.dense(self.values[r:r + 1])[0]
+    def antisymmetric(self, r: int) -> bool:
+        """L_r + L_r^T = 0, by the dense test's sums: each nonzero plus the one at its transpose, or alone."""
+        values, transpose = self.values[r], self.basis._transpose
+        return not np.any(np.where(transpose < 0, values, values + values[transpose]))
 
     def solve(self, kernel: _BlockKernel, rows=slice(None)):
         return kernel.solve_values(self.values[rows], self.basis.slots(kernel))
@@ -842,8 +892,7 @@ def _solve_stack(stack, d: int) -> tuple[np.ndarray, dict]:
         # test; only the other rows need the full L + L^T.
         no_dissipation = ~(np.abs(stack.diagonal).max(axis=1) > 0.0)
         for r in np.flatnonzero(no_dissipation):
-            liou = stack.dense(r)
-            no_dissipation[r] = not np.any(liou + liou.T)
+            no_dissipation[r] = stack.antisymmetric(r)
         refused = non_finite | no_dissipation
 
         kernel = _block_kernel(d)

@@ -7,7 +7,10 @@ row-major order (first axis outer) as a matrix of parameter rows, and
 evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of rows, as many as a
 fixed memory budget holds, whose Liouvillians go into the steady-state
-solve as their nonzeros, with no dense stack formed. evaluate alone
+solve as their nonzeros, with no dense stack formed. The chunks are shared
+between the calling thread and one helper thread when the process may run
+on two CPUs (_WORKERS), and their results are merged in chunk order, so
+the threads change no bit and no failure. evaluate alone
 decides what a failure does to a row: its branch's later outputs become
 NaN, and its first error is what a sweep's status column and a point
 query report. A row's bits do not depend on the rows evaluated with it,
@@ -18,7 +21,10 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -43,14 +49,20 @@ _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
 # The memory a numeric chunk may hold, in the nonzero values of its
-# Liouvillians and the block kernel's buffers (steady_state_bytes a point):
-# 26 points at n_max 4, 14 / 9 / 6 / 4 / 3 at n_max 5 / 6 / 7 / 8 / 9 and 2
-# at n_max 10. Against a dense L stack in the same budget (16 points at
-# n_max 4, 1 from n_max 8 up), the cutoff_map benchmark (n_max 10) reads
-# wall_s 34% lower and peak RSS 2.9% higher, and detuning_scan (n_max 4)
-# wall_s 19% lower and peak RSS 0.3% higher (2-core Intel Xeon, numpy
-# 2.4.6, OpenBLAS on one thread; BENCH_block_assembly.json).
-_CHUNK_BYTES = 2970 * 1024
+# Liouvillians and the block kernel's buffers (steady_state_bytes a point,
+# 82,544 B at n_max 4 and 909,760 B at n_max 10): 26 points at n_max 4,
+# 14 / 9 / 6 / 4 / 3 at n_max 5 / 6 / 7 / 8 / 9 and 2 at n_max 10, the
+# chunks measured fastest on one thread (BENCH_block_assembly.json). Each
+# worker holds one chunk's buffers: on two workers detuning_scan (n_max 4)
+# reads peak RSS 4.4% and cutoff_map (n_max 10) 3.4% above one worker of
+# the old kernel, whose bound also held |S_k^-T| and |G_k^T| (2-core Intel
+# Xeon, numpy 2.4.6, OpenBLAS on one thread; BENCH_threads.json).
+_CHUNK_BYTES = 2100 * 1024
+
+# The threads that solve a sweep's numeric chunks: the CPUs in this
+# process's affinity mask, at most 2.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -166,6 +178,80 @@ def _solve(chunk: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
         return np.full((1, h.dim ** 2), np.nan), {0: exc}
 
 
+class _Helper:
+    """One daemon thread that runs the tasks handed to it, one at a time.
+
+    It starts on first use and is kept, so the kernel buffers of its thread
+    persist from one sweep to the next. While it runs a task it refuses
+    another (evaluate called from two threads at once), and the caller runs
+    that one itself.
+    """
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self._idle, self._handed, self._job = threading.Lock(), threading.Semaphore(0), None
+        threading.Thread(target=self._serve, name="blockade_lab.sweep", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._handed.acquire()
+            job = self._job
+            try:
+                job.result = job.task()
+            except BaseException as exc:  # re-raised on the caller's thread
+                job.error = exc
+            finally:
+                self._idle.release()
+                job.done.set()
+
+    def hand(self, task) -> SimpleNamespace | None:
+        """Start task on the helper's thread: a job whose done event is set with its result or error, or None if busy."""
+        if not self._idle.acquire(blocking=False):
+            return None
+        self._job = job = SimpleNamespace(task=task, result=None, error=None, done=threading.Event())
+        self._handed.release()
+        return job
+
+
+_helper_lock = threading.Lock()
+_helper: _Helper | None = None
+
+
+def _helper_thread() -> _Helper:
+    """The process's helper, started on first use (and again in a forked child, which has no threads)."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper.pid != os.getpid():
+            _helper = _Helper()
+    return _helper
+
+
+def _solve_shared(solve, starts: range) -> dict:
+    """solve(starts), the chunks of range(0, rows, size), split between this thread and the helper.
+
+    With _WORKERS at 2 the helper takes every other chunk of more than one
+    row, and this thread the rest, so an evaluate of one chunk and every
+    one-row chunk stay on this thread: a one-row chunk calls steady_state,
+    which a tracer or profiler may watch from this thread alone. Returns
+    the results of both shares in one dict; an error of the helper's share
+    is raised here.
+    """
+    helped = [start for start in starts[1::2]
+              if min(starts.step, starts.stop - start) > 1] if _WORKERS > 1 else []
+    job = _helper_thread().hand(lambda: solve(helped)) if helped else None
+    own = starts if job is None else sorted(set(starts) - set(helped))
+    try:
+        found = solve(own)
+    finally:
+        if job is not None:
+            job.done.wait()
+    if job is not None:
+        if job.error is not None:
+            raise job.error
+        found.update(job.result)
+    return found
+
+
 def evaluate(rows: np.ndarray, h: HilbertConfig,
              outputs: tuple[str, ...]) -> tuple[dict[str, np.ndarray], dict[int, Exception]]:
     """The requested outputs at each (N, 6) parameter row, and each failed row's first error.
@@ -184,7 +270,8 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     with the gates of steady_state applied per row (steady_states_at; a
     chunk of one row goes through steady_state, see _solve), and one
     elementwise product with the observable functionals. No step mixes
-    rows, so a row's bits do not depend on N or on the chunk it falls in.
+    rows, so a row's bits do not depend on N or on the chunk it falls in,
+    nor on the thread that solves it (_solve_shared).
     """
     values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):
@@ -196,14 +283,25 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     numeric = [name for name in _NUMERIC_STEPS[1:] if name in outputs]
     if numeric:
         values.update((name, np.empty(len(rows))) for name in numeric)
-        solve_failed, g2_failed = {}, {}
         size = _chunk_size(h)
-        for start in range(0, len(rows), size):
-            chunk = rows[start:start + size]
-            vecs, failures = _solve(chunk, h)
-            observed, undefined = steady_observables(vecs, h)
-            for name in numeric:
-                values[name][start:start + len(chunk)] = observed[name]
+
+        def solve(starts) -> dict:
+            """Solve the chunks that open at starts, into values; each one's failures, by start."""
+            found = {}
+            for start in starts:
+                chunk = rows[start:start + size]
+                vecs, failures = _solve(chunk, h)
+                observed, undefined = steady_observables(vecs, h)
+                for name in numeric:
+                    values[name][start:start + len(chunk)] = observed[name]
+                found[start] = failures, undefined
+            return found
+
+        starts = range(0, len(rows), size)
+        found = _solve_shared(solve, starts)
+        solve_failed, g2_failed = {}, {}
+        for start in starts:
+            failures, undefined = found[start]
             solve_failed.update((start + r, e) for r, e in failures.items())
             g2_failed.update((start + r, e) for r, e in undefined.items())
         step_failed["steady_state"] = solve_failed

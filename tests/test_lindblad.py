@@ -559,8 +559,8 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
     assert sorted(failures) == [1, 2, 3, 5]
     assert np.isfinite(vecs[[0, 4, 6]]).all()
     assert any(retried)
-    # a dense L is formed only for the row whose diagonal is zero
-    assert dense == [1]
+    # no dense L is formed, not even for the row whose diagonal is zero
+    assert dense == []
     vecs, failures = steady_states_at(MIXED_ROWS[:0], h)
     assert vecs.shape == (0, h.dim**2) and failures == {}
 
@@ -581,6 +581,17 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
         i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
         with pytest.raises(ValueError, match="off the block pattern"):
             lindblad._block_kernel(h.dim).slots(np.array([i * h.dim**2 + j]))
+
+
+@pytest.mark.parametrize("nmax", range(1, 11))
+def test_the_transpose_map_points_each_nonzero_at_its_mirror(nmax):
+    basis = LiouvillianBasis(HilbertConfig(nmax))
+    n = HilbertConfig(nmax).dim ** 2
+    rows, cols = np.divmod(basis.idx, n)
+    mirror = cols * n + rows
+    paired = basis._transpose >= 0
+    assert np.array_equal(basis.idx[basis._transpose[paired]], mirror[paired])
+    assert not np.isin(mirror[~paired], basis.idx).any()
 
 
 def test_a_fig1_sweep_builds_only_the_block_kernel():

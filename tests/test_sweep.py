@@ -1,6 +1,7 @@
 """Sweep execution, extremum location, correspondence check, CSV and config I/O."""
 
 import io
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -240,12 +241,16 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
     held = {}
 
     def solve_one_chunk(h):
-        # a new thread has new kernels, so the buffers are those of this call alone
+        # a new thread has new kernel buffers, so they are those of this call alone
         size = sweep._chunk_size(h)
         rows = np.repeat(BASE.row(), size, axis=0)
         lindblad.steady_states_at(rows, h)
         kernel = lindblad._block_kernel(h.dim)
-        buffers = (kernel._blocks, kernel._work, kernel._state, kernel._bound, kernel._sums)
+        mine = vars(lindblad._thread_kernels)["by_dim"][kernel.key]
+        buffers = (mine.blocks, mine.work, mine.state, mine.bound, mine.sums)
+        # the bound keeps [W_k | y_k]^T alone: |S_k^-T| and |G_k^T| go to the blocks
+        afters = kernel.sizes[1:] + [0]
+        assert mine.bound.shape[1] == sum(s * (a + 1) for s, a in zip(kernel.sizes, afters))
         # the chunk's nonzero values, and no L stack
         nbytes = lindblad._basis(h).values(rows).nbytes + sum(b.nbytes for b in buffers)
         held[h.n_max] = size, {len(b) for b in buffers}, nbytes
@@ -260,6 +265,115 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         # and one more point would not fit
         assert nbytes // size * (size + 1) > sweep._CHUNK_BYTES, nmax
     assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [26, 14, 9, 6, 4, 2]
+    assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [82_544, 909_760]
+
+
+_NUMERIC = ("g2_numeric", "coh_numeric", "mean_photon")
+
+
+def _n_max_10_rows_with_failures():
+    """Nine n_max-10 rows, four chunks of 2 and one row: fine ones, a lossless one and an overflowing one."""
+    rows = _grid_rows(cli.fig3_spec(nmax=10, grid=3), _mesh(cli.fig3_spec(nmax=10, grid=3).axes))
+    lossless = replace(BASE, kappa=0.0, gamma=0.0, delta_a=1.0, delta=1.0).row()
+    overflowing = replace(BASE, delta_a=1.7e308, delta=1.7e308).row()
+    return np.concatenate([rows[:2], lossless, rows[2:5], overflowing, rows[5:7]])
+
+
+@pytest.mark.parametrize("rows, h, outputs", [
+    (_grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), OUTPUT_COLUMNS),
+    (_grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes)), HilbertConfig(), OUTPUT_COLUMNS),
+    (_n_max_10_rows_with_failures(), HilbertConfig(10), OUTPUT_COLUMNS),
+    (_n_max_10_rows_with_failures(), HilbertConfig(10), _NUMERIC),
+], ids=["fig1_401", "fig1_53", "n_max_10_mixed", "n_max_10_mixed_numeric"])
+def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
+    outcomes, threads = {}, {}
+    solve_chunk, solve_row = lindblad.steady_states_at, lindblad.steady_state
+    for workers in (1, 2):
+        threads[workers] = chunk_threads, row_threads = [], []
+
+        def chunk(rows, h, seen=chunk_threads):
+            seen.append(threading.get_ident())
+            return solve_chunk(rows, h)
+
+        def row(liou, coordinates=False, seen=row_threads):
+            seen.append(threading.get_ident())
+            return solve_row(liou, coordinates)
+
+        with mock.patch.object(sweep, "_WORKERS", workers), \
+                mock.patch.object(sweep, "steady_states_at", chunk), \
+                mock.patch.object(sweep, "steady_state", row):
+            values, failed = evaluate(rows, h, outputs)
+        outcomes[workers] = ({name: column.tobytes() for name, column in values.items()},
+                             [(r, type(e), str(e)) for r, e in failed.items()])
+    assert outcomes[2] == outcomes[1]
+    # the chunks were shared between two threads, and each one-row chunk
+    # made its one steady_state call on the calling thread
+    assert set(threads[1][0]) == {threading.get_ident()}
+    assert len(set(threads[2][0])) == 2
+    for workers in (1, 2):
+        assert threads[workers][1] == [threading.get_ident()] * (len(rows) % sweep._chunk_size(h) == 1)
+    if h.n_max == 10:
+        # the lossless and the overflowing row fail, both in the helper's chunks
+        errors = [(r, error.__name__) for r, error, _ in outcomes[1][1]]
+        assert errors == ([(2, "NoDissipationError"), (6, "ValueError")] if outputs == _NUMERIC
+                          else [(2, "SingularDenominatorError"), (6, "OverflowError")])
+
+
+@pytest.mark.parametrize("chunk_bytes", [sweep._CHUNK_BYTES, 1])
+def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
+    rows = np.repeat(BASE.row(), 3, axis=0)
+    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 0.0, 1.0)
+    with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(sweep, "_helper_thread", side_effect=AssertionError("work handed over")):
+        # one row, or three chunks of one row each
+        values, failed = evaluate(rows if chunk_bytes == 1 else rows[:1], HilbertConfig(), OUTPUT_COLUMNS)
+    assert not failed and np.isfinite(values["g2_numeric"]).all()
+
+
+def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
+    rows = _grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes))
+    caller, solve_chunk = threading.get_ident(), lindblad.steady_states_at
+
+    def chunk(rows, h):
+        if threading.get_ident() != caller:
+            raise RuntimeError("helper failed")
+        return solve_chunk(rows, h)
+
+    with mock.patch.object(sweep, "_WORKERS", 2):
+        with mock.patch.object(sweep, "steady_states_at", chunk), pytest.raises(RuntimeError, match="helper"):
+            evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
+        # and the helper takes the next evaluate's share as before
+        values, failed = evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
+    assert not failed and np.isfinite(values["g2_numeric"]).all()
+
+
+def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
+    grids = (53, 57, 61, 65)
+    rows = {grid: _grid_rows(fig1_spec(grid=grid), _mesh(fig1_spec(grid=grid).axes)) for grid in grids}
+    with mock.patch.object(sweep, "_WORKERS", 1):
+        want = {grid: evaluate(rows[grid], HilbertConfig(), OUTPUT_COLUMNS)[0] for grid in grids}
+    got = {grid: [] for grid in grids}
+
+    def caller(grid):
+        for _ in range(3):
+            got[grid].append(evaluate(rows[grid], HilbertConfig(), OUTPUT_COLUMNS)[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(sweep, "_WORKERS", 2):
+            threads = [threading.Thread(target=caller, args=(grid,)) for grid in grids]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for grid in grids:
+        assert len(got[grid]) == 3, grid
+        for values in got[grid]:
+            assert all(values[name].tobytes() == want[grid][name].tobytes() for name in OUTPUT_COLUMNS), grid
 
 
 def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian():
