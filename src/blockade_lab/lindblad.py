@@ -33,10 +33,11 @@ reference.
 The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
 ordered by that order L_r is block tridiagonal, and steady_states solves
-the bordered system block by block along that order (_BlockKernel). That
-pattern is fixed for each truncation, so a sweep never forms its dense
-Liouvillians: steady_states_at writes the nonzeros of each assembled L_r
-straight into the kernel's blocks, and reads its gates from them too.
+the bordered system block by block along that order (_BlockKernel). The
+kernel is loaded one way, from the nonzeros of L_r: their pattern is fixed
+for each truncation, so a sweep never forms its dense Liouvillians
+(steady_states_at), and steady_states reads a dense stack through the same
+pattern, or through the full one if a matrix has a nonzero off it.
 """
 
 from __future__ import annotations
@@ -317,6 +318,51 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
     return _dense(d, idx, _weighted_sum(aligned, weights))[0]
 
 
+class _Pattern:
+    """The ascending flat indices idx of the nonzeros of n x n matrices, and what the gates read through them.
+
+    A stack of such matrices is held as its values at idx, one row a matrix.
+    The pattern keeps the nonzeros on the diagonal, the nonzero at the
+    transpose position of each (-1 where there is none), the column and the
+    row runs of the product L_r x, and the slot of each nonzero in a block
+    kernel's buffer (slots).
+    """
+
+    def __init__(self, idx: np.ndarray, n: int):
+        self.idx = idx
+        # idx ascends, so each row's nonzeros are one run, starting at _starts
+        rows, self._cols = np.divmod(idx, n)
+        self._diagonal = np.flatnonzero(rows == self._cols)
+        mirror = self._cols * n + rows
+        at = np.minimum(np.searchsorted(idx, mirror), idx.size - 1)
+        self._transpose = _read_only(np.where(idx[at] == mirror, at, -1))
+        self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._filled = rows[self._starts]
+        self._slots = {}
+
+    def product(self, values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
+        out = np.zeros_like(vecs)
+        out[:, self._filled] = np.add.reduceat(values * np.take(vecs, self._cols, axis=1),
+                                               self._starts, axis=1)
+        return out
+
+    def slots(self, kernel: _BlockKernel) -> np.ndarray:
+        """Where each nonzero sits in a row of the kernel's blocks buffer (-1 off its blocks), found once per layout.
+
+        Threads that race here each find the same map, so either one may stay.
+        """
+        if kernel.key not in self._slots:
+            self._slots[kernel.key] = kernel.slots(self.idx)
+        return self._slots[kernel.key]
+
+
+@cache
+def _full_pattern(n: int) -> _Pattern:
+    """Every entry of an n x n matrix, the pattern of a stack that is not read through a basis's."""
+    return _Pattern(np.arange(n * n), n)
+
+
 class LiouvillianBasis:
     """Per-truncation cache of the six unit-parameter superoperators.
 
@@ -324,14 +370,12 @@ class LiouvillianBasis:
     point is a weighted sum of six fixed superoperators. Each is built
     sparsely in the column-stacking basis, taken once to real coordinates,
     and kept as the flat indices and values of its nonzeros, also laid out
-    on their common index set idx (710 of L_r's 10,000 entries at n_max 4,
-    3,986 of 234,256 at n_max 10). values adds them in a fixed field order,
-    so the result is bit-reproducible and the same for a row alone or in a
-    stack; assemble_rows lays those values out as dense matrices. The basis
-    also keeps what the steady-state gates read from the nonzeros alone: the
-    entries on the diagonal, the nonzero at the transpose position of each
-    (-1 where there is none), the rows for the product L_r x, and
-    the slot of each nonzero in a block kernel's buffer (slots).
+    on their common pattern (710 of L_r's 10,000 entries at n_max 4, 3,986
+    of 234,256 at n_max 10). values adds them in a fixed field order, so the
+    result is bit-reproducible and the same for a row alone or in a stack;
+    assemble_rows lays those values out as dense matrices. The steady-state
+    gates and the block kernel read a stack of this truncation's L_r
+    through that pattern, whether it comes as values or as dense matrices.
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -348,45 +392,17 @@ class LiouvillianBasis:
         self._parts["kappa"] = _real_part(_dissipator_superop(a), d)
         self._parts["gamma"] = _real_part(_dissipator_superop(sm), d)
         self._columns = [PARAM_FIELDS.index(field) for field in self._parts]
-        self.idx, self._aligned = _align(list(self._parts.values()))
-        # idx ascends, so each row's nonzeros are one run, starting at _starts
-        rows, self._cols = np.divmod(self.idx, d * d)
-        self._diagonal = np.flatnonzero(rows == self._cols)
-        mirror = self._cols * (d * d) + rows
-        at = np.minimum(np.searchsorted(self.idx, mirror), self.idx.size - 1)
-        self._transpose = _read_only(np.where(self.idx[at] == mirror, at, -1))
-        self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self._filled = rows[self._starts]
-        self._slots = {}
+        idx, self._aligned = _align(list(self._parts.values()))
+        self.pattern = _Pattern(idx, d * d)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
-        """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, idx.size) array.
+        """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, pattern.idx.size) array.
 
         An entry that overflows is left non-finite, without a warning, for
         steady_states.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             return _weighted_sum(self._aligned, rows[:, self._columns])
-
-    def dense(self, values: np.ndarray) -> np.ndarray:
-        """The (N, n, n) real Liouvillians whose nonzeros are the rows of values."""
-        return _dense(self.hilbert.dim, self.idx, values)
-
-    def product(self, values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
-        out = np.zeros_like(vecs)
-        out[:, self._filled] = np.add.reduceat(values * np.take(vecs, self._cols, axis=1),
-                                               self._starts, axis=1)
-        return out
-
-    def slots(self, kernel: _BlockKernel) -> np.ndarray:
-        """Where each nonzero sits in a row of the kernel's blocks buffer, found once per layout.
-
-        Threads that race here each find the same map, so either one may stay.
-        """
-        if kernel.single not in self._slots:
-            self._slots[kernel.single] = kernel.slots(self.idx)
-        return self._slots[kernel.single]
 
     def assemble(self, p: SystemParams) -> np.ndarray:
         return self.assemble_rows(p.row())[0]
@@ -397,7 +413,7 @@ class LiouvillianBasis:
         An entry that overflows is left non-finite, without a warning, for
         steady_states.
         """
-        return self.dense(self.values(rows))
+        return _dense(self.hilbert.dim, self.pattern.idx, self.values(rows))
 
 
 @cache
@@ -455,34 +471,31 @@ class _BlockKernel:
     With one block, the state S_0^-1 e0 is column 0 of the one LAPACK
     inverse of M, and beta is ||M^-1||_1.
 
-    Two loaders fill the kernel's blocks buffer, and _factor solves it: solve
-    gathers the blocks of a dense stack of L_r and checks its pattern, and
-    solve_values writes the nonzeros of assembled L_r at their slots (slots,
-    found once per truncation by LiouvillianBasis.slots), the other entries
-    zero. Both give a row the same blocks, bit for bit.
+    One loader fills the kernel's blocks buffer, and _factor solves it:
+    solve_values writes the nonzeros of a stack of L_r at their slots (slots,
+    found once per pattern by _Pattern.slots), the other entries zero.
 
     A solve leaves the blocks buffer holding what the norms of beta read:
     the A_k slot of block row k holds |S_k^-T| and its U_k slot |G_k^T|,
     each written once the block it replaces is spent. The bound buffer keeps
-    only [W_k | y_k]^T, which the back substitution reads. So a loader must
-    write every entry of the blocks, and solve_values zero-fills the whole
-    buffer rather than the entries off its slots.
+    only [W_k | y_k]^T, which the back substitution reads. So the loader
+    zero-fills the whole blocks buffer rather than the entries off its slots.
 
     NaN is the one mark of a row the kernel cannot solve: the blocks of a row
-    with a nonzero of L_r off the pattern are written NaN, and so is the
-    inverse of a singular pivot. The NaN runs on into that row's state and
-    beta, and no step mixes rows, so the other rows of a stack keep their bits.
+    with a nonzero of L_r off the block pattern are written NaN, and so is
+    the inverse of a singular pivot. The NaN runs on into that row's state
+    and beta, and no step mixes rows, so the other rows of a stack keep their
+    bits.
 
-    A kernel holds only its read-only layout, built once per dimension and
-    layout (_block_kernel) and shared by all threads; the buffers it writes
-    belong to the calling thread (_thread_kernels).
+    A kernel holds only its read-only layout (slot tables, norm runs), built
+    once per dimension and layout (_block_kernel) and shared by all threads;
+    the buffers it writes belong to the calling thread (_thread_kernels).
     """
 
     def __init__(self, dim: int, single: bool):
         rows, cols, off, first = _layout(dim)
         n = dim * dim
         self.key = (dim, single)
-        self.single = single
         order_of = np.zeros(n, dtype=np.intp)
         if not single:
             excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
@@ -493,30 +506,24 @@ class _BlockKernel:
         groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
         self.sizes = [g.size for g in groups]
         self.n, self.last, self._order = n, len(groups) - 1, order_of
-        # Neither index array of np.take is read-only: take copies a read-only
-        # index on every call (607,400 B for the gather at n_max 10).
+        # writeable: np.take copies a read-only index on every call
         self.position = np.empty(n, dtype=np.intp)
         self.position[np.concatenate(groups)] = np.arange(n)
         bounds = np.cumsum([0] + self.sizes)
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # Block row k is gathered as one matrix [B_{k-1} | A_k | U_k | z_k], so
-        # each row of L is read once. Row 0 has no B, the last no U. A z column
-        # is a placeholder, zeroed; the trace row sets z_0 = e0.
-        self._rows, pieces = [], []
-        for k, group in enumerate(groups):
-            cols = np.concatenate(groups[k - 1:k] + groups[k:k + 2] + [[-1]])
-            pieces.append(np.where(cols < 0, -1, group[:, None] * n + cols))
-            self._rows.append((group.size, cols.size, self.sizes[k - 1] if k else 0))
-        gather = np.concatenate([p.reshape(-1) for p in pieces])
-        self._rhs = _read_only(np.flatnonzero(gather < 0))
-        self._gather = np.maximum(gather, 0)
+        # Block row k is laid out as one matrix [B_{k-1} | A_k | U_k | z_k]:
+        # its height, its width and the width of B. Row 0 has no B, the last
+        # no U. A z column is a placeholder, zeroed; the trace row sets z_0 = e0.
+        self._rows = [(size, lo + sum(self.sizes[k:k + 2]) + 1, lo)
+                      for k, (size, lo) in enumerate(zip(self.sizes, [0] + self.sizes[:-1]))]
+        areas = [h * w for h, w, _ in self._rows]
         # for slots: where block row k starts in the buffer, and the coordinates
         # that open its rows and its columns
-        self._slot_start = np.cumsum([0] + [h * w for h, w, _ in self._rows])[:-1]
+        self._slot_start = np.cumsum([0] + areas)[:-1]
         self._slot_width = np.array([w for _, w, _ in self._rows])
         self._slot_row, self._slot_col = bounds[:-1], bounds[np.maximum(np.arange(len(groups)) - 1, 0)]
         # row 0 of block row 0: the trace row, zero in U_0, and 1 in z_0
-        trace = np.isin(np.arange(pieces[0].shape[1]), self.position[first[~off]]).astype(float)
+        trace = np.isin(np.arange(self._rows[0][1]), self.position[first[~off]]).astype(float)
         trace[-1] = 1.0
         self._trace = _read_only(trace)
 
@@ -555,17 +562,18 @@ class _BlockKernel:
             [[at.get(("w", j - t), zero) if t else at["p", j] for t in steps] for j in steps],
             [[at.get(("g", j + t - 1), zero) if t else one for t in steps] for j in steps]]))
         # a row's doubles in each buffer of _buffers: blocks, work, state, bound, sums
-        self._widths = (self._gather.size, max(self.sizes) * (max(self.sizes) + 1), n,
+        self._widths = (sum(areas), max(self.sizes) * (max(self.sizes) + 1), n,
                         sum(r * c for r, c in self._factors), len(named) + 2)
         self.row_bytes = 8 * sum(self._widths)
 
     def _buffers(self, count: int) -> tuple:
-        """This thread's buffers for a stack of count, and the views each step of solve takes of them.
+        """This thread's buffers for a stack of count, and the views each step of a solve takes of them.
 
         They hold the largest stack the thread has met so far, row_bytes a
-        row: fresh ones cost page faults. After a solve, the A_k and U_k
-        slots of the blocks hold |S_k^-T| and |G_k^T| (see the class
-        docstring).
+        row, and last as long as the thread: the calling thread's from one
+        sweep to the next, a sweep helper's for one evaluate. Fresh ones cost
+        page faults. After a solve, the A_k and U_k slots of the blocks hold
+        |S_k^-T| and |G_k^T| (see the class docstring).
         """
         kernels = vars(_thread_kernels).setdefault("by_dim", {})
         mine = kernels.get(self.key) or kernels.setdefault(self.key, SimpleNamespace(capacity=0))
@@ -600,51 +608,39 @@ class _BlockKernel:
     def slots(self, idx: np.ndarray) -> np.ndarray:
         """The position in a row of the blocks buffer of each entry of L_r at the flat indices idx.
 
-        Raises ValueError if an entry lies off the block pattern, where it has
-        no slot.
+        An entry off the block pattern has no slot, and gets -1.
         """
         r, c = np.divmod(idx, self.n)
         k = self._order[r]
-        if np.any(np.abs(self._order[c] - k) > 1):
-            raise ValueError("an entry off the block pattern has no slot")
-        return (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
-                + self.position[c] - self._slot_col[k])
-
-    def solve(self, liou: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The solve of a dense (N, n, n) stack of L_r, its blocks gathered.
-
-        A row with a nonzero of L_r off the block pattern has its blocks
-        written NaN.
-        """
-        count = liou.shape[0]
-        blocks = self._buffers(count)[0]
-        flat = liou.reshape(count, self.n * self.n)
-        np.take(flat, self._gather, axis=1, out=blocks, mode="clip")
-        blocks[:, self._rhs] = 0.0
-        outside = np.count_nonzero(flat, axis=1) != np.count_nonzero(blocks, axis=1)
-        blocks[outside] = np.nan
-        return self._factor(count)
+        slots = (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
+                 + self.position[c] - self._slot_col[k])
+        return np.where(np.abs(self._order[c] - k) > 1, -1, slots)
 
     def solve_values(self, values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The solve of a stack of L_r given by their nonzeros: values[:, j] at slots[j] of its blocks.
 
-        Every other entry of the blocks is zero, so a row gets the blocks that
-        solve gathers from its dense L_r, bit for bit.
+        Every other entry of the blocks is zero. A row with a nonzero at an
+        entry without a slot (-1) has its blocks written NaN; such an entry
+        that is zero lands, harmlessly, on the last entry of the row, a z
+        placeholder that no entry of L_r has as its slot.
         """
         blocks = self._buffers(len(values))[0]
         blocks.fill(0.0)
         for row, nonzeros in zip(blocks, values):  # a row at a time: 3x faster than blocks[:, slots]
             row[slots] = nonzeros
+        off = slots < 0
+        if off.any():  # never for a basis pattern
+            blocks[np.any(values[:, off], axis=1)] = np.nan
         return self._factor(len(values))
 
     def _factor(self, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
         """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        Solves the first count rows of the blocks buffer as a loader of solve
-        or solve_values left them, with the trace row written in. The state
-        and beta are NaN in a row the kernel cannot solve: one off the block
-        pattern or with a singular pivot. Whether a row's L is fit to solve at
-        all is for the caller to judge.
+        Solves the first count rows of the blocks buffer as solve_values left
+        them, with the trace row written in. The state and beta are NaN in a
+        row the kernel cannot solve: one off the block pattern or with a
+        singular pivot. Whether a row's L is fit to solve at all is for the
+        caller to judge.
 
         Each A_k slot takes S_k^-T once S_k is inverted, and each U_k slot
         G_k^T once [W_k | y_k] is formed; one abs of the whole blocks then
@@ -711,8 +707,8 @@ def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
         return out
 
 
-# Each thread keeps its own buffers for each kernel, by the kernel's key: a
-# kernel's buffers are written on every call.
+# Each thread keeps its own buffers for each kernel, by the kernel's key, for
+# as long as it runs: a kernel's buffers are written on every call.
 _thread_kernels = threading.local()
 
 
@@ -741,17 +737,19 @@ def steady_state_bytes(h: HilbertConfig) -> int:
     writes |S_k^-T| and |G_k^T| into the spent A_k and U_k slots of the
     blocks; each thread that solves holds its own rows.
     """
-    return 8 * _basis(h).idx.size + _block_kernel(h.dim).row_bytes
+    return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
 
 
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     """Unique trace-one fixed point of the real Liouvillian, as a Hermitian matrix.
 
     The solve of steady_states on a stack of one; see there for the method
-    and the gates. With coordinates on, it returns the real coordinates with
-    the bits steady_states gives them (vectorize of the matrix may differ in
-    the last bit). Raises the error of the first gate that refuses liou, or
-    ValueError if liou is complex or not of size d^2.
+    and the gates. An L_r of liouvillian() is read through its basis's
+    pattern, so it gets the state and the message of its row in
+    steady_states_at. With coordinates on, it returns the real coordinates
+    with the bits steady_states gives them (vectorize of the matrix may
+    differ in the last bit). Raises the error of the first gate that
+    refuses liou, or ValueError if liou is complex or not of size d^2.
     """
     liou = np.asarray(liou)
     vecs, failures = steady_states(liou[None])
@@ -773,18 +771,26 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
 
     In each L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, one at the d diagonal coordinates: this gives
-    the bordered matrix M, and the coordinates x of rho solve M x = e0. The
-    block kernel (_BlockKernel) gathers the blocks of each L_r, solves for x
-    and bounds ||M^-1||_1 by beta. It leaves x and beta NaN in a row whose
-    L_r is off the block pattern or that meets a singular pivot block, and a
-    NaN bound fails the certificate. A row is solved again by the kernel with
-    one block, a dense inverse of M whose beta is ||M^-1||_1, if its state
-    fails the certificate or the residual gate, and not if the first two
-    gates below refuse it; a row refused later thus gets the error and
+    the bordered matrix M, and the coordinates x of rho solve M x = e0.
+
+    The stack is read as the values at a pattern of entries: for even d, the
+    pattern of the LiouvillianBasis of that dimension if no matrix has a
+    nonzero off it, as for every stack the library assembles; else the full
+    pattern of all n^2 entries (odd d, a matrix built by hand). The block
+    kernel (_BlockKernel) takes its blocks from those values, solves for x
+    and bounds ||M^-1||_1 by beta. It leaves x and beta NaN in a row with a
+    nonzero off the block pattern or that meets a singular pivot block, and
+    a NaN bound fails the certificate. A row is solved again by the kernel
+    with one block, a dense inverse of M whose beta is ||M^-1||_1, if its
+    state fails the certificate or the residual gate, and not if the first
+    two gates below refuse it; a row refused later thus gets the error and
     message of the dense solve. For odd d the one pass is the dense one. No
-    pass mixes rows, so a row's bits do not depend on the rows stacked with
-    it. steady_states_at runs the same passes and gates on the nonzeros of
-    assembled Liouvillians.
+    pass mixes rows, and a row's blocks get the same numbers through either
+    pattern, so its state and beta do not depend on the rows stacked with
+    it. Its message may: the gates sum over the pattern's entries, so a
+    message read through the full pattern may differ in its last digits
+    from the one through the basis's. steady_states_at runs the same passes
+    and gates on the nonzeros of assembled Liouvillians.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -823,88 +829,61 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
     if not count:
         return np.empty((0, n)), {}
-    return _solve_stack(_DenseStack(liou), d)
+    flat = liou.reshape(count, n * n)
+    if d % 2 == 0 and d >= 4:
+        pattern = _basis(HilbertConfig(d // 2 - 1)).pattern
+        values = flat[:, pattern.idx]
+        if np.count_nonzero(values) == np.count_nonzero(flat):
+            return _solve_stack(pattern, values, d)
+    return _solve_stack(_full_pattern(n), flat, d)
 
 
 def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
     """steady_states(liouvillians(rows, h)), solved from the nonzeros of each L_r.
 
     The nonzeros of each row's L_r are written straight into the block
-    kernel's buffer through the basis's slots, and the gates read them
-    alone: max |L_r|, ||L_r||_F, the diagonal, the antisymmetry test (each
-    nonzero plus the one at its transpose) and the product L_r x. No dense
-    L is formed. The states, the failed rows and their error
-    classes are those of steady_states on the dense stack; a message may
-    differ in its last digits, since the residual, null_hi and ||L_r||_F
-    are summed in another order.
+    kernel's buffer through the basis pattern's slots, and the gates read
+    them alone: max |L_r|, ||L_r||_F, the diagonal, the antisymmetry test
+    (each nonzero plus the one at its transpose) and the product L_r x. No
+    dense L is formed. steady_states reads the dense stack through the same
+    pattern, so the states, the failed rows and their errors and messages
+    are the same.
     """
     basis = _basis(h)
     if not len(rows):
         return np.empty((0, h.dim ** 2)), {}
-    return _solve_stack(_Nonzeros(basis, basis.values(rows)), h.dim)
+    return _solve_stack(basis.pattern, basis.values(rows), h.dim)
 
 
-class _DenseStack:
-    """A stack of dense L_r, as steady_states takes it: what its gates and passes read."""
-
-    def __init__(self, liou: np.ndarray):
-        self.liou, self.flat = liou, liou.reshape(len(liou), -1)
-        self.diagonal = np.diagonal(liou, axis1=1, axis2=2)
-
-    def antisymmetric(self, r: int) -> bool:
-        return not np.any(self.liou[r] + self.liou[r].T)
-
-    def solve(self, kernel: _BlockKernel, rows=slice(None)):
-        return kernel.solve(self.liou[rows])
-
-    def drift(self, vecs: np.ndarray) -> np.ndarray:
-        return np.matmul(self.liou, vecs[:, :, None])[:, :, 0]
-
-
-class _Nonzeros:
-    """A stack of basis L_r as the values of the basis's nonzeros, read like a _DenseStack."""
-
-    def __init__(self, basis: LiouvillianBasis, values: np.ndarray):
-        # the zeros of a dense L_r change neither max |L_r| nor ||L_r||_F
-        self.basis, self.values, self.flat = basis, values, values
-        self.diagonal = values[:, basis._diagonal]
-
-    def antisymmetric(self, r: int) -> bool:
-        """L_r + L_r^T = 0, by the dense test's sums: each nonzero plus the one at its transpose, or alone."""
-        values, transpose = self.values[r], self.basis._transpose
-        return not np.any(np.where(transpose < 0, values, values + values[transpose]))
-
-    def solve(self, kernel: _BlockKernel, rows=slice(None)):
-        return kernel.solve_values(self.values[rows], self.basis.slots(kernel))
-
-    def drift(self, vecs: np.ndarray) -> np.ndarray:
-        return self.basis.product(self.values, vecs)
-
-
-def _solve_stack(stack, d: int) -> tuple[np.ndarray, dict]:
-    """The passes and gates of steady_states on a non-empty _DenseStack or _Nonzeros."""
+def _solve_stack(pattern: _Pattern, values: np.ndarray, d: int) -> tuple[np.ndarray, dict]:
+    """The passes and gates of steady_states on a non-empty stack of L_r, given by its values at pattern."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # max |L| of each matrix, without a stack-sized temporary for |L|
-        scale = np.maximum(stack.flat.max(axis=1), -stack.flat.min(axis=1))
-        top_hi = _norms(stack.flat)
+        # max |L| of each matrix, without a stack-sized temporary for |L|;
+        # the zeros off the pattern change neither it nor ||L_r||_F
+        scale = np.maximum(values.max(axis=1), -values.min(axis=1))
+        top_hi = _norms(values)
         non_finite = ~np.isfinite(scale)
         # (L + L^T)_ii = 2 L_ii, so a nonzero diagonal entry settles the
-        # test; only the other rows need the full L + L^T.
-        no_dissipation = ~(np.abs(stack.diagonal).max(axis=1) > 0.0)
+        # test; only the other rows need the full L + L^T, by the dense
+        # test's sums: each nonzero plus the one at its transpose, or alone.
+        no_dissipation = ~(np.abs(values[:, pattern._diagonal]).max(axis=1) > 0.0)
+        transpose = pattern._transpose
         for r in np.flatnonzero(no_dissipation):
-            no_dissipation[r] = stack.antisymmetric(r)
+            row = values[r]
+            no_dissipation[r] = not np.any(np.where(transpose < 0, row, row + row[transpose]))
         refused = non_finite | no_dissipation
 
         kernel = _block_kernel(d)
-        vecs, beta, reasons = stack.solve(kernel)
-        gates = _gates(stack.drift(vecs), vecs, beta, top_hi, scale)
+        vecs, beta, reasons = kernel.solve_values(values, pattern.slots(kernel))
+        gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
         if retry.size and len(kernel.spans) > 1:
-            vecs[retry], beta[retry], errors = stack.solve(_block_kernel(d, single=True), retry)
+            single = _block_kernel(d, single=True)
+            vecs[retry], beta[retry], errors = single.solve_values(values[retry], pattern.slots(single))
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
-            gates = _gates(stack.drift(vecs), vecs, beta, top_hi, scale)
+            gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates
         singular = np.zeros(len(vecs), dtype=bool)
         singular[list(reasons)] = True

@@ -8,14 +8,14 @@ evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of rows, as many as a
 fixed memory budget holds, whose Liouvillians go into the steady-state
 solve as their nonzeros, with no dense stack formed. The chunks are shared
-between the calling thread and one helper thread when the process may run
-on two CPUs (_WORKERS), and their results are merged in chunk order, so
-the threads change no bit and no failure. evaluate alone
-decides what a failure does to a row: its branch's later outputs become
-NaN, and its first error is what a sweep's status column and a point
-query report. A row's bits do not depend on the rows evaluated with it,
-so a point query prints the bits of its sweep row and identical specs
-produce byte-identical CSV files.
+between the calling thread and a helper thread that lives for one evaluate
+when the process may run on two CPUs (_WORKERS), and their results are
+merged in chunk order, so the threads change no bit and no failure.
+evaluate alone decides what a failure does to a row: its branch's later
+outputs become NaN, and its first error is what a sweep's status column
+and a point query report. A row's bits do not depend on the rows evaluated
+with it, so a point query prints the bits of its sweep row and identical
+specs produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -163,10 +162,10 @@ def _chunk_size(h: HilbertConfig) -> int:
 def _solve(chunk: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
     """steady_states_at of a chunk of parameter rows; a chunk of one row is solved by steady_state.
 
-    steady_states_at gives the states and error classes of steady_states
-    on the dense stack, and steady_state is steady_states on a stack of
-    one, so the bits and the gates are the same either way. A chunk of one
-    row (a point query, a grid's one-row remainder) thus makes one
+    steady_states_at gives the states and errors of steady_states on the
+    dense stack, and steady_state is steady_states on a stack of one, so
+    the bits, the gates and the messages are the same either way. A chunk
+    of one row (a point query, a grid's one-row remainder) thus makes one
     steady_state call on its dense L, where its solve shows to a profiler
     or tracer; the solve of a larger chunk does not.
     """
@@ -178,77 +177,38 @@ def _solve(chunk: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
         return np.full((1, h.dim ** 2), np.nan), {0: exc}
 
 
-class _Helper:
-    """One daemon thread that runs the tasks handed to it, one at a time.
-
-    It starts on first use and is kept, so the kernel buffers of its thread
-    persist from one sweep to the next. While it runs a task it refuses
-    another (evaluate called from two threads at once), and the caller runs
-    that one itself.
-    """
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self._idle, self._handed, self._job = threading.Lock(), threading.Semaphore(0), None
-        threading.Thread(target=self._serve, name="blockade_lab.sweep", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._handed.acquire()
-            job = self._job
-            try:
-                job.result = job.task()
-            except BaseException as exc:  # re-raised on the caller's thread
-                job.error = exc
-            finally:
-                self._idle.release()
-                job.done.set()
-
-    def hand(self, task) -> SimpleNamespace | None:
-        """Start task on the helper's thread: a job whose done event is set with its result or error, or None if busy."""
-        if not self._idle.acquire(blocking=False):
-            return None
-        self._job = job = SimpleNamespace(task=task, result=None, error=None, done=threading.Event())
-        self._handed.release()
-        return job
-
-
-_helper_lock = threading.Lock()
-_helper: _Helper | None = None
-
-
-def _helper_thread() -> _Helper:
-    """The process's helper, started on first use (and again in a forked child, which has no threads)."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or _helper.pid != os.getpid():
-            _helper = _Helper()
-    return _helper
-
-
 def _solve_shared(solve, starts: range) -> dict:
-    """solve(starts), the chunks of range(0, rows, size), split between this thread and the helper.
+    """solve(starts), the chunks of range(0, rows, size), split between this thread and a helper.
 
-    With _WORKERS at 2 the helper takes every other chunk of more than one
-    row, and this thread the rest, so an evaluate of one chunk and every
-    one-row chunk stay on this thread: a one-row chunk calls steady_state,
-    which a tracer or profiler may watch from this thread alone. Returns
-    the results of both shares in one dict; an error of the helper's share
-    is raised here.
+    With _WORKERS at 2 a helper thread, started here and joined before this
+    returns or raises, takes every other chunk of more than one row, and
+    this thread the rest, so an evaluate of one chunk and every one-row
+    chunk stay on this thread: a one-row chunk calls steady_state, which a
+    tracer or profiler may watch from this thread alone. Returns the results
+    of both shares in one dict; an error of the helper's share is raised
+    here.
     """
     helped = [start for start in starts[1::2]
               if min(starts.step, starts.stop - start) > 1] if _WORKERS > 1 else []
-    job = _helper_thread().hand(lambda: solve(helped)) if helped else None
-    own = starts if job is None else sorted(set(starts) - set(helped))
+    if not helped:
+        return solve(starts)
+    share = {}
+
+    def run():
+        try:
+            share["found"] = solve(helped)
+        except BaseException as exc:  # re-raised on the caller's thread
+            share["error"] = exc
+
+    helper = threading.Thread(target=run, name="blockade_lab.sweep")
+    helper.start()
     try:
-        found = solve(own)
+        found = solve(sorted(set(starts) - set(helped)))
     finally:
-        if job is not None:
-            job.done.wait()
-    if job is not None:
-        if job.error is not None:
-            raise job.error
-        found.update(job.result)
+        helper.join()
+    if "error" in share:
+        raise share["error"]
+    found.update(share["found"])
     return found
 
 

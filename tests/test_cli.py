@@ -293,3 +293,13 @@ def test_check_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
               "print(status, 'numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+def test_importing_the_cli_imports_neither_logging_nor_concurrent_futures():
+    # each costs a fresh process milliseconds of setup; the sweep's helper is a
+    # plain threading.Thread
+    script = ("import sys\n"
+              "import blockade_lab.cli\n"
+              "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["[]"], proc.stderr

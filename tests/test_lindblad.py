@@ -314,13 +314,20 @@ def bordered(liou):
     return mat
 
 
+def kernel_solve(stack, single=False):
+    """The block kernel's states, betas and singular pivots on a dense stack, read through the full pattern."""
+    n = stack.shape[-1]
+    kernel = lindblad._block_kernel(math.isqrt(n), single)
+    return kernel.solve_values(stack.reshape(len(stack), -1), lindblad._full_pattern(n).slots(kernel))
+
+
 def block_solve(liou, single=False):
     """The state and beta of the block kernel on one Liouvillian, NaN beta if it is not solved.
 
     As in steady_states, an overflow is left to the gates, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vecs, beta, _ = lindblad._block_kernel(math.isqrt(liou.shape[0]), single).solve(liou[None])
+        vecs, beta, _ = kernel_solve(liou[None], single)
     return vecs[0], beta[0]
 
 
@@ -462,7 +469,7 @@ def test_block_solve_keeps_the_status_and_message_of_the_dense_solve(
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
-def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
+def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve(monkeypatch):
     liou = liouvillian(FIG1, H4)
     q = coherence_orders(H4)
     assert np.isfinite(block_solve(liou)[1])
@@ -478,12 +485,21 @@ def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
     assert np.array_equal(steady_state(liou, coordinates=True), want)
     # a singular pivot leaves its row NaN as well, with LAPACK's error kept
     lossless = liouvillian(replace(FIG1, g=0.0, gamma=0.0), H4)
-    vecs, beta, singular = lindblad._block_kernel(H4.dim).solve(lossless[None])
+    vecs, beta, singular = kernel_solve(lossless[None])
     assert list(singular) == [0] and np.isnan(vecs).all() and np.isnan(beta).all()
     # stacked between rows on the pattern and before one whose M is exactly
-    # singular, each row keeps the bits and the error it gets alone
+    # singular, each row keeps the bits and the error it gets alone; the
+    # row off the pattern sends the whole stack through the full pattern
     fine = [liouvillian(replace(FIG1, delta=delta), H4) for delta in (0.5, 1.5)]
+    full, full_pattern = [], lindblad._full_pattern
+
+    def recorded(n):
+        full.append(n)
+        return full_pattern(n)
+
+    monkeypatch.setattr(lindblad, "_full_pattern", recorded)
     vecs, failures = steady_states(np.stack([fine[0], liou, lossless, fine[1]]))
+    assert full == [H4.dim**2]
     assert list(failures) == [2]
     assert str(failures[2]) == str(dense_steady_state(lossless))
     assert str(failures[2]).startswith("trace-constrained solve failed: ")
@@ -540,6 +556,12 @@ MIXED_ROWS = np.concatenate([
 @pytest.mark.parametrize("nmax", range(1, 11))
 def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch):
     h = HilbertConfig(nmax)
+
+    def no_full_pattern(n):
+        raise AssertionError("a library Liouvillian read through the full pattern")
+
+    # the dense stack of library Liouvillians is read through the basis pattern
+    monkeypatch.setattr(lindblad, "_full_pattern", no_full_pattern)
     want, want_failures = steady_states(liouvillians(MIXED_ROWS, h))
     retried, dense, block_kernel, to_dense = [], [], lindblad._block_kernel, lindblad._dense
 
@@ -555,7 +577,8 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
     monkeypatch.setattr(lindblad, "_dense", formed)
     vecs, failures = steady_states_at(MIXED_ROWS, h)
     assert vecs.tobytes() == want.tobytes()
-    assert {r: type(e) for r, e in failures.items()} == {r: type(e) for r, e in want_failures.items()}
+    assert ({r: (type(e), str(e)) for r, e in failures.items()}
+            == {r: (type(e), str(e)) for r, e in want_failures.items()})
     assert sorted(failures) == [1, 2, 3, 5]
     assert np.isfinite(vecs[[0, 4, 6]]).all()
     assert any(retried)
@@ -565,33 +588,53 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
     assert vecs.shape == (0, h.dim**2) and failures == {}
 
 
+def addressed(kernel):
+    """The (row, col) of L_r that each entry of a row of the kernel's blocks buffer holds, col -1 in a z column.
+
+    Block row k holds the coordinates of spans[k] against those of spans[k - 1],
+    spans[k] and spans[k + 1], each in the order of position, then a z column.
+    """
+    at = np.argsort(kernel.position)
+    spans = kernel.spans
+    rows, cols = [], []
+    for k, span in enumerate(spans):
+        block_cols = np.append(at[spans[max(k - 1, 0)].start:spans[min(k + 1, len(spans) - 1)].stop], -1)
+        rows.append(np.repeat(at[span], block_cols.size))
+        cols.append(np.tile(block_cols, span.stop - span.start))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 @pytest.mark.parametrize("nmax", range(1, 11))
 def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     h = HilbertConfig(nmax)
-    basis = LiouvillianBasis(h)
+    pattern = LiouvillianBasis(h).pattern
+    n = h.dim**2
     for single in (False, True):
         kernel = lindblad._block_kernel(h.dim, single)
-        slots = basis.slots(kernel)
-        assert slots.shape == basis.idx.shape
+        slots = pattern.slots(kernel)
+        assert slots.shape == pattern.idx.shape
         assert np.unique(slots).size == slots.size
-        assert np.array_equal(kernel._gather[slots], basis.idx)
-        assert not np.isin(slots, kernel._rhs).any()
+        rows, cols = addressed(kernel)
+        assert rows.size == kernel._widths[0]
+        # each slot holds its own entry, never a z column
+        assert np.array_equal(rows[slots], pattern.idx // n)
+        assert np.array_equal(cols[slots], pattern.idx % n)
     if nmax == 4:
         q = coherence_orders(h)
         i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
-        with pytest.raises(ValueError, match="off the block pattern"):
-            lindblad._block_kernel(h.dim).slots(np.array([i * h.dim**2 + j]))
+        kernel = lindblad._block_kernel(h.dim)
+        assert list(kernel.slots(np.array([i * n + j, pattern.idx[0]]))) == [-1, pattern.slots(kernel)[0]]
 
 
 @pytest.mark.parametrize("nmax", range(1, 11))
 def test_the_transpose_map_points_each_nonzero_at_its_mirror(nmax):
-    basis = LiouvillianBasis(HilbertConfig(nmax))
     n = HilbertConfig(nmax).dim ** 2
-    rows, cols = np.divmod(basis.idx, n)
-    mirror = cols * n + rows
-    paired = basis._transpose >= 0
-    assert np.array_equal(basis.idx[basis._transpose[paired]], mirror[paired])
-    assert not np.isin(mirror[~paired], basis.idx).any()
+    for pattern in (LiouvillianBasis(HilbertConfig(nmax)).pattern, lindblad._full_pattern(n)):
+        rows, cols = np.divmod(pattern.idx, n)
+        mirror = cols * n + rows
+        paired = pattern._transpose >= 0
+        assert np.array_equal(pattern.idx[pattern._transpose[paired]], mirror[paired])
+        assert not np.isin(mirror[~paired], pattern.idx).any()
 
 
 def test_a_fig1_sweep_builds_only_the_block_kernel():

@@ -324,13 +324,18 @@ def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
     rows = np.repeat(BASE.row(), 3, axis=0)
     rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 0.0, 1.0)
     with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(sweep, "_helper_thread", side_effect=AssertionError("work handed over")):
+            mock.patch.object(threading.Thread, "start", side_effect=AssertionError("work handed over")):
         # one row, or three chunks of one row each
         values, failed = evaluate(rows if chunk_bytes == 1 else rows[:1], HilbertConfig(), OUTPUT_COLUMNS)
     assert not failed and np.isfinite(values["g2_numeric"]).all()
 
 
-def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
+def _evaluate_with_a_failing_helper_then_without():
+    """Evaluate fig1 at 53 rows on two workers with an error in the helper's share, then again without one.
+
+    Returns the second evaluate's values and failures, and the helper
+    threads alive after each evaluate.
+    """
     rows = _grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes))
     caller, solve_chunk = threading.get_ident(), lindblad.steady_states_at
 
@@ -339,12 +344,37 @@ def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
             raise RuntimeError("helper failed")
         return solve_chunk(rows, h)
 
+    def helpers():
+        return [thread for thread in threading.enumerate() if thread.name == "blockade_lab.sweep"]
+
+    alive = []
     with mock.patch.object(sweep, "_WORKERS", 2):
         with mock.patch.object(sweep, "steady_states_at", chunk), pytest.raises(RuntimeError, match="helper"):
             evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
-        # and the helper takes the next evaluate's share as before
+        alive.append(helpers())
+        # and the next evaluate shares its chunks as before
         values, failed = evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
+        alive.append(helpers())
+    return values, failed, alive
+
+
+def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
+    values, failed, _ = _evaluate_with_a_failing_helper_then_without()
     assert not failed and np.isfinite(values["g2_numeric"]).all()
+
+
+def test_evaluate_leaves_no_sweep_thread_running():
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    with mock.patch.object(threading.Thread, "start", counted):
+        _, _, alive = _evaluate_with_a_failing_helper_then_without()
+    # each evaluate started its helper, and neither left it running
+    assert started == ["blockade_lab.sweep"] * 2
+    assert alive == [[], []]
 
 
 def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
