@@ -995,24 +995,3 @@ class RK4Propagator:
             vec = _rk4_step(self.gen, vec, remainder)
         return vec
 
-
-def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
-    """Propagate a Hermitian density matrix to t_final with fixed-step RK4.
-
-    The real coordinates of rho0 are propagated by L_r, so rho0 must be
-    Hermitian (vectorize refuses it otherwise). No renormalization is
-    applied; the trace is monitored and a drift beyond 1e-8 (relative to the
-    initial trace) raises, since the generator preserves the trace exactly
-    and any drift signals an unstable step.
-    """
-    if not 0.0 <= t_final < math.inf:
-        raise ValueError(f"t_final must be >= 0 and finite, got {t_final!r}")
-    _check_step(liou, dt)
-    rho0 = np.asarray(rho0)
-    trace0 = float(np.trace(rho0).real)
-    vec = RK4Propagator(liou, dt).advance(vectorize(rho0), t_final)
-    rho = unvectorize(vec, rho0.shape[0])
-    drift = abs(float(np.trace(rho).real) - trace0)
-    if not drift <= 1e-8 * max(1.0, abs(trace0)):
-        raise SolverError(f"trace drift {drift:.3e} over the run; step too coarse")
-    return rho

@@ -11,11 +11,18 @@ solve as their nonzeros, with no dense stack formed. The chunks are shared
 between the calling thread and a helper thread that lives for one evaluate
 when the process may run on two CPUs (_WORKERS), and their results are
 merged in chunk order, so the threads change no bit and no failure.
+H, a and sigma- are real, so the state at (-delta_a, -delta) is the
+photon-parity image of the conjugate state at (delta_a, delta), and the
+solve is sign-equivariant: negating both detunings changes no output bit
+and no failure message. So evaluate solves the numeric branch of a grid
+once for each distinct canonical row, one of each mirror pair, and copies
+the results to every row that maps to it.
 evaluate alone decides what a failure does to a row: its branch's later
 outputs become NaN, and its first error is what a sweep's status column
 and a point query report. A row's bits do not depend on the rows evaluated
-with it, so a point query prints the bits of its sweep row and identical
-specs produce byte-identical CSV files.
+with it, which rests on that sign-equivariance too (a property test of
+tests/test_sweep.py guards it), so a point query prints the bits of its
+sweep row and identical specs produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ _CHUNK_BYTES = 2100 * 1024
 # process's affinity mask, at most 2.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
+
+# The columns of a parameter row that the Delta -> -Delta mirror negates.
+_DETUNINGS = [PARAM_FIELDS.index("delta_a"), PARAM_FIELDS.index("delta")]
 
 
 @dataclass(frozen=True)
@@ -212,6 +222,69 @@ def _solve_shared(solve, starts: range) -> dict:
     return found
 
 
+def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct canonical rows of (N, 6) parameter rows, and the index of each row's one among them.
+
+    A row's canonical row has (delta_a, delta) negated when delta_a < 0, or
+    when delta_a == 0 and delta < 0, and a detuning of -0.0 made +0.0. Rows
+    are distinct when their bits differ; the distinct rows come sorted by
+    their bits, and distinct[index[r]] is row r's canonical row.
+    """
+    canonical = np.array(rows, dtype=float)
+    detunings = canonical[:, _DETUNINGS]
+    flip = (detunings[:, 0] < 0) | ((detunings[:, 0] == 0) & (detunings[:, 1] < 0))
+    np.negative(detunings, out=detunings, where=flip[:, None])
+    canonical[:, _DETUNINGS] = detunings + 0.0  # -0.0 + 0.0 is +0.0
+    # Sorting the bits and comparing neighbours, where np.unique would
+    # import numpy.ma (about 15 ms) on a fresh `sweep`.
+    bits = canonical.view(np.int64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    opens = np.empty(len(rows), dtype=bool)  # where a run of equal rows opens
+    opens[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=opens[1:])
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(opens) - 1
+    return canonical[order[opens]], index
+
+
+def _scatter(failures: dict, index: np.ndarray) -> dict:
+    """failures, keyed by distinct row, keyed instead by each row that index maps to a failed one."""
+    if not failures:
+        return {}
+    failing = np.zeros(len(index), dtype=bool)
+    failing[list(failures)] = True
+    hit = np.flatnonzero(failing[index])
+    return {row: failures[at] for row, at in zip(hit.tolist(), index[hit].tolist())}
+
+
+def _numeric(rows: np.ndarray, h: HilbertConfig, numeric: list[str]) -> tuple[dict, dict, dict]:
+    """The numeric outputs of each row, solved in chunks, each row's solve failure and its g2 failure."""
+    values = {name: np.empty(len(rows)) for name in numeric}
+    size = _chunk_size(h)
+
+    def solve(starts) -> dict:
+        """Solve the chunks that open at starts, into values; each one's failures, by start."""
+        found = {}
+        for start in starts:
+            chunk = rows[start:start + size]
+            vecs, failures = _solve(chunk, h)
+            observed, undefined = steady_observables(vecs, h)
+            for name in numeric:
+                values[name][start:start + len(chunk)] = observed[name]
+            found[start] = failures, undefined
+        return found
+
+    starts = range(0, len(rows), size)
+    found = _solve_shared(solve, starts)
+    solve_failed, g2_failed = {}, {}
+    for start in starts:
+        failures, undefined = found[start]
+        solve_failed.update((start + r, e) for r, e in failures.items())
+        g2_failed.update((start + r, e) for r, e in undefined.items())
+    return values, solve_failed, g2_failed
+
+
 def evaluate(rows: np.ndarray, h: HilbertConfig,
              outputs: tuple[str, ...]) -> tuple[dict[str, np.ndarray], dict[int, Exception]]:
     """The requested outputs at each (N, 6) parameter row, and each failed row's first error.
@@ -224,14 +297,18 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     photon number for the numeric one. Only the steps whose output was
     requested count, and the steady state when any numeric output is.
 
-    The closed forms are evaluated as arrays over all rows at once. The
-    numeric branch runs in chunks of _chunk_size rows: one stacked assembly
-    of the nonzeros of their Liouvillians and one stacked solve from them,
-    with the gates of steady_state applied per row (steady_states_at; a
-    chunk of one row goes through steady_state, see _solve), and one
-    elementwise product with the observable functionals. No step mixes
-    rows, so a row's bits do not depend on N or on the chunk it falls in,
-    nor on the thread that solves it (_solve_shared).
+    The closed forms are evaluated as arrays over all rows at once. Of more
+    than one row, the numeric branch solves only the distinct canonical rows
+    (_distinct_canonical), and each row takes the values and failures of its
+    canonical row; one row is solved as given. The rows solved run in
+    chunks of _chunk_size rows: one stacked assembly of the nonzeros of
+    their Liouvillians and one stacked solve from them, with the gates of
+    steady_state applied per row (steady_states_at; a chunk of one row goes
+    through steady_state, see _solve), and one elementwise product with the
+    observable functionals. No step mixes rows, so a row's bits do not
+    depend on N or on the chunk it falls in, nor on the thread that solves
+    it (_solve_shared); and the solve is sign-equivariant, so they do not
+    depend on whether the row or its mirror was solved.
     """
     values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):
@@ -242,28 +319,14 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
                 values[name], step_failed[name] = column, failures
     numeric = [name for name in _NUMERIC_STEPS[1:] if name in outputs]
     if numeric:
-        values.update((name, np.empty(len(rows))) for name in numeric)
-        size = _chunk_size(h)
-
-        def solve(starts) -> dict:
-            """Solve the chunks that open at starts, into values; each one's failures, by start."""
-            found = {}
-            for start in starts:
-                chunk = rows[start:start + size]
-                vecs, failures = _solve(chunk, h)
-                observed, undefined = steady_observables(vecs, h)
-                for name in numeric:
-                    values[name][start:start + len(chunk)] = observed[name]
-                found[start] = failures, undefined
-            return found
-
-        starts = range(0, len(rows), size)
-        found = _solve_shared(solve, starts)
-        solve_failed, g2_failed = {}, {}
-        for start in starts:
-            failures, undefined = found[start]
-            solve_failed.update((start + r, e) for r, e in failures.items())
-            g2_failed.update((start + r, e) for r, e in undefined.items())
+        if len(rows) < 2:
+            observed, solve_failed, g2_failed = _numeric(rows, h, numeric)
+        else:
+            distinct, index = _distinct_canonical(rows)
+            observed, solve_failed, g2_failed = _numeric(distinct, h, numeric)
+            observed = {name: column[index] for name, column in observed.items()}
+            solve_failed, g2_failed = _scatter(solve_failed, index), _scatter(g2_failed, index)
+        values.update(observed)
         step_failed["steady_state"] = solve_failed
         if "g2_numeric" in outputs:
             step_failed["g2_numeric"] = g2_failed

@@ -1,10 +1,50 @@
 """Helpers shared by more than one test module."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from blockade_lab import SystemParams
 from blockade_lab.analytic import _ode_matrix
-from blockade_lab.lindblad import RK4Propagator
+from blockade_lab.errors import SolverError
+from blockade_lab.lindblad import RK4Propagator, _check_step, unvectorize, vectorize
+
+_FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
+
+# Fine rows between the failing kinds: a lossless row (no dissipation), one
+# whose entries overflow, one with a singular pivot and an exactly singular M,
+# one that the block bound does not certify but the one-block solve does
+# (from n_max 2 up), and one that neither certifies.
+MIXED_ROWS = np.concatenate([
+    _FIG1.row(), replace(_FIG1, kappa=0.0, gamma=0.0).row(),
+    replace(_FIG1, delta_a=1.7e308, delta=1.7e308).row(), replace(_FIG1, g=0.0, gamma=0.0).row(),
+    SystemParams(g=4.0, kappa=0.01, gamma=0.0, eta=0.3, delta_a=1.6, delta=1.6).row(),
+    SystemParams(g=0.0, kappa=0.3, gamma=1e-12, eta=0.05, delta_a=0.5, delta=0.2).row(),
+    replace(_FIG1, delta_a=0.5, delta=0.5).row()])
+
+
+def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
+    """Propagate a Hermitian density matrix to t_final with fixed-step RK4.
+
+    The real coordinates of rho0 are propagated by L_r, so rho0 must be
+    Hermitian (vectorize refuses it otherwise). No renormalization is
+    applied; the trace is monitored and a drift beyond 1e-8 (relative to the
+    initial trace) raises, since the generator preserves the trace exactly
+    and any drift signals an unstable step.
+    """
+    if not 0.0 <= t_final < math.inf:
+        raise ValueError(f"t_final must be >= 0 and finite, got {t_final!r}")
+    _check_step(liou, dt)
+    rho0 = np.asarray(rho0)
+    trace0 = float(np.trace(rho0).real)
+    vec = RK4Propagator(liou, dt).advance(vectorize(rho0), t_final)
+    rho = unvectorize(vec, rho0.shape[0])
+    drift = abs(float(np.trace(rho).real) - trace0)
+    if not drift <= 1e-8 * max(1.0, abs(trace0)):
+        raise SolverError(f"trace drift {drift:.3e} over the run; step too coarse")
+    return rho
 
 
 def _amplitude_rk4(p, t_final, dt):

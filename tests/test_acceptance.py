@@ -41,8 +41,9 @@ from blockade_lab import (
 )
 from blockade_lab.analytic import integrate_amplitude_odes
 from blockade_lab.correlations import atom_coherence_numeric, mean_photon
-from blockade_lab.lindblad import LiouvillianBasis, evolve, vectorize
+from blockade_lab.lindblad import LiouvillianBasis, vectorize
 from blockade_lab.sweep import locate_extrema
+from conftest import evolve
 
 H4 = HilbertConfig(4)
 FIG1_BASE = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)

@@ -287,12 +287,17 @@ def test_a_closed_stdout_ends_quietly():
 def test_check_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
     csv = tmp_path / "fig1.csv"
     assert cli.main(["fig1", "--grid", "41", "--out", str(csv)]) == 0
+    # and neither does a sweep after it, whose rows are deduplicated
+    config = tmp_path / "sweep.cfg"
+    config.write_text("g = 1\nkappa = 0.05\ngamma = 0.05\neta = 0.01\naxis1 = Delta -2 2 41\n")
     script = ("import sys\n"
               "from blockade_lab import cli\n"
               f"status = cli.main(['check', {str(csv)!r}, '--out', {str(tmp_path / 'report')!r}])\n"
+              "print(status, 'numpy.ma' in sys.modules)\n"
+              f"status = cli.main(['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'sweep.csv')!r}])\n"
               "print(status, 'numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
 
 
 def test_importing_the_cli_imports_neither_logging_nor_concurrent_futures():

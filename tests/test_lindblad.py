@@ -31,7 +31,6 @@ from blockade_lab.lindblad import (
     RK4Propagator,
     build_liouvillian,
     default_step,
-    evolve,
     liouvillian,
     liouvillians,
     model_for,
@@ -49,6 +48,7 @@ from blockade_lab.quantum_core import (
     lowering_operators,
 )
 from blockade_lab.sweep import _grid_rows, _mesh, run_sweep
+from conftest import MIXED_ROWS, evolve
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -539,18 +539,6 @@ def test_a_refused_liouvillian_of_odd_dimension_is_inverted_once(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError, match="not certified"):
         steady_state(liou)
     assert calls == [(1, 9, 9)]
-
-
-# Fine rows between the failing kinds: a lossless row (no dissipation), one
-# whose entries overflow, one with a singular pivot and an exactly singular M,
-# one that the block bound does not certify but the one-block solve does
-# (from n_max 2 up), and one that neither certifies.
-MIXED_ROWS = np.concatenate([
-    FIG1.row(), replace(FIG1, kappa=0.0, gamma=0.0).row(),
-    replace(FIG1, delta_a=1.7e308, delta=1.7e308).row(), replace(FIG1, g=0.0, gamma=0.0).row(),
-    SystemParams(g=4.0, kappa=0.01, gamma=0.0, eta=0.3, delta_a=1.6, delta=1.6).row(),
-    SystemParams(g=0.0, kappa=0.3, gamma=1e-12, eta=0.05, delta_a=0.5, delta=0.2).row(),
-    replace(FIG1, delta_a=0.5, delta=0.5).row()])
 
 
 @pytest.mark.parametrize("nmax", range(1, 11))

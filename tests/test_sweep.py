@@ -39,6 +39,7 @@ from blockade_lab.sweep import (
     read_sweep_csv,
     write_sweep_csv,
 )
+from conftest import MIXED_ROWS
 
 BASE = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=0.0, delta=0.0)
 
@@ -221,11 +222,13 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows are 15 chunks of 26 and one of 11; 53 rows are 2 chunks of 26
-    # and one row, which _solve hands to steady_state on its dense L
-    for grid, remainder in ((401, 11), (53, 1)):
+    # 401 rows have 287 distinct canonical rows, 11 chunks of 26 and one row,
+    # which _solve hands to steady_state on its dense L; 53 rows have 45, a
+    # chunk of 26 and one of 19
+    for grid, distinct, remainder in ((401, 287, 1), (53, 45, 19)):
         spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
-        assert sweep._chunk_size(spec.hilbert) == 26 and spec.axis1.count % 26 == remainder
+        solved = len(sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))[0])
+        assert sweep._chunk_size(spec.hilbert) == 26 and solved == distinct and solved % 26 == remainder
         with mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
             whole = run_sweep(spec)
         assert single.call_count == (remainder == 1), grid
@@ -306,12 +309,14 @@ def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
         outcomes[workers] = ({name: column.tobytes() for name, column in values.items()},
                              [(r, type(e), str(e)) for r, e in failed.items()])
     assert outcomes[2] == outcomes[1]
-    # the chunks were shared between two threads, and each one-row chunk
-    # made its one steady_state call on the calling thread
+    # the chunks of the distinct canonical rows were shared between two
+    # threads, and each one-row chunk made its one steady_state call on the
+    # calling thread
     assert set(threads[1][0]) == {threading.get_ident()}
     assert len(set(threads[2][0])) == 2
+    solved = len(sweep._distinct_canonical(rows)[0])
     for workers in (1, 2):
-        assert threads[workers][1] == [threading.get_ident()] * (len(rows) % sweep._chunk_size(h) == 1)
+        assert threads[workers][1] == [threading.get_ident()] * (solved % sweep._chunk_size(h) == 1)
     if h.n_max == 10:
         # the lossless and the overflowing row fail, both in the helper's chunks
         errors = [(r, error.__name__) for r, error, _ in outcomes[1][1]]
@@ -408,10 +413,11 @@ def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
 
 def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian():
     h = HilbertConfig(10)
+    # two rows that are not each other's mirror, so they stay a chunk of two
     rows = np.repeat(BASE.row(), 2, axis=0)
-    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 1.0)
-    rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 1.0)
-    assert sweep._chunk_size(h) == 2
+    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 2.0)
+    rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 2.0)
+    assert sweep._chunk_size(h) == 2 and len(sweep._distinct_canonical(rows)[0]) == 2
     evaluate(rows, h, OUTPUT_COLUMNS)
     tracemalloc.start()
     try:
@@ -421,6 +427,118 @@ def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian()
         tracemalloc.stop()
     assert not failed and np.isfinite(values["g2_numeric"]).all()
     assert peak < 8 * h.dim ** 4, peak
+
+
+# --- the Delta -> -Delta mirror
+
+_DETUNINGS = sweep._DETUNINGS
+
+
+def _detuned(delta_a, delta):
+    return replace(BASE, delta_a=delta_a, delta=delta).row()
+
+
+# The kinds of row of MIXED_ROWS at detunings of each sign, and fine rows on
+# the lines where a detuning is zero
+_SIGNED_ROWS = np.concatenate([MIXED_ROWS, MIXED_ROWS * [1, 1, 1, 1, 1, -1], MIXED_ROWS * [1, 1, 1, 1, -1, 1],
+                               _detuned(0.0, 0.7), _detuned(0.0, -0.7), _detuned(0.7, 0.0), _detuned(0.0, 0.0)])
+
+
+def _mirrored(rows):
+    """rows with both detunings negated."""
+    mirror = rows.copy()
+    mirror[:, _DETUNINGS] = -rows[:, _DETUNINGS]
+    return mirror
+
+
+def _as_given(rows):
+    """_distinct_canonical that leaves each row as it is, its own distinct row."""
+    return np.array(rows, dtype=float), np.arange(len(rows))
+
+
+def _outcome(values, failed):
+    """The value bits of an evaluate, and each failed row's error class and message."""
+    return ({name: column.tobytes() for name, column in values.items()},
+            {row: (type(exc), str(exc)) for row, exc in failed.items()})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nmax", range(1, 11))
+def test_a_row_and_its_mirror_give_the_same_bits_and_failures(nmax, workers):
+    # evaluate solves a row's canonical row in its place, so the solve of a
+    # row as given and of its mirror must agree to the bit; chunks of three
+    # rows mix the failing rows with fine ones and give the helper a share
+    h = HilbertConfig(nmax)
+    zeros = _SIGNED_ROWS[(_SIGNED_ROWS[:, _DETUNINGS] == 0).any(axis=1)]
+    negative_zeros = zeros.copy()
+    negative_zeros[:, _DETUNINGS] = np.where(zeros[:, _DETUNINGS] == 0, -0.0, zeros[:, _DETUNINGS])
+    assert len(zeros) == 4
+    with mock.patch.object(sweep, "_WORKERS", workers), \
+            mock.patch.object(sweep, "_CHUNK_BYTES", 3 * lindblad.steady_state_bytes(h)):
+        want = _outcome(*evaluate(_SIGNED_ROWS, h, OUTPUT_COLUMNS))
+        assert _outcome(*evaluate(_mirrored(_SIGNED_ROWS), h, OUTPUT_COLUMNS)) == want
+        with mock.patch.object(sweep, "_distinct_canonical", _as_given):
+            assert _outcome(*evaluate(_SIGNED_ROWS, h, OUTPUT_COLUMNS)) == want
+            assert _outcome(*evaluate(_mirrored(_SIGNED_ROWS), h, OUTPUT_COLUMNS)) == want
+            # and a detuning of -0.0 gives the bits of +0.0
+            assert (_outcome(*evaluate(negative_zeros, h, OUTPUT_COLUMNS))
+                    == _outcome(*evaluate(zeros, h, OUTPUT_COLUMNS)))
+    # the lossless, the overflowing and the singular row of MIXED_ROWS fail at each sign
+    assert {1, 2, 3, 8, 9, 10, 15, 16, 17} <= set(want[1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nmax", [1, 4, 10])
+def test_a_grid_of_mirrors_and_copies_equals_its_rows_one_at_a_time(nmax, workers):
+    h = HilbertConfig(nmax)
+    grid = np.concatenate([_SIGNED_ROWS, _mirrored(_SIGNED_ROWS), _SIGNED_ROWS])
+    with mock.patch.object(sweep, "_WORKERS", workers):
+        values, failed = evaluate(grid, h, OUTPUT_COLUMNS)
+    for r in range(len(grid)):
+        one, one_failed = evaluate(grid[r:r + 1], h, OUTPUT_COLUMNS)
+        assert _outcome(one, one_failed) == _outcome({name: column[r:r + 1] for name, column in values.items()},
+                                                     {0: failed[r]} if r in failed else {}), r
+
+
+@pytest.mark.parametrize("spec, distinct", [
+    (fig1_spec(), 287), (cli.fig3_spec(), 8_585), (cli.fig4_spec(), 7_373),
+    # an exactly symmetric grid: every row but (0, 0) pairs with its mirror,
+    # and (0, -x) goes to (+0.0, x)
+    (SweepSpec(base=BASE, axis1=Axis("delta_a", -1.0, 1.0, 9), axis2=Axis("delta", -1.0, 1.0, 9)), 41),
+], ids=["fig1", "fig3", "fig4", "delta_a_x_delta"])
+def test_each_distinct_canonical_row_of_a_grid_is_solved_once(spec, distinct):
+    # a solve that returns zeros, so that only the rows it receives count
+    solved, assemble = [], lindblad.liouvillians
+
+    def chunk(rows, h):
+        solved.append(rows)
+        return np.zeros((len(rows), h.dim ** 2)), {}
+
+    def one_row(rows, h):
+        solved.append(rows)
+        return assemble(rows, h)
+
+    with mock.patch.object(sweep, "steady_states_at", chunk), mock.patch.object(sweep, "liouvillians", one_row), \
+            mock.patch.object(sweep, "steady_state", lambda liou, coordinates=False: np.zeros(len(liou))):
+        evaluate(_grid_rows(spec, _mesh(spec.axes)), spec.hilbert, OUTPUT_COLUMNS)
+    got = np.concatenate(solved)
+    assert len(got) == distinct
+    # each one canonical, with no -0.0, and no two the same
+    delta_a, delta = got[:, _DETUNINGS].T
+    assert np.all((delta_a > 0) | ((delta_a == 0) & (delta >= 0)))
+    assert not np.signbit(got[:, _DETUNINGS][got[:, _DETUNINGS] == 0]).any()
+    assert len({row.tobytes() for row in got}) == distinct
+
+
+def test_a_one_row_evaluate_solves_its_row_as_given():
+    row, h = _detuned(-1.0, -0.5), HilbertConfig()
+    with mock.patch.object(sweep, "_distinct_canonical", side_effect=AssertionError("canonicalised")), \
+            mock.patch.object(sweep, "steady_states_at", side_effect=AssertionError("solved as a chunk")), \
+            mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
+        values, failed = evaluate(row, h, OUTPUT_COLUMNS)
+    assert not failed and single.call_count == 1
+    assert single.call_args.args[0].tobytes() == lindblad.liouvillians(row, h)[0].tobytes()
+    assert single.call_args.args[0].tobytes() != lindblad.liouvillians(_mirrored(row), h)[0].tobytes()
 
 
 def test_two_axis_sweep_layout():
