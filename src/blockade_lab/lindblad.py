@@ -732,10 +732,9 @@ def steady_state_bytes(h: HilbertConfig) -> int:
     """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers.
 
     The buffers are the blocks, work, state, bound and sums rows of one
-    thread (_BlockKernel._buffers): 82,544 B a row in all at n_max 4 and
-    909,760 B at n_max 10. The bound holds [W_k | y_k]^T alone, since a solve
-    writes |S_k^-T| and |G_k^T| into the spent A_k and U_k slots of the
-    blocks; each thread that solves holds its own rows.
+    thread (_BlockKernel._buffers). The bound holds [W_k | y_k]^T alone,
+    since a solve writes |S_k^-T| and |G_k^T| into the spent A_k and U_k
+    slots of the blocks; each thread that solves holds its own rows.
     """
     return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
 

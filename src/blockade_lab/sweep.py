@@ -7,10 +7,11 @@ row-major order (first axis outer) as a matrix of parameter rows, and
 evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of rows, as many as a
 fixed memory budget holds, whose Liouvillians go into the steady-state
-solve as their nonzeros, with no dense stack formed. The chunks are shared
-between the calling thread and a helper thread that lives for one evaluate
-when the process may run on two CPUs (_WORKERS), and their results are
-merged in chunk order, so the threads change no bit and no failure.
+solve as their nonzeros, with no dense stack formed (the one row of a point
+query is solved as given, by steady_state on its dense L). The chunks are
+shared between the calling thread and a helper thread that lives for one
+evaluate when the process may run on two CPUs (_WORKERS), and their results
+are merged in chunk order, so the threads change no bit and no failure.
 H, a and sigma- are real, so the state at (-delta_a, -delta) is the
 photon-parity image of the conjugate state at (delta_a, delta), and the
 solve is sign-equivariant: negating both detunings changes no output bit
@@ -55,14 +56,10 @@ _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
 # The memory a numeric chunk may hold, in the nonzero values of its
-# Liouvillians and the block kernel's buffers (steady_state_bytes a point,
-# 82,544 B at n_max 4 and 909,760 B at n_max 10): 26 points at n_max 4,
-# 14 / 9 / 6 / 4 / 3 at n_max 5 / 6 / 7 / 8 / 9 and 2 at n_max 10, the
-# chunks measured fastest on one thread (BENCH_block_assembly.json). Each
-# worker holds one chunk's buffers: on two workers detuning_scan (n_max 4)
-# reads peak RSS 4.4% and cutoff_map (n_max 10) 3.4% above one worker of
-# the old kernel, whose bound also held |S_k^-T| and |G_k^T| (2-core Intel
-# Xeon, numpy 2.4.6, OpenBLAS on one thread; BENCH_threads.json).
+# Liouvillians and the block kernel's buffers (steady_state_bytes a point).
+# Each worker holds one chunk's buffers. The budget is the one measured
+# fastest on one thread (BENCH_block_assembly.json); the peak RSS of two
+# workers is in BENCH_threads.json.
 _CHUNK_BYTES = 2100 * 1024
 
 # The threads that solve a sweep's numeric chunks: the CPUs in this
@@ -169,37 +166,16 @@ def _chunk_size(h: HilbertConfig) -> int:
     return max(1, _CHUNK_BYTES // steady_state_bytes(h))
 
 
-def _solve(chunk: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
-    """steady_states_at of a chunk of parameter rows; a chunk of one row is solved by steady_state.
-
-    steady_states_at gives the states and errors of steady_states on the
-    dense stack, and steady_state is steady_states on a stack of one, so
-    the bits, the gates and the messages are the same either way. A chunk
-    of one row (a point query, a grid's one-row remainder) thus makes one
-    steady_state call on its dense L, where its solve shows to a profiler
-    or tracer; the solve of a larger chunk does not.
-    """
-    if len(chunk) > 1:
-        return steady_states_at(chunk, h)
-    try:
-        return steady_state(liouvillians(chunk, h)[0], coordinates=True)[None], {}
-    except (ValueError, SolverError) as exc:
-        return np.full((1, h.dim ** 2), np.nan), {0: exc}
-
-
 def _solve_shared(solve, starts: range) -> dict:
     """solve(starts), the chunks of range(0, rows, size), split between this thread and a helper.
 
     With _WORKERS at 2 a helper thread, started here and joined before this
-    returns or raises, takes every other chunk of more than one row, and
-    this thread the rest, so an evaluate of one chunk and every one-row
-    chunk stay on this thread: a one-row chunk calls steady_state, which a
-    tracer or profiler may watch from this thread alone. Returns the results
-    of both shares in one dict; an error of the helper's share is raised
-    here.
+    returns or raises, takes every other chunk (starts[1::2]), and this
+    thread the rest, so an evaluate of one chunk stays on this thread.
+    Returns the results of both shares in one dict; an error of the
+    helper's share is raised here.
     """
-    helped = [start for start in starts[1::2]
-              if min(starts.step, starts.stop - start) > 1] if _WORKERS > 1 else []
+    helped = starts[1::2] if _WORKERS > 1 else range(0)
     if not helped:
         return solve(starts)
     share = {}
@@ -213,7 +189,7 @@ def _solve_shared(solve, starts: range) -> dict:
     helper = threading.Thread(target=run, name="blockade_lab.sweep")
     helper.start()
     try:
-        found = solve(sorted(set(starts) - set(helped)))
+        found = solve(starts[::2])
     finally:
         helper.join()
     if "error" in share:
@@ -241,7 +217,7 @@ def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(bits.T)
     ordered = bits[order]
     opens = np.empty(len(rows), dtype=bool)  # where a run of equal rows opens
-    opens[0] = True
+    opens[:1] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=opens[1:])
     index = np.empty(len(rows), dtype=np.intp)
     index[order] = np.cumsum(opens) - 1
@@ -268,7 +244,7 @@ def _numeric(rows: np.ndarray, h: HilbertConfig, numeric: list[str]) -> tuple[di
         found = {}
         for start in starts:
             chunk = rows[start:start + size]
-            vecs, failures = _solve(chunk, h)
+            vecs, failures = steady_states_at(chunk, h)
             observed, undefined = steady_observables(vecs, h)
             for name in numeric:
                 values[name][start:start + len(chunk)] = observed[name]
@@ -297,14 +273,15 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     photon number for the numeric one. Only the steps whose output was
     requested count, and the steady state when any numeric output is.
 
-    The closed forms are evaluated as arrays over all rows at once. Of more
-    than one row, the numeric branch solves only the distinct canonical rows
-    (_distinct_canonical), and each row takes the values and failures of its
-    canonical row; one row is solved as given. The rows solved run in
-    chunks of _chunk_size rows: one stacked assembly of the nonzeros of
-    their Liouvillians and one stacked solve from them, with the gates of
-    steady_state applied per row (steady_states_at; a chunk of one row goes
-    through steady_state, see _solve), and one elementwise product with the
+    The closed forms are evaluated as arrays over all rows at once. One row
+    (a point query) is solved as given, by one steady_state call on its
+    dense L. Of any other number of rows, the numeric branch solves only the
+    distinct canonical rows (_distinct_canonical), and each row takes the
+    values and failures of its canonical row. Those run in chunks of
+    _chunk_size rows: one stacked assembly of the nonzeros of their
+    Liouvillians and one stacked solve from them, with the gates of
+    steady_state applied per row (steady_states_at, which gives the bits and
+    messages of steady_state), and one elementwise product with the
     observable functionals. No step mixes rows, so a row's bits do not
     depend on N or on the chunk it falls in, nor on the thread that solves
     it (_solve_shared); and the solve is sign-equivariant, so they do not
@@ -319,14 +296,18 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
                 values[name], step_failed[name] = column, failures
     numeric = [name for name in _NUMERIC_STEPS[1:] if name in outputs]
     if numeric:
-        if len(rows) < 2:
-            observed, solve_failed, g2_failed = _numeric(rows, h, numeric)
+        if len(rows) == 1:
+            try:
+                vecs, solve_failed = steady_state(liouvillians(rows, h)[0], coordinates=True)[None], {}
+            except (ValueError, SolverError) as exc:
+                vecs, solve_failed = np.full((1, h.dim ** 2), np.nan), {0: exc}
+            observed, g2_failed = steady_observables(vecs, h)
         else:
             distinct, index = _distinct_canonical(rows)
             observed, solve_failed, g2_failed = _numeric(distinct, h, numeric)
             observed = {name: column[index] for name, column in observed.items()}
             solve_failed, g2_failed = _scatter(solve_failed, index), _scatter(g2_failed, index)
-        values.update(observed)
+        values.update((name, observed[name]) for name in numeric)
         step_failed["steady_state"] = solve_failed
         if "g2_numeric" in outputs:
             step_failed["g2_numeric"] = g2_failed

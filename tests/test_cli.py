@@ -1,8 +1,14 @@
-"""End-to-end CLI behavior: subcommands, exit codes, deterministic output."""
+"""End-to-end CLI behavior: subcommands, exit codes, deterministic output.
+
+Most tests call cli.main in this process through the run_cli fixture. A
+process is started only where the process is the subject: the entry point,
+a closed stdout, and what a fresh interpreter imports.
+"""
 
 import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +19,36 @@ from blockade_lab.sweep import write_sweep_csv
 FIG1_POINT = ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01")
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "blockade_lab.cli", *args],
-                          capture_output=True, text=True, **kwargs)
+def run_process(*args):
+    return subprocess.run([sys.executable, "-m", "blockade_lab.cli", *args], capture_output=True, text=True)
 
 
-def test_preset_sweep_writes_csv(tmp_path):
+@pytest.fixture
+def run_cli(capsys):
+    """cli.main(args) in this process, as a CompletedProcess of what `python -m blockade_lab.cli` gives.
+
+    The exit status is main's return value, or the code of the SystemExit
+    that argparse raises; stdout and stderr are what main printed, and each
+    warning it raised is written to stderr as the interpreter would print
+    it. Any other exception propagates and fails the test, where the
+    process would have printed a traceback.
+    """
+    def run(*args):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        out, err = capsys.readouterr()
+        err += "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
+
+
+def test_preset_sweep_writes_csv(tmp_path, run_cli):
     out = tmp_path / "sweep.csv"
     proc = run_cli("fig1", "--grid", "41", "--out", str(out))
     assert proc.returncode == 0
@@ -28,7 +58,7 @@ def test_preset_sweep_writes_csv(tmp_path):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
-def test_preset_sweep_defaults_to_stdout():
+def test_preset_sweep_defaults_to_stdout(run_cli):
     proc = run_cli("fig1", "--grid", "5")
     assert proc.returncode == 0
     assert proc.stdout.startswith("Delta,")
@@ -45,14 +75,15 @@ def test_each_preset_runs_its_own_spec(tmp_path, name, spec):
     assert out.read_bytes() == want.getvalue().encode()
 
 
-def test_output_is_byte_deterministic(tmp_path):
+def test_output_is_byte_deterministic(tmp_path, run_cli):
+    # a fresh process through the entry point, and this process, warm
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli("fig1", "--grid", "41", "--out", str(a)).returncode == 0
+    assert run_process("fig1", "--grid", "41", "--out", str(a)).returncode == 0
     assert run_cli("fig1", "--grid", "41", "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_point_reports_both_branches():
+def test_point_reports_both_branches(run_cli):
     proc = run_cli("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05",
                    "--eta", "0.01", "--delta", "1")
     assert proc.returncode == 0
@@ -63,7 +94,7 @@ def test_point_reports_both_branches():
     assert float(values["mean_photon"]) > 0
 
 
-def test_delay_curve_preset(tmp_path):
+def test_delay_curve_preset(tmp_path, run_cli):
     out = tmp_path / "curve.csv"
     proc = run_cli("fig2", "--out", str(out))
     assert proc.returncode == 0
@@ -76,7 +107,7 @@ def test_delay_curve_preset(tmp_path):
     assert float(last[1]) == pytest.approx(1.0, abs=0.01)
 
 
-def test_sweep_from_config(tmp_path):
+def test_sweep_from_config(tmp_path, run_cli):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("g = 1.0\nkappa = 0.05\ngamma = 0.05\neta = 0.01\n"
                    "axis1 = Delta -2 2 21\noutputs = g2_analytic coh_analytic\n")
@@ -88,7 +119,7 @@ def test_sweep_from_config(tmp_path):
     assert len(lines) == 22
 
 
-def test_nmax_override(tmp_path):
+def test_nmax_override(tmp_path, run_cli):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("g = 1.0\nkappa = 0.05\ngamma = 0.05\neta = 0.01\n"
                    "axis1 = Delta -1 1 5\n")
@@ -102,7 +133,7 @@ def test_nmax_override(tmp_path):
     assert val_a == pytest.approx(val_b, rel=1e-3)
 
 
-def test_check_passes_on_blockade_sweep(tmp_path):
+def test_check_passes_on_blockade_sweep(tmp_path, run_cli):
     out = tmp_path / "sweep.csv"
     assert run_cli("fig1", "--grid", "81", "--out", str(out)).returncode == 0
     proc = run_cli("check", str(out))
@@ -118,7 +149,7 @@ def write_csv(path, deltas, g2, coh):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_check_fails_on_displaced_extrema(tmp_path):
+def test_check_fails_on_displaced_extrema(tmp_path, run_cli):
     deltas = np.linspace(-2, 2, 21)
     csv = tmp_path / "displaced.csv"
     write_csv(csv, deltas, 0.01 + (deltas - 0.5) ** 2, 1.0 / (1.0 + (deltas - 1.0) ** 2))
@@ -127,7 +158,7 @@ def test_check_fails_on_displaced_extrema(tmp_path):
     assert "correspondence: FAIL" in proc.stdout
 
 
-def test_check_monotone_data_is_a_solver_failure(tmp_path):
+def test_check_monotone_data_is_a_solver_failure(tmp_path, run_cli):
     deltas = np.linspace(-2, 2, 21)
     csv = tmp_path / "monotone.csv"
     write_csv(csv, deltas, deltas + 3.0, -deltas)
@@ -136,7 +167,7 @@ def test_check_monotone_data_is_a_solver_failure(tmp_path):
     assert "solver failure" in proc.stderr
 
 
-def test_check_refuses_a_gap_threshold_that_is_negative_or_not_finite(tmp_path):
+def test_check_refuses_a_gap_threshold_that_is_negative_or_not_finite(tmp_path, run_cli):
     deltas = np.linspace(-2, 2, 21)
     csv = tmp_path / "blockade.csv"
     write_csv(csv, deltas, 0.01 + (deltas - 0.4) ** 2, 1.0 / (1.0 + (deltas - 0.4) ** 2))
@@ -147,7 +178,7 @@ def test_check_refuses_a_gap_threshold_that_is_negative_or_not_finite(tmp_path):
         assert proc.stderr.startswith("config error: gap threshold"), threshold
 
 
-def test_point_raises_the_first_failure_of_its_sweep_row():
+def test_point_raises_the_first_failure_of_its_sweep_row(run_cli):
     # kappa = gamma = 0: the numeric branch has no dissipation, and at
     # Delta = g the closed forms hit a lossless resonance; the sweep row
     # reports the analytic branch's failure, and point raises the same one
@@ -161,7 +192,7 @@ def test_point_raises_the_first_failure_of_its_sweep_row():
     assert proc.stderr.rstrip().endswith("lossless parameters")
 
 
-def test_bad_config_exits_2(tmp_path):
+def test_bad_config_exits_2(tmp_path, run_cli):
     cfg = tmp_path / "bad.cfg"
     # the second config's Delta axis would also set delta_a, overriding axis1
     for text in ("axis1 = Delta -2 2 21\nbogus = 1\n",
@@ -172,7 +203,7 @@ def test_bad_config_exits_2(tmp_path):
         assert "config error" in proc.stderr
 
 
-def test_check_on_a_header_only_csv_exits_2(tmp_path):
+def test_check_on_a_header_only_csv_exits_2(tmp_path, run_cli):
     path = tmp_path / "empty.csv"
     path.write_text("Delta,g2_numeric,status\n")
     proc = run_cli("check", str(path))
@@ -180,7 +211,7 @@ def test_check_on_a_header_only_csv_exits_2(tmp_path):
     assert "config error" in proc.stderr
 
 
-def test_missing_file_exits_2(tmp_path):
+def test_missing_file_exits_2(tmp_path, run_cli):
     proc = run_cli("check", str(tmp_path / "never_written.csv"))
     assert proc.returncode == 2
     proc = run_cli("sweep", "--config", str(tmp_path / "nope.cfg"))
@@ -202,14 +233,14 @@ def test_missing_file_exits_2(tmp_path):
     ("fig2", "--grid", "0"),
 ], ids=["nmax_0", "tau_grid_2", "empty_cavity", "g_nan", "g_inf", "g2_at_nmax_1",
         "fig1_grid_0", "fig2_grid_0"])
-def test_out_of_range_input_exits_2(args):
+def test_out_of_range_input_exits_2(args, run_cli):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
 
 
-def test_a_detuning_that_dwarfs_the_rates_is_refused_as_uncertified_not_lossless():
+def test_a_detuning_that_dwarfs_the_rates_is_refused_as_uncertified_not_lossless(run_cli):
     # the rates are 1e-13 of the largest entry of L, far below what the
     # certificate can resolve, but L is still dissipative: only a unitary
     # generator is exactly antisymmetric
@@ -221,7 +252,7 @@ def test_a_detuning_that_dwarfs_the_rates_is_refused_as_uncertified_not_lossless
 
 @pytest.mark.parametrize("axis", ["Delta -inf 0 3", "Delta -1e308 1e308 3"],
                          ids=["infinite_bound", "infinite_span"])
-def test_non_finite_axis_exits_2(tmp_path, axis):
+def test_non_finite_axis_exits_2(tmp_path, axis, run_cli):
     cfg = tmp_path / "axis.cfg"
     cfg.write_text(f"g = 1\nkappa = 0.05\ngamma = 0.05\neta = 0.01\naxis1 = {axis}\n")
     proc = run_cli("sweep", "--config", str(cfg))
@@ -230,7 +261,7 @@ def test_non_finite_axis_exits_2(tmp_path, axis):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_overflowing_closed_forms_finish_the_sweep_quietly(tmp_path):
+def test_overflowing_closed_forms_finish_the_sweep_quietly(tmp_path, run_cli):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("g = 1\nkappa = 0.05\ngamma = 0.05\neta = 0.01\naxis1 = Delta 0 1e308 3\n")
     proc = run_cli("sweep", "--config", str(cfg))

@@ -222,16 +222,16 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows have 287 distinct canonical rows, 11 chunks of 26 and one row,
-    # which _solve hands to steady_state on its dense L; 53 rows have 45, a
-    # chunk of 26 and one of 19
+    # 401 rows have 287 distinct canonical rows, 11 chunks of 26 and one row;
+    # 53 rows have 45, a chunk of 26 and one of 19. Every chunk, the one-row
+    # remainder too, goes to steady_states_at, and none to steady_state.
     for grid, distinct, remainder in ((401, 287, 1), (53, 45, 19)):
         spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
         solved = len(sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))[0])
         assert sweep._chunk_size(spec.hilbert) == 26 and solved == distinct and solved % 26 == remainder
         with mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
             whole = run_sweep(spec)
-        assert single.call_count == (remainder == 1), grid
+        assert single.call_count == 0, grid
         with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
             ones = run_sweep(spec)
         assert ones.status == whole.status
@@ -309,19 +309,26 @@ def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
         outcomes[workers] = ({name: column.tobytes() for name, column in values.items()},
                              [(r, type(e), str(e)) for r, e in failed.items()])
     assert outcomes[2] == outcomes[1]
-    # the chunks of the distinct canonical rows were shared between two
-    # threads, and each one-row chunk made its one steady_state call on the
-    # calling thread
+    # the chunks of the distinct canonical rows, a one-row remainder too,
+    # were shared between two threads, and none went to steady_state
     assert set(threads[1][0]) == {threading.get_ident()}
     assert len(set(threads[2][0])) == 2
-    solved = len(sweep._distinct_canonical(rows)[0])
     for workers in (1, 2):
-        assert threads[workers][1] == [threading.get_ident()] * (solved % sweep._chunk_size(h) == 1)
+        assert threads[workers][1] == []
     if h.n_max == 10:
         # the lossless and the overflowing row fail, both in the helper's chunks
         errors = [(r, error.__name__) for r, error, _ in outcomes[1][1]]
         assert errors == ([(2, "NoDissipationError"), (6, "ValueError")] if outputs == _NUMERIC
                           else [(2, "SingularDenominatorError"), (6, "OverflowError")])
+
+
+def _noting_threads(solve, seen):
+    """solve, appending the thread of each call to seen."""
+    def call(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    return call
 
 
 @pytest.mark.parametrize("chunk_bytes", [sweep._CHUNK_BYTES, 1])
@@ -330,9 +337,17 @@ def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
     rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 0.0, 1.0)
     with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(threading.Thread, "start", side_effect=AssertionError("work handed over")):
-        # one row, or three chunks of one row each
-        values, failed = evaluate(rows if chunk_bytes == 1 else rows[:1], HilbertConfig(), OUTPUT_COLUMNS)
+        values, failed = evaluate(rows[:1], HilbertConfig(), OUTPUT_COLUMNS)
     assert not failed and np.isfinite(values["g2_numeric"]).all()
+    if chunk_bytes == 1:
+        # the three rows' two distinct canonical rows (delta -1 is the mirror
+        # of 1) are two chunks of one row, and the helper takes one of them
+        solvers = []
+        with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(sweep, "steady_states_at", _noting_threads(lindblad.steady_states_at, solvers)):
+            values, failed = evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
+        assert not failed and np.isfinite(values["g2_numeric"]).all()
+        assert len(solvers) == 2 and solvers.count(threading.get_ident()) == 1
 
 
 def _evaluate_with_a_failing_helper_then_without():
@@ -539,6 +554,49 @@ def test_a_one_row_evaluate_solves_its_row_as_given():
     assert not failed and single.call_count == 1
     assert single.call_args.args[0].tobytes() == lindblad.liouvillians(row, h)[0].tobytes()
     assert single.call_args.args[0].tobytes() != lindblad.liouvillians(_mirrored(row), h)[0].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(workers):
+    # a tracer of sweep.steady_state sees one call for each point query and
+    # none for a sweep: fig1's 401 rows solve 287, 11 chunks of 26 and a
+    # one-row remainder, and with _CHUNK_BYTES at 1 every chunk has one row
+    fig1_rows, h, callers = _grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), []
+    with mock.patch.object(sweep, "_WORKERS", workers), \
+            mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, callers)):
+        for one in (fig1_rows[:1], MIXED_ROWS[1:2]):  # a fine row and a lossless one
+            callers.clear()
+            evaluate(one, h, OUTPUT_COLUMNS)
+            assert callers == [threading.get_ident()]
+        callers.clear()
+        evaluate(fig1_rows, h, OUTPUT_COLUMNS)
+        evaluate(MIXED_ROWS, h, OUTPUT_COLUMNS)
+        with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
+            evaluate(MIXED_ROWS, h, OUTPUT_COLUMNS)
+            evaluate(fig1_rows[:2], h, OUTPUT_COLUMNS)
+    assert callers == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_grid_at_n_max_11_in_one_row_chunks_equals_its_rows_one_at_a_time(workers):
+    # from n_max 11 a chunk holds one row; MIXED_ROWS has a lossless row,
+    # an overflowing one and two the certificate refuses
+    h = HilbertConfig(11)
+    assert sweep._chunk_size(h) == 1
+    solvers = []
+    with mock.patch.object(sweep, "_WORKERS", workers), \
+            mock.patch.object(sweep, "steady_states_at", _noting_threads(lindblad.steady_states_at, solvers)):
+        values, failed = evaluate(MIXED_ROWS, h, _NUMERIC)
+    # seven one-row chunks: on two workers the helper solves three of them
+    assert len(solvers) == len(MIXED_ROWS)
+    assert solvers.count(threading.get_ident()) == (len(MIXED_ROWS) if workers == 1 else 4)
+    assert {r: type(exc).__name__ for r, exc in failed.items()} == {
+        1: "NoDissipationError", 2: "ValueError", 3: "DegenerateSteadyStateError",
+        5: "DegenerateSteadyStateError"}
+    for r in range(len(MIXED_ROWS)):
+        one, one_failed = evaluate(MIXED_ROWS[r:r + 1], h, _NUMERIC)
+        assert _outcome(one, one_failed) == _outcome({name: column[r:r + 1] for name, column in values.items()},
+                                                     {0: failed[r]} if r in failed else {}), r
 
 
 def test_two_axis_sweep_layout():
