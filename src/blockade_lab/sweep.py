@@ -17,7 +17,8 @@ photon-parity image of the conjugate state at (delta_a, delta), and the
 solve is sign-equivariant: negating both detunings changes no output bit
 and no failure message. So evaluate solves the numeric branch of a grid
 once for each distinct canonical row, one of each mirror pair, and copies
-the results to every row that maps to it.
+the results to every row that maps to it; an axis from -r to r is exactly
+antisymmetric (Axis), so each of its rows has its mirror on the grid.
 evaluate alone decides what a failure does to a row: its branch's later
 outputs become NaN, and its first error is what a sweep's status column
 and a point query report. A row's bits do not depend on the rows evaluated
@@ -73,7 +74,15 @@ _DETUNINGS = [PARAM_FIELDS.index("delta_a"), PARAM_FIELDS.index("delta")]
 
 @dataclass(frozen=True)
 class Axis:
-    """A linear grid over one parameter."""
+    """A linear grid over one parameter.
+
+    Its values are np.linspace(start, stop, count), except on an axis with
+    start == -stop, which is made exactly antisymmetric: the upper half is
+    the negated lower half of linspace, reversed, and an odd count's middle
+    value is +0.0. So each value's mirror is on the axis bit for bit, and a
+    sweep solves each Delta-mirror pair of rows once; a value moves from
+    linspace's by less than 4.5 ulps of stop.
+    """
 
     name: str
     start: float
@@ -94,7 +103,13 @@ class Axis:
             raise ConfigError(f"axis {self.name}: rates cannot go negative")
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        values = np.linspace(self.start, self.stop, self.count)
+        if self.start == -self.stop:
+            half = self.count // 2
+            values[self.count - half:] = -values[half - 1::-1]
+            if self.count % 2:
+                values[half] = 0.0
+        return values
 
     @property
     def step(self) -> float:
@@ -538,8 +553,9 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
 
     Axes are reconstructed from the coordinate columns; values round-trip
     exactly since they were written in shortest round-trip form. The
-    coordinates must form the full row-major linspace grid that run_sweep
-    writes, to within 1e-9 of a step; anything else raises ConfigError.
+    coordinates must form the full row-major grid of Axis.values that
+    run_sweep writes, to within 1e-9 of a step; anything else raises
+    ConfigError.
     """
     lines = [line.rstrip("\n") for line in stream if line.strip()]
     if not lines:

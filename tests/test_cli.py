@@ -286,6 +286,48 @@ def test_point_prints_the_bits_of_its_fig1_row(tmp_path):
             assert values[name] == row[name], (row["Delta"], name)
 
 
+def _moved_and_mirrors(axis):
+    """Where axis differs from np.linspace, all in the upper half, and where the mirrors of those values sit."""
+    moved = np.flatnonzero(axis.values() != np.linspace(axis.start, axis.stop, axis.count))
+    assert moved.size and np.all(moved > axis.count // 2)
+    return np.concatenate([moved, axis.count - 1 - moved])
+
+
+def _assert_point_prints_row(args, row, point, names):
+    assert cli.main([*args, "--out", str(point)]) == 0
+    values = dict(line.split(" = ") for line in point.read_text().splitlines())
+    for name in names:
+        assert values[name] == row[name], (args, name)
+
+
+def test_point_prints_the_bits_of_the_rows_whose_delta_the_symmetric_axis_moved(tmp_path):
+    # a moved Delta value is the exact mirror of a lower-half value, so a
+    # sweep solves the two rows once, as the positive one, where a point
+    # query solves each as given
+    csv, point = tmp_path / "fig1.csv", tmp_path / "point.txt"
+    assert cli.main(["fig1", "--out", str(csv)]) == 0
+    header, *lines = csv.read_text().splitlines()
+    rows = _moved_and_mirrors(cli.fig1_spec().axis1)
+    assert rows.size == 2 * 86
+    for i in rows.tolist():
+        row = dict(zip(header.split(","), lines[i].split(",")))
+        _assert_point_prints_row([*FIG1_POINT, "--delta", row["Delta"]], row, point,
+                                 ("g2_analytic", "g2_numeric", "coh_analytic", "coh_numeric"))
+
+    # and on a cutoff_map-style 5 x 5 g x Delta map at n_max 10
+    config, csv = tmp_path / "map.cfg", tmp_path / "map.csv"
+    config.write_text("kappa = 1.0\ngamma = 0.5\neta = 0.1\naxis1 = g 5.0 30.0 5\n"
+                      "axis2 = Delta -38.123456 38.123456 5\nnmax = 10\n"
+                      "outputs = g2_analytic g2_numeric coh_analytic coh_numeric mean_photon\n")
+    assert cli.main(["sweep", "--config", str(config), "--out", str(csv)]) == 0
+    header, *lines = csv.read_text().splitlines()
+    for i in _moved_and_mirrors(Axis("Delta", -38.123456, 38.123456, 5)).tolist():
+        row = dict(zip(header.split(","), lines[2 * 5 + i].split(",")))
+        assert row["g"] == "17.5"
+        _assert_point_prints_row(["point", "--g", row["g"], "--kappa", "1.0", "--gamma", "0.5", "--eta", "0.1",
+                                  "--delta", row["Delta"], "--nmax", "10"], row, point, cli.OUTPUT_COLUMNS)
+
+
 def test_point_output_is_unchanged_by_earlier_calls_in_the_process(tmp_path, capsys):
     out = tmp_path / "point.txt"
 

@@ -74,6 +74,77 @@ def test_axis_values_and_step():
     assert ax.step == pytest.approx(0.1)
 
 
+def _ulps_from_linspace(ax):
+    """How far each value of ax is from np.linspace's, in ulps of |stop|."""
+    return np.abs(ax.values() - np.linspace(ax.start, ax.stop, ax.count)) / np.spacing(abs(ax.stop))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(1e-3, 100.0).map(lambda r: round(r, 6)) | st.floats(1e-9, 1e9), count=st.integers(2, 2001),
+       name=st.sampled_from(["Delta", "delta_a", "delta"]))
+@example(r=2.0, count=401, name="Delta")  # fig1's axis
+@example(r=2.0, count=101, name="Delta")  # fig4's
+@example(r=40.0, count=101, name="Delta")  # fig3's
+@example(r=2.0, count=400, name="Delta")
+@example(r=38.123456, count=5, name="Delta")  # cutoff_map's +-reach, one value moved
+@example(r=61.837281, count=35, name="Delta")  # linspace's centre is -7e-15
+@example(r=54.723463, count=39, name="delta")  # and here +7e-15
+@example(r=0.885536, count=15, name="Delta")  # a value moved by 3 ulps
+def test_an_axis_from_minus_to_plus_r_is_exactly_antisymmetric(r, count, name):
+    ax = Axis(name, -r, r, count)
+    v = ax.values()
+    assert len(v) == count and v[0] == -r and v[-1] == r
+    half = count // 2
+    assert v[:half].tobytes() == (-v[::-1][:half]).tobytes()
+    if count % 2:
+        assert v[half] == 0.0 and not np.signbit(v[half])
+    assert np.all(np.diff(v) > 0)
+    # the lower half is linspace's; an upper value moves by |linspace[i] +
+    # linspace[n-1-i]|: (n-1)*step misses 2r by under 2 ulps of r, and the
+    # roundings of the two values add under 2.5 more
+    assert v[:half].tobytes() == np.linspace(-r, r, count)[:half].tobytes()
+    assert np.all(_ulps_from_linspace(ax) < 4.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e3, 1e3), span=st.floats(1e-6, 2e3), count=st.integers(2, 2001))
+@example(start=-2.0, span=4.000000000000001, count=401)  # a hair from symmetric
+@example(start=-1.0, span=3.0, count=7)
+@example(start=-40.0, span=40.0, count=101)
+def test_any_other_axis_is_linspace_bit_for_bit(start, span, count):
+    stop = start + span
+    if start == -stop or not start < stop:
+        return
+    ax = Axis("Delta", start, stop, count)
+    assert ax.values().tobytes() == np.linspace(start, stop, count).tobytes()
+
+
+@pytest.mark.parametrize("spec, moved", [
+    (fig1_spec(), [86]), (cli.fig3_spec(), [0, 34]), (cli.fig4_spec(), [22, 0]), (cli.fig3_spec(10, 7), [0, 2]),
+], ids=["fig1", "fig3", "fig4", "fig3_nmax_10_grid_7"])
+def test_the_presets_axes_move_by_at_most_2_ulps(spec, moved):
+    assert [int(np.count_nonzero(_ulps_from_linspace(ax))) for ax in spec.axes] == moved
+    assert max(_ulps_from_linspace(ax).max() for ax in spec.axes) <= 2
+
+
+@pytest.mark.parametrize("axes", [
+    (Axis("Delta", -2.0, 2.0, 401),),
+    (Axis("Delta", -61.837281, 61.837281, 35),),
+    (Axis("delta_a", -0.885536, 0.885536, 15),),
+    (Axis("Delta", -2.0, 2.0, 400),),
+    (Axis("g", 5.0, 30.0, 5), Axis("Delta", -38.123456, 38.123456, 5)),
+    (Axis("Delta", -40.0, 40.0, 7), Axis("kappa", 0.01, 0.5, 3)),
+], ids=["fig1", "nonzero_linspace_centre", "three_ulps", "even", "cutoff_map", "Delta_outer"])
+def test_a_symmetric_sweeps_csv_reads_back_its_axes_and_coordinates(axes):
+    spec = SweepSpec(base=BASE, axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
+                     outputs=("g2_analytic", "coh_analytic"))
+    res = run_sweep(spec)
+    back = read_sweep_csv(io.StringIO(_dump(res)))  # its full-grid check passes
+    assert back.axes == axes
+    for ax in axes:
+        assert back.coords[ax.name].tobytes() == res.coords[ax.name].tobytes()
+
+
 def test_axis_validation():
     with pytest.raises(ConfigError):
         Axis("phi", 0.0, 1.0, 11)  # unknown parameter
@@ -222,10 +293,10 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows have 287 distinct canonical rows, 11 chunks of 26 and one row;
-    # 53 rows have 45, a chunk of 26 and one of 19. Every chunk, the one-row
+    # 401 rows have 201 distinct canonical rows, 7 chunks of 26 and one of 19;
+    # 53 rows have 27, a chunk of 26 and one row. Every chunk, the one-row
     # remainder too, goes to steady_states_at, and none to steady_state.
-    for grid, distinct, remainder in ((401, 287, 1), (53, 45, 19)):
+    for grid, distinct, remainder in ((401, 201, 19), (53, 27, 1)):
         spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
         solved = len(sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))[0])
         assert sweep._chunk_size(spec.hilbert) == 26 and solved == distinct and solved % 26 == remainder
@@ -516,25 +587,23 @@ def test_a_grid_of_mirrors_and_copies_equals_its_rows_one_at_a_time(nmax, worker
 
 
 @pytest.mark.parametrize("spec, distinct", [
-    (fig1_spec(), 287), (cli.fig3_spec(), 8_585), (cli.fig4_spec(), 7_373),
+    (fig1_spec(), 201), (cli.fig3_spec(), 5_151), (cli.fig4_spec(), 5_151),
     # an exactly symmetric grid: every row but (0, 0) pairs with its mirror,
     # and (0, -x) goes to (+0.0, x)
     (SweepSpec(base=BASE, axis1=Axis("delta_a", -1.0, 1.0, 9), axis2=Axis("delta", -1.0, 1.0, 9)), 41),
 ], ids=["fig1", "fig3", "fig4", "delta_a_x_delta"])
 def test_each_distinct_canonical_row_of_a_grid_is_solved_once(spec, distinct):
-    # a solve that returns zeros, so that only the rows it receives count
-    solved, assemble = [], lindblad.liouvillians
+    # a solve that returns zeros, so that only the rows it receives count;
+    # the one-row solve of a point query must not be reached from a sweep
+    solved = []
 
     def chunk(rows, h):
         solved.append(rows)
         return np.zeros((len(rows), h.dim ** 2)), {}
 
-    def one_row(rows, h):
-        solved.append(rows)
-        return assemble(rows, h)
-
-    with mock.patch.object(sweep, "steady_states_at", chunk), mock.patch.object(sweep, "liouvillians", one_row), \
-            mock.patch.object(sweep, "steady_state", lambda liou, coordinates=False: np.zeros(len(liou))):
+    with mock.patch.object(sweep, "steady_states_at", chunk), \
+            mock.patch.object(sweep, "liouvillians", side_effect=AssertionError("a one-row solve in a sweep")), \
+            mock.patch.object(sweep, "steady_state", side_effect=AssertionError("a one-row solve in a sweep")):
         evaluate(_grid_rows(spec, _mesh(spec.axes)), spec.hilbert, OUTPUT_COLUMNS)
     got = np.concatenate(solved)
     assert len(got) == distinct
@@ -559,8 +628,8 @@ def test_a_one_row_evaluate_solves_its_row_as_given():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(workers):
     # a tracer of sweep.steady_state sees one call for each point query and
-    # none for a sweep: fig1's 401 rows solve 287, 11 chunks of 26 and a
-    # one-row remainder, and with _CHUNK_BYTES at 1 every chunk has one row
+    # none for a sweep: fig1's 401 rows solve 201, 7 chunks of 26 and one of
+    # 19, and with _CHUNK_BYTES at 1 every chunk has one row
     fig1_rows, h, callers = _grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), []
     with mock.patch.object(sweep, "_WORKERS", workers), \
             mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, callers)):
