@@ -32,12 +32,12 @@ reference.
 
 The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
-ordered by that order L_r is block tridiagonal, and steady_states solves
+ordered by that order L_r is block tridiagonal, and steady_state solves
 the bordered system block by block along that order (_BlockKernel). The
 kernel is loaded one way, from the nonzeros of L_r: their pattern is fixed
 for each truncation, so a sweep never forms its dense Liouvillians
-(steady_states_at), and steady_states reads a dense stack through the same
-pattern, or through the full one if a matrix has a nonzero off it.
+(steady_states_at), and steady_state on one L reads it through the same
+pattern, or through the full one, with one block, if L has a nonzero off it.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ class _Pattern:
         return out
 
     def slots(self, kernel: _BlockKernel) -> np.ndarray:
-        """Where each nonzero sits in a row of the kernel's blocks buffer (-1 off its blocks), found once per layout.
+        """Where each nonzero sits in a row of the kernel's blocks buffer, found once per layout.
 
         Threads that race here each find the same map, so either one may stay.
         """
@@ -359,7 +359,7 @@ class _Pattern:
 
 @cache
 def _full_pattern(n: int) -> _Pattern:
-    """Every entry of an n x n matrix, the pattern of a stack that is not read through a basis's."""
+    """Every entry of an n x n matrix: how steady_state reads an L_r off its basis's pattern, with one block."""
     return _Pattern(np.arange(n * n), n)
 
 
@@ -373,9 +373,10 @@ class LiouvillianBasis:
     on their common pattern (710 of L_r's 10,000 entries at n_max 4, 3,986
     of 234,256 at n_max 10). values adds them in a fixed field order, so the
     result is bit-reproducible and the same for a row alone or in a stack;
-    assemble_rows lays those values out as dense matrices. The steady-state
-    gates and the block kernel read a stack of this truncation's L_r
-    through that pattern, whether it comes as values or as dense matrices.
+    assemble and liouvillians lay those values out as dense matrices. The
+    steady-state gates and the block kernel read this truncation's L_r
+    through that pattern, whether as the values of a stack
+    (steady_states_at) or as one dense matrix (steady_state).
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -399,21 +400,14 @@ class LiouvillianBasis:
         """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, pattern.idx.size) array.
 
         An entry that overflows is left non-finite, without a warning, for
-        steady_states.
+        the steady-state gates.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             return _weighted_sum(self._aligned, rows[:, self._columns])
 
     def assemble(self, p: SystemParams) -> np.ndarray:
-        return self.assemble_rows(p.row())[0]
-
-    def assemble_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Real Liouvillians of (N, 6) parameter rows, as a new (N, n, n) array.
-
-        An entry that overflows is left non-finite, without a warning, for
-        steady_states.
-        """
-        return _dense(self.hilbert.dim, self.pattern.idx, self.values(rows))
+        """The real Liouvillian at p, as a new (n, n) array; an overflow is left as in values."""
+        return _dense(self.hilbert.dim, self.pattern.idx, self.values(p.row()))[0]
 
 
 @cache
@@ -436,7 +430,8 @@ def liouvillians(rows: np.ndarray, h: HilbertConfig) -> np.ndarray:
     Row r of the result carries the bits of liouvillian at the parameters of
     row r, so a sweep row and a point query agree bit for bit.
     """
-    return _basis(h).assemble_rows(rows)
+    basis = _basis(h)
+    return _dense(h.dim, basis.pattern.idx, basis.values(rows))
 
 
 class _BlockKernel:
@@ -450,7 +445,8 @@ class _BlockKernel:
     by q, L_r and M are block tridiagonal, with the trace row inside the
     q = 0 block: 18/32/24/16/8/2 coordinates at n_max 4, 42/80/72/.../8/2 at
     n_max 10. With one block of all coordinates, the kernel is the dense
-    inverse, for M off that pattern and for odd d (not atom x cavity).
+    inverse, for an L_r off the basis pattern (LiouvillianBasis) and for odd
+    d (not atom x cavity).
 
     With A_k the diagonal blocks, U_k = M[k, k+1] and B_k = M[k+1, k],
     M x = e0 is solved by block LU with one right-hand side (Meurant, SIAM J.
@@ -481,11 +477,12 @@ class _BlockKernel:
     only [W_k | y_k]^T, which the back substitution reads. So the loader
     zero-fills the whole blocks buffer rather than the entries off its slots.
 
-    NaN is the one mark of a row the kernel cannot solve: the blocks of a row
-    with a nonzero of L_r off the block pattern are written NaN, and so is
-    the inverse of a singular pivot. The NaN runs on into that row's state
-    and beta, and no step mixes rows, so the other rows of a stack keep their
-    bits.
+    NaN marks a row the kernel cannot solve, one that meets a singular pivot:
+    that pivot's inverse is written NaN. The NaN runs on into that row's
+    state and beta, and no step mixes rows, so the other rows of a stack keep
+    their bits. A pattern read by a kernel of more than one block lies on
+    the block pattern; the basis pattern does, since only the drive changes
+    the coherence order.
 
     A kernel holds only its read-only layout (slot tables, norm runs), built
     once per dimension and layout (_block_kernel) and shared by all threads;
@@ -608,29 +605,23 @@ class _BlockKernel:
     def slots(self, idx: np.ndarray) -> np.ndarray:
         """The position in a row of the blocks buffer of each entry of L_r at the flat indices idx.
 
-        An entry off the block pattern has no slot, and gets -1.
+        Every entry must lie on the block pattern: within one coherence order
+        of its row's (see the class docstring).
         """
         r, c = np.divmod(idx, self.n)
         k = self._order[r]
-        slots = (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
-                 + self.position[c] - self._slot_col[k])
-        return np.where(np.abs(self._order[c] - k) > 1, -1, slots)
+        return (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
+                + self.position[c] - self._slot_col[k])
 
     def solve_values(self, values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The solve of a stack of L_r given by their nonzeros: values[:, j] at slots[j] of its blocks.
 
-        Every other entry of the blocks is zero. A row with a nonzero at an
-        entry without a slot (-1) has its blocks written NaN; such an entry
-        that is zero lands, harmlessly, on the last entry of the row, a z
-        placeholder that no entry of L_r has as its slot.
+        Every other entry of the blocks is zero.
         """
         blocks = self._buffers(len(values))[0]
         blocks.fill(0.0)
         for row, nonzeros in zip(blocks, values):  # a row at a time: 3x faster than blocks[:, slots]
             row[slots] = nonzeros
-        off = slots < 0
-        if off.any():  # never for a basis pattern
-            blocks[np.any(values[:, off], axis=1)] = np.nan
         return self._factor(len(values))
 
     def _factor(self, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -638,9 +629,8 @@ class _BlockKernel:
 
         Solves the first count rows of the blocks buffer as solve_values left
         them, with the trace row written in. The state and beta are NaN in a
-        row the kernel cannot solve: one off the block pattern or with a
-        singular pivot. Whether a row's L is fit to solve at all is for the
-        caller to judge.
+        row with a singular pivot. Whether a row's L is fit to solve at all
+        is for the caller to judge.
 
         Each A_k slot takes S_k^-T once S_k is inverted, and each U_k slot
         G_k^T once [W_k | y_k] is formed; one abs of the whole blocks then
@@ -714,8 +704,8 @@ _thread_kernels = threading.local()
 
 @cache
 def _block_kernel(dim: int, single: bool = False) -> _BlockKernel:
-    """The kernel of dimension dim, shared by all threads; one block if single or dim is odd (not atom x cavity)."""
-    return _BlockKernel(dim, single or dim % 2 == 1)
+    """The kernel of dimension dim, shared by all threads; one block if single, which odd dim needs."""
+    return _BlockKernel(dim, single)
 
 
 def _require_real(liou: np.ndarray) -> None:
@@ -742,54 +732,31 @@ def steady_state_bytes(h: HilbertConfig) -> int:
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     """Unique trace-one fixed point of the real Liouvillian, as a Hermitian matrix.
 
-    The solve of steady_states on a stack of one; see there for the method
-    and the gates. An L_r of liouvillian() is read through its basis's
-    pattern, so it gets the state and the message of its row in
-    steady_states_at. With coordinates on, it returns the real coordinates
-    with the bits steady_states gives them (vectorize of the matrix may
-    differ in the last bit). Raises the error of the first gate that
-    refuses liou, or ValueError if liou is complex or not of size d^2.
-    """
-    liou = np.asarray(liou)
-    vecs, failures = steady_states(liou[None])
-    if failures:
-        raise failures[0]
-    return vecs[0] if coordinates else unvectorize(vecs[0], math.isqrt(liou.shape[0]))
+    liou is one n x n matrix with n = d^2 >= 1, of any real float or integer
+    dtype; it is taken as float64 (a float64 matrix is not copied) and only
+    read. With coordinates on, the result is the real coordinates of the
+    state, with the bits the solve gives them (vectorize of the matrix may
+    differ in the last bit).
 
-
-def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Steady-state coordinates of a stack of real Liouvillians, and the rows that failed.
-
-    liou has shape (N, n, n) with n = d^2 >= 1, of any real float or integer
-    dtype; it is taken as float64 (a float64 stack is not copied) and only
-    read. Returns vecs, of shape (N, n), whose row r holds the real
-    coordinates of the unique trace-one fixed point of liou[r] (NaN if it
-    failed), and a dict from each failed row to the error it raised: the
-    first of the gates below that refused it. An empty stack (N = 0) gives an
-    empty vecs and no failures.
-
-    In each L_r the first row, the balance of the coordinate of rho_00, is
+    In L_r the first row, the balance of the coordinate of rho_00, is
     replaced by the trace row, one at the d diagonal coordinates: this gives
     the bordered matrix M, and the coordinates x of rho solve M x = e0.
 
-    The stack is read as the values at a pattern of entries: for even d, the
-    pattern of the LiouvillianBasis of that dimension if no matrix has a
-    nonzero off it, as for every stack the library assembles; else the full
-    pattern of all n^2 entries (odd d, a matrix built by hand). The block
-    kernel (_BlockKernel) takes its blocks from those values, solves for x
-    and bounds ||M^-1||_1 by beta. It leaves x and beta NaN in a row with a
-    nonzero off the block pattern or that meets a singular pivot block, and
-    a NaN bound fails the certificate. A row is solved again by the kernel
-    with one block, a dense inverse of M whose beta is ||M^-1||_1, if its
-    state fails the certificate or the residual gate, and not if the first
-    two gates below refuse it; a row refused later thus gets the error and
-    message of the dense solve. For odd d the one pass is the dense one. No
-    pass mixes rows, and a row's blocks get the same numbers through either
-    pattern, so its state and beta do not depend on the rows stacked with
-    it. Its message may: the gates sum over the pattern's entries, so a
-    message read through the full pattern may differ in its last digits
-    from the one through the basis's. steady_states_at runs the same passes
-    and gates on the nonzeros of assembled Liouvillians.
+    L_r is read as its values at a pattern of entries. For even d >= 4, if it
+    has no nonzero off the pattern of the LiouvillianBasis of that dimension, as
+    every L_r the library assembles, it is read through that pattern by the
+    block kernel (_BlockKernel), which takes its blocks from those values,
+    solves for x and bounds ||M^-1||_1 by beta. It leaves x and beta NaN if
+    it meets a singular pivot block, and a NaN bound fails the certificate.
+    The state is solved again by the kernel with one block, a dense inverse
+    of M whose beta is ||M^-1||_1, if it fails the certificate or the
+    residual gate, and not if the first two gates below refuse it; an L_r
+    refused later thus gets the error and message of the dense solve. It
+    gets the state and the message of its row in steady_states_at, which
+    runs the same passes and gates on the nonzeros of assembled
+    Liouvillians. Any other L_r (odd d, a matrix built by hand) is read
+    through the full pattern of all n^2 entries, and the one pass is the
+    dense one.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -818,44 +785,57 @@ def steady_states(liou: np.ndarray) -> tuple[np.ndarray, dict]:
     Raises
     ------
     ValueError
-        If liou is complex or not a stack of square matrices of size d^2 >= 1.
+        If liou is complex or not a square matrix of size d^2 >= 1, or as
+        the first gate above.
     """
     _require_real(liou)
     liou = np.asarray(liou, dtype=float)
-    count, n = liou.shape[0], liou.shape[-1]
+    n = liou.shape[0] if liou.ndim == 2 else 0
     d = math.isqrt(n)
-    if liou.shape != (count, n, n) or d * d != n or not n:
-        raise ValueError(f"expected a stack of d^2 x d^2 Liouvillians, got shape {liou.shape}")
-    if not count:
-        return np.empty((0, n)), {}
-    flat = liou.reshape(count, n * n)
-    if d % 2 == 0 and d >= 4:
+    if liou.shape != (n, n) or d * d != n or not n:
+        raise ValueError(f"expected a d^2 x d^2 Liouvillian, got shape {liou.shape}")
+    flat = liou.reshape(1, n * n)
+    on_basis = d % 2 == 0 and d >= 4
+    if on_basis:
         pattern = _basis(HilbertConfig(d // 2 - 1)).pattern
         values = flat[:, pattern.idx]
-        if np.count_nonzero(values) == np.count_nonzero(flat):
-            return _solve_stack(pattern, values, d)
-    return _solve_stack(_full_pattern(n), flat, d)
+        on_basis = np.count_nonzero(values) == np.count_nonzero(flat)
+    if on_basis:
+        vecs, failures = _solve_stack(pattern, values, _block_kernel(d))
+    else:
+        vecs, failures = _solve_stack(_full_pattern(n), flat, _block_kernel(d, single=True))
+    if failures:
+        raise failures[0]
+    return vecs[0] if coordinates else unvectorize(vecs[0], d)
 
 
 def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, dict]:
-    """steady_states(liouvillians(rows, h)), solved from the nonzeros of each L_r.
+    """Steady-state coordinates of the Liouvillians of (N, 6) parameter rows on h, and the rows that failed.
 
-    The nonzeros of each row's L_r are written straight into the block
-    kernel's buffer through the basis pattern's slots, and the gates read
-    them alone: max |L_r|, ||L_r||_F, the diagonal, the antisymmetry test
-    (each nonzero plus the one at its transpose) and the product L_r x. No
-    dense L is formed. steady_states reads the dense stack through the same
-    pattern, so the states, the failed rows and their errors and messages
-    are the same.
+    Returns vecs, of shape (N, d^2), whose row r holds the coordinates that
+    steady_state(L_r, coordinates=True) gives for the L_r of row r (NaN if
+    it failed), and a dict from each failed row to the error steady_state
+    raises on it, with the same message. The nonzeros of each row's L_r are
+    written straight into the block kernel's buffer through the basis
+    pattern's slots, and the gates read them alone: max |L_r|, ||L_r||_F,
+    the diagonal, the antisymmetry test (each nonzero plus the one at its
+    transpose) and the product L_r x. No dense L is formed. steady_state
+    reads an assembled L_r through the same pattern, with the same passes
+    and gates. No pass mixes rows, so a row's bits do not depend on the rows
+    solved with it.
     """
     basis = _basis(h)
     if not len(rows):
         return np.empty((0, h.dim ** 2)), {}
-    return _solve_stack(basis.pattern, basis.values(rows), h.dim)
+    return _solve_stack(basis.pattern, basis.values(rows), _block_kernel(h.dim))
 
 
-def _solve_stack(pattern: _Pattern, values: np.ndarray, d: int) -> tuple[np.ndarray, dict]:
-    """The passes and gates of steady_states on a non-empty stack of L_r, given by its values at pattern."""
+def _solve_stack(pattern: _Pattern, values: np.ndarray, kernel: _BlockKernel) -> tuple[np.ndarray, dict]:
+    """The passes and gates of steady_state on a non-empty stack of L_r, given by its values at pattern.
+
+    kernel makes the first pass; a kernel of more than one block hands the
+    rows its gates refuse to the one-block kernel of its dimension.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|;
         # the zeros off the pattern change neither it nor ||L_r||_F
@@ -872,14 +852,13 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray, d: int) -> tuple[np.ndar
             no_dissipation[r] = not np.any(np.where(transpose < 0, row, row + row[transpose]))
         refused = non_finite | no_dissipation
 
-        kernel = _block_kernel(d)
         vecs, beta, reasons = kernel.solve_values(values, pattern.slots(kernel))
         gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
         if retry.size and len(kernel.spans) > 1:
-            single = _block_kernel(d, single=True)
+            single = _block_kernel(kernel.key[0], single=True)
             vecs[retry], beta[retry], errors = single.solve_values(values[retry], pattern.slots(single))
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
             gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
@@ -903,7 +882,7 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray, d: int) -> tuple[np.ndar
 
 
 def _gates(drift, vecs, beta, top_hi, scale):
-    """The certificate and residual gates of steady_states, per row.
+    """The certificate and residual gates of steady_state, per row of a stack.
 
     Returns gap_lo, null_hi, uncertified, residual and unsettled, all from
     beta and the drift L_r x. A NaN bound fails the certificate, and a NaN

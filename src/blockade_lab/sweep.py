@@ -158,10 +158,6 @@ class SweepResult:
     columns: dict[str, np.ndarray]
     status: list[str]
 
-    @property
-    def n_rows(self) -> int:
-        return int(np.prod([ax.count for ax in self.axes]))
-
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise ConfigError(f"result has no column {name!r}")

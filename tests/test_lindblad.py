@@ -35,7 +35,6 @@ from blockade_lab.lindblad import (
     liouvillians,
     model_for,
     steady_state,
-    steady_states,
     steady_states_at,
     unvectorize,
     vectorize,
@@ -274,7 +273,7 @@ def test_steady_state_refuses_a_non_finite_liouvillian(bad):
         steady_state(liou)
 
 
-# --- the coherence-order block kernel of steady_states ---------------------
+# --- the coherence-order block kernel of steady_state ----------------------
 
 
 def coherence_orders(h):
@@ -293,7 +292,7 @@ def coherence_orders(h):
     return np.array(orders)
 
 
-@pytest.mark.parametrize("nmax", [1, 2, 4, 10])
+@pytest.mark.parametrize("nmax", [1, 2, 4, 10, 11])
 def test_only_the_drive_changes_the_coherence_order(nmax):
     h = HilbertConfig(nmax)
     q = coherence_orders(h)
@@ -315,16 +314,24 @@ def bordered(liou):
 
 
 def kernel_solve(stack, single=False):
-    """The block kernel's states, betas and singular pivots on a dense stack, read through the full pattern."""
-    n = stack.shape[-1]
-    kernel = lindblad._block_kernel(math.isqrt(n), single)
-    return kernel.solve_values(stack.reshape(len(stack), -1), lindblad._full_pattern(n).slots(kernel))
+    """The block kernel's states, betas and singular pivots on a dense stack, read through the basis pattern.
+
+    Each matrix must lie on the pattern of the LiouvillianBasis of its
+    dimension, as every Liouvillian the library assembles does.
+    """
+    d = math.isqrt(stack.shape[-1])
+    pattern = lindblad._basis(HilbertConfig(d // 2 - 1)).pattern
+    flat = stack.reshape(len(stack), -1)
+    values = flat[:, pattern.idx]
+    assert np.count_nonzero(values) == np.count_nonzero(flat), "a matrix off the basis pattern"
+    kernel = lindblad._block_kernel(d, single)
+    return kernel.solve_values(values, pattern.slots(kernel))
 
 
 def block_solve(liou, single=False):
     """The state and beta of the block kernel on one Liouvillian, NaN beta if it is not solved.
 
-    As in steady_states, an overflow is left to the gates, without a warning.
+    As in steady_state, an overflow is left to the gates, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vecs, beta, _ = kernel_solve(liou[None], single)
@@ -469,43 +476,54 @@ def test_block_solve_keeps_the_status_and_message_of_the_dense_solve(
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
-def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve(monkeypatch):
+def test_a_nonzero_outside_the_block_pattern_gets_the_dense_solve():
     liou = liouvillian(FIG1, H4)
     q = coherence_orders(H4)
     assert np.isfinite(block_solve(liou)[1])
-    # L_r[0, 0] is on the pattern, though the trace row replaces it
+    # the trace row replaces row 0 of L_r, so its nonzeros do not reach the state
     balance = liou.copy()
-    balance[0, 0] = 0.5
+    balance[0, balance[0] != 0] = 0.5
     assert np.array_equal(block_solve(balance)[0], block_solve(liou)[0])
     i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
     liou[i, j] = 1e-9
-    vec, beta = block_solve(liou)
-    assert np.isnan(vec).all() and np.isnan(beta)
     want = dense_steady_state(liou)
+    assert isinstance(want, np.ndarray), want
     assert np.array_equal(steady_state(liou, coordinates=True), want)
-    # a singular pivot leaves its row NaN as well, with LAPACK's error kept
+    # a singular pivot leaves its row NaN, with LAPACK's error kept, and
+    # steady_state raises the error of the dense solve
     lossless = liouvillian(replace(FIG1, g=0.0, gamma=0.0), H4)
     vecs, beta, singular = kernel_solve(lossless[None])
     assert list(singular) == [0] and np.isnan(vecs).all() and np.isnan(beta).all()
-    # stacked between rows on the pattern and before one whose M is exactly
-    # singular, each row keeps the bits and the error it gets alone; the
-    # row off the pattern sends the whole stack through the full pattern
-    fine = [liouvillian(replace(FIG1, delta=delta), H4) for delta in (0.5, 1.5)]
-    full, full_pattern = [], lindblad._full_pattern
+    want = dense_steady_state(lossless)
+    assert str(want).startswith("trace-constrained solve failed: ")
+    with pytest.raises(DegenerateSteadyStateError) as raised:
+        steady_state(lossless)
+    assert str(raised.value) == str(want)
 
-    def recorded(n):
-        full.append(n)
-        return full_pattern(n)
 
-    monkeypatch.setattr(lindblad, "_full_pattern", recorded)
-    vecs, failures = steady_states(np.stack([fine[0], liou, lossless, fine[1]]))
-    assert full == [H4.dim**2]
-    assert list(failures) == [2]
-    assert str(failures[2]) == str(dense_steady_state(lossless))
-    assert str(failures[2]).startswith("trace-constrained solve failed: ")
-    assert np.array_equal(vecs[1], want)
-    for r, other in ((0, fine[0]), (3, fine[1])):
-        assert np.array_equal(vecs[r], steady_state(other, coordinates=True))
+def test_an_l_on_the_block_pattern_but_off_the_basis_pattern_gets_only_the_dense_solve(monkeypatch):
+    liou = liouvillian(FIG1, H4)
+    q = coherence_orders(H4)
+    # entries of L_r within one coherence order of their row's, below row 0,
+    # which the trace row replaces, and not among the basis's nonzeros
+    on_blocks = np.flatnonzero(np.abs(q[:, None] - q[None, :]) <= 1)
+    spare = np.setdiff1d(on_blocks[on_blocks >= q.size], LiouvillianBasis(H4).pattern.idx)
+    assert spare.size == 5235
+    built, block_kernel = [], lindblad._block_kernel
+
+    def counted(dim, single=False):
+        built.append(single)
+        return block_kernel(dim, single)
+
+    monkeypatch.setattr(lindblad, "_block_kernel", counted)
+    picked = spare[np.linspace(0, spare.size - 1, 9).astype(int)]
+    for k in picked:
+        hand = liou.copy()
+        hand.flat[k] = 1e-9
+        want = dense_steady_state(hand)
+        assert isinstance(want, np.ndarray), (k, want)
+        assert np.array_equal(steady_state(hand, coordinates=True), want), k
+    assert built == [True] * picked.size
 
 
 def test_a_liouvillian_of_odd_dimension_gets_the_dense_solve():
@@ -548,9 +566,14 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
     def no_full_pattern(n):
         raise AssertionError("a library Liouvillian read through the full pattern")
 
-    # the dense stack of library Liouvillians is read through the basis pattern
+    # each dense library Liouvillian is read through the basis pattern
     monkeypatch.setattr(lindblad, "_full_pattern", no_full_pattern)
-    want, want_failures = steady_states(liouvillians(MIXED_ROWS, h))
+    want, want_failures = np.full((len(MIXED_ROWS), h.dim**2), np.nan), {}
+    for r, liou in enumerate(liouvillians(MIXED_ROWS, h)):
+        try:
+            want[r] = steady_state(liou, coordinates=True)
+        except (ValueError, SolverError) as exc:
+            want_failures[r] = exc
     retried, dense, block_kernel, to_dense = [], [], lindblad._block_kernel, lindblad._dense
 
     def counted(dim, single=False):
@@ -592,7 +615,7 @@ def addressed(kernel):
     return np.concatenate(rows), np.concatenate(cols)
 
 
-@pytest.mark.parametrize("nmax", range(1, 11))
+@pytest.mark.parametrize("nmax", range(1, 12))
 def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     h = HilbertConfig(nmax)
     pattern = LiouvillianBasis(h).pattern
@@ -607,11 +630,6 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
         # each slot holds its own entry, never a z column
         assert np.array_equal(rows[slots], pattern.idx // n)
         assert np.array_equal(cols[slots], pattern.idx % n)
-    if nmax == 4:
-        q = coherence_orders(h)
-        i, j = np.argwhere(np.abs(q[:, None] - q[None, :]) == 2)[5]
-        kernel = lindblad._block_kernel(h.dim)
-        assert list(kernel.slots(np.array([i * n + j, pattern.idx[0]]))) == [-1, pattern.slots(kernel)[0]]
 
 
 @pytest.mark.parametrize("nmax", range(1, 11))
@@ -646,43 +664,40 @@ def test_steady_states_only_reads_its_argument():
     stack[-1, 3, 5] = np.nan
     before = stack.copy()
     stack.setflags(write=False)
-    vecs, failures = steady_states(stack)
-    assert sorted(failures) == [1, 2, 3, 4]
-    assert np.isfinite(vecs[0]).all()
+    failed = []
+    for r, liou in enumerate(stack):
+        try:
+            vec = steady_state(liou, coordinates=True)
+        except (ValueError, SolverError):
+            failed.append(r)
+        else:
+            assert np.isfinite(vec).all()
+    assert failed == [1, 2, 3, 4]
     assert np.array_equal(stack, before, equal_nan=True)
     assert stack.tobytes() == before.tobytes()
-    assert np.array_equal(steady_state(stack[0], coordinates=True), vecs[0])
-
-
-@pytest.mark.parametrize("n", [4, 9, 100])
-def test_steady_states_of_an_empty_stack_is_empty(n):
-    vecs, failures = steady_states(np.empty((0, n, n)))
-    assert vecs.shape == (0, n) and failures == {}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
 def test_steady_states_takes_a_real_stack_of_any_dtype_as_float64(dtype):
     def outcome(liou):
         try:
-            return steady_state(liou).tobytes()
+            return steady_state(liou, coordinates=True).tobytes()
         except (ValueError, SolverError) as exc:
             return repr(exc)
 
     # the integer casts are not Liouvillians, so the gates may refuse them,
     # but they do so as they refuse the float64 copy
-    stack = np.stack([liouvillian(FIG1, H4), liouvillian(FIG1, H4) * 1e3]).astype(dtype)
-    vecs, failures = steady_states(stack)
-    want, want_failures = steady_states(stack.astype(float))
-    assert vecs.tobytes() == want.tobytes()
-    assert {r: repr(e) for r, e in failures.items()} == {r: repr(e) for r, e in want_failures.items()}
-    for liou in stack:
+    for liou in (liouvillian(FIG1, H4), liouvillian(FIG1, H4) * 1e3):
+        liou = liou.astype(dtype)
         assert outcome(liou) == outcome(liou.astype(float))
 
 
-@pytest.mark.parametrize("shape", [(1, 0, 0), (0, 0, 0), (2, 3, 3), (2, 4, 9)])
+@pytest.mark.parametrize("shape", [(1, 0, 0), (0, 0, 0), (2, 3, 3), (2, 4, 9),
+                                   (), (4,), (1, 4, 4), (3, 3), (4, 9), (0, 0)])
 def test_steady_states_refuses_a_stack_that_is_not_of_d2_by_d2_matrices(shape):
-    with pytest.raises(ValueError, match="expected a stack of d\\^2 x d\\^2 Liouvillians"):
-        steady_states(np.zeros(shape))
+    # steady_state takes one d^2 x d^2 matrix: no stack, not even of one
+    with pytest.raises(ValueError, match="expected a d\\^2 x d\\^2 Liouvillian"):
+        steady_state(np.zeros(shape))
 
 
 def test_threads_solving_at_once_get_the_bits_of_one_thread():
@@ -690,13 +705,13 @@ def test_threads_solving_at_once_get_the_bits_of_one_thread():
     rows = np.column_stack([rng.uniform(0.5, 2.0, 16), rng.uniform(0.05, 0.5, 16),
                             rng.uniform(0.05, 0.5, 16), rng.uniform(0.005, 0.05, 16),
                             *2 * [rng.uniform(-2.0, 2.0, 16)]])
-    stacks = [liouvillians(rows[i::4], H4) for i in range(4)]
-    want = [steady_states(stack)[0] for stack in stacks]
+    stacks = [rows[i::4] for i in range(4)]
+    want = [steady_states_at(stack, H4)[0] for stack in stacks]
     got = [[] for _ in stacks]
 
     def solve(i):
         for _ in range(25):
-            got[i].append(steady_states(stacks[i])[0])
+            got[i].append(steady_states_at(stacks[i], H4)[0])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -673,7 +673,7 @@ def test_two_axis_sweep_layout():
                               axis1=Axis("kappa", 0.05, 0.1, 2),
                               axis2=Axis("Delta", -1.0, 1.0, 3),
                               outputs=("g2_analytic",)))
-    assert res.n_rows == 6
+    assert len(res.status) == 6
     # first axis is the outer loop
     assert np.array_equal(res.coords["kappa"], [0.05, 0.05, 0.05, 0.1, 0.1, 0.1])
     assert np.array_equal(res.coords["Delta"], [-1.0, 0.0, 1.0, -1.0, 0.0, 1.0])
