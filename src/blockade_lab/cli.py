@@ -87,9 +87,8 @@ def _out_stream(path: str | None):
 
 
 def _write_curve_csv(curve, stream) -> None:
-    stream.write("tau,g2_tau,status\n")
-    for tau, value in zip(curve.tau, curve.values):
-        stream.write(f"{repr(float(tau))},{repr(float(value))},ok\n")
+    rows = zip(map(repr, curve.tau.tolist()), map(repr, curve.values.tolist()))
+    stream.write("tau,g2_tau,status\n" + "".join(f"{tau},{value},ok\n" for tau, value in rows))
 
 
 def _cmd_figure_sweep(spec: SweepSpec, out: str | None) -> int:

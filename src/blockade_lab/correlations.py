@@ -12,6 +12,7 @@ from .lindblad import RK4Propagator, _check_step, vectorize
 from .quantum_core import (
     HilbertConfig,
     SystemParams,
+    _photon_counts,
     _read_only,
     lowering_operators,
 )
@@ -35,12 +36,15 @@ def _functionals(h: HilbertConfig) -> np.ndarray:
     orthonormal and real. The rows are those of a'a, a'a'aa and the two
     Hermitian halves of s+ = |e><g| (x) 1, (s+ + s-)/2 and (s+ - s-)/2i,
     whose expectations are the real and imaginary parts of
-    Tr(s+ rho) = rho_atom[0, 1]. The photon products are taken left to
-    right; both operators are diagonal with integer entries, so they are exact.
+    Tr(s+ rho) = rho_atom[0, 1]. a'a and a'a'aa are the diagonals n and
+    n (n - 1) of the photon counts, exact integers; the products a' @ a and
+    a' @ a' @ a @ a would round them (to 2.0000000000000004 at n = 2 and
+    6.000000000000001 at n = 3).
     """
-    a, sm = lowering_operators(h)
-    ad, sp = a.conj().T, sm.conj().T
-    ops = (ad @ a, ad @ ad @ a @ a, (sp + sm) / 2, (sp - sm) / 2j)
+    _, sm = lowering_operators(h)
+    sp = sm.conj().T
+    n = _photon_counts(h)
+    ops = (np.diag(n), np.diag(n * (n - 1)), (sp + sm) / 2, (sp - sm) / 2j)
     return _read_only(np.array([vectorize(op) for op in ops]))
 
 

@@ -467,6 +467,18 @@ class _BlockKernel:
     With one block, the state S_0^-1 e0 is column 0 of the one LAPACK
     inverse of M, and beta is ||M^-1||_1.
 
+    Along a Delta line (delta_a = delta, the other fields fixed) step 0
+    reads the same bits in every row: Delta (a'a + s+s-) is Delta N, which
+    commutes with N, and with a'a exact (build_hamiltonian) its two parts
+    cancel to the bit on every q = 0 entry, while B_0 is the drive alone.
+    So for a stack of more than one row on a kernel of more than one block
+    whose rows all have row 0's bits in block row 0, the trace row written
+    in, and in B_0, _factor runs step 0 on row 0 alone and copies S_0^-T,
+    [W_0 | y_0]^T, G_0^T, the Schur update of A_1 and z_1 to every row; a
+    singular S_0 gives every row the error of its own inversion. Any other
+    stack, and the one-block kernel, runs step 0 row by row. No later step is
+    shared: S_1 = C_1 + Delta D_1 differs from row to row.
+
     One loader fills the kernel's blocks buffer, and _factor solves it:
     solve_values writes the nonzeros of a stack of L_r at their slots (slots,
     found once per pattern by _Pattern.slots), the other entries zero.
@@ -643,18 +655,18 @@ class _BlockKernel:
         blocks[:, :self._trace.size] = self._trace
 
         singular = {}
-        for k, step in enumerate(steps):
-            pivot = _pivot_inverse(step.diag, singular)
-            pivot_t = pivot.transpose(0, 2, 1)
-            np.copyto(step.diag, pivot_t)  # A_k is spent: its slot keeps S_k^-T
-            np.matmul(step.right, pivot_t, out=step.factor)
-            if k < last:
-                # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
-                np.matmul(step.below, step.factor_t, out=step.update)
-                steps[k + 1].diag -= step.schur
-                np.negative(step.z, out=steps[k + 1].rhs)
-                # U_k is spent too: its slot keeps G_k^T
-                np.matmul(pivot_t, step.below_t, out=step.gain)
+        shared = self._shares_step_0(blocks, steps[0])
+        if shared:
+            # step 0 on row 0 alone, whose views lie in the same buffers,
+            # then its results copied to every other row
+            self._step(0, self._buffers(1)[-1], singular)
+            head, after = steps[0], steps[1]
+            for out in (head.diag, head.factor, head.gain, after.rhs):
+                out[1:] = out[0]
+            after.diag[1:] -= head.schur[0]
+            singular = dict.fromkeys(range(count), singular[0]) if singular else {}
+        for k in range(int(shared), last + 1):
+            self._step(k, steps, singular)
         steps[last].x[:] = steps[last].y
         for step in reversed(steps[:last]):
             np.matmul(step.w, step.next, out=step.coupled)
@@ -669,8 +681,37 @@ class _BlockKernel:
         np.add.reduceat(np.abs(bound, out=bound), self._bound_runs, axis=1, out=sums[:, spent:-2])
         tops = np.maximum.reduceat(np.take(sums, self._kept, axis=1), self._segments, axis=1)
         chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
-        beta = chains.sum(axis=-1).max(axis=-1).prod(axis=-1)
+        # summed in order by accumulate: sum takes a row alone pairwise from
+        # 8 blocks up, and a stack of rows in order, so beta would move with count
+        beta = np.add.accumulate(chains, axis=-1)[..., -1].max(axis=-1).prod(axis=-1)
         return vecs, beta, singular
+
+    def _shares_step_0(self, blocks: np.ndarray, head: SimpleNamespace) -> bool:
+        """Whether every row of blocks has row 0's bits in all that step 0 reads.
+
+        That is block row 0, with the trace row written in, and B_0 in block
+        row 1. Never so for one block or one row.
+        """
+        if self.last == 0 or len(blocks) < 2:
+            return False
+        rows = blocks[:, :self._slot_start[1]].view(np.int64)
+        below = head.below.view(np.int64)
+        return bool((rows[1:] == rows[0]).all() and (below[1:] == below[0]).all())
+
+    def _step(self, k: int, steps: list[SimpleNamespace], singular: dict) -> None:
+        """Step k of the block LU on the rows of steps: invert S_k, form [W_k | y_k], S_{k+1} and z_{k+1}."""
+        step = steps[k]
+        pivot = _pivot_inverse(step.diag, singular)
+        pivot_t = pivot.transpose(0, 2, 1)
+        np.copyto(step.diag, pivot_t)  # A_k is spent: its slot keeps S_k^-T
+        np.matmul(step.right, pivot_t, out=step.factor)
+        if k < self.last:
+            # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
+            np.matmul(step.below, step.factor_t, out=step.update)
+            steps[k + 1].diag -= step.schur
+            np.negative(step.z, out=steps[k + 1].rhs)
+            # U_k is spent too: its slot keeps G_k^T
+            np.matmul(pivot_t, step.below_t, out=step.gain)
 
 
 def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:

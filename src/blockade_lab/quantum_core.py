@@ -116,18 +116,30 @@ def _read_only(op: np.ndarray) -> np.ndarray:
     return op
 
 
+def _photon_counts(h: HilbertConfig) -> np.ndarray:
+    """The photon number n of each composite basis state |atom, n>, as integers.
+
+    This is the diagonal of a'a. The product a' @ a rounds it (sqrt(2)^2 is
+    2.0000000000000004), so every operator built on a'a starts from here.
+    """
+    return np.tile(np.arange(h.cavity_dim), 2)
+
+
 def build_hamiltonian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
     """Rotating-frame Hamiltonian on the truncated composite space.
 
     H = delta_a a'a + delta s+s- + g (s+ a + a' s-) + eta (a' + a)
     with primes denoting adjoints. Hermitian by construction; with eta = 0 it
-    commutes with the total excitation number.
+    commutes with the total excitation number. a'a is the exact integer
+    diagonal n on |atom, n> (_photon_counts), and s+s- is exact as a
+    product, so at delta_a = delta the two detuning parts of L cancel to the
+    bit on every element of coherence order 0 (see lindblad._BlockKernel).
     """
     a, sm = lowering_operators(h)
     ad = a.conj().T
     sp = sm.conj().T
     ham = (
-        p.delta_a * (ad @ a)
+        p.delta_a * np.diag(_photon_counts(h)).astype(complex)
         + p.delta * (sp @ sm)
         + p.g * (sp @ a + ad @ sm)
         + p.eta * (ad + a)

@@ -8,7 +8,10 @@ evaluate computes every row through one kernel: the closed forms as arrays
 over the whole grid, and the numeric branch in chunks of rows, as many as a
 fixed memory budget holds, whose Liouvillians go into the steady-state
 solve as their nonzeros, with no dense stack formed (the one row of a point
-query is solved as given, by steady_state on its dense L). The chunks are
+query is solved as given, by steady_state on its dense L). The rows are
+solved in the order of their bits, g first and the detunings last, so a
+chunk mostly holds one Delta line, whose first block-LU step the solve
+then takes once for the whole chunk (lindblad._BlockKernel). The chunks are
 shared between the calling thread and a helper thread that lives for one
 evaluate when the process may run on two CPUs (_WORKERS), and their results
 are merged in chunk order, so the threads change no bit and no failure.
@@ -215,7 +218,9 @@ def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row's canonical row has (delta_a, delta) negated when delta_a < 0, or
     when delta_a == 0 and delta < 0, and a detuning of -0.0 made +0.0. Rows
     are distinct when their bits differ; the distinct rows come sorted by
-    their bits, and distinct[index[r]] is row r's canonical row.
+    their bits in field order, g first and the detunings last, so the rows
+    of one Delta line sit together and mostly share a chunk, and
+    distinct[index[r]] is row r's canonical row.
     """
     canonical = np.array(rows, dtype=float)
     detunings = canonical[:, _DETUNINGS]
@@ -225,7 +230,7 @@ def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sorting the bits and comparing neighbours, where np.unique would
     # import numpy.ma (about 15 ms) on a fresh `sweep`.
     bits = canonical.view(np.int64)
-    order = np.lexsort(bits.T)
+    order = np.lexsort(bits.T[::-1])  # lexsort's last key is its first
     ordered = bits[order]
     opens = np.empty(len(rows), dtype=bool)  # where a run of equal rows opens
     opens[:1] = True
@@ -395,14 +400,12 @@ def locate_extrema(result: SweepResult, column: str) -> list[Extremum]:
     if len(result.axes) != 1:
         raise ConfigError("extrema are located on 1d sweeps only")
     x = result.coords[result.axes[0].name]
-    found: list[Extremum] = []
-    for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] > y[i + 1]:
-            coord, value = _refine(x, y, i)
-            found.append(Extremum(coord, value, "max"))
-        elif y[i] < y[i - 1] and y[i] < y[i + 1]:
-            coord, value = _refine(x, y, i)
-            found.append(Extremum(coord, value, "min"))
+    # a comparison with NaN is false: a NaN point, or one next to NaN, is no extremum
+    middle, before, after = y[1:-1], y[:-2], y[2:]
+    peaks = (middle > before) & (middle > after)
+    dips = (middle < before) & (middle < after)
+    found = [Extremum(*_refine(x, y, i), "max" if peaks[i - 1] else "min")
+             for i in (np.flatnonzero(peaks | dips) + 1).tolist()]
     if not found:
         raise NoInteriorExtremumError(f"column {column!r} has no interior extremum")
     return found
@@ -529,9 +532,9 @@ def csv_columns(result: SweepResult) -> list[str]:
 def write_sweep_csv(result: SweepResult, stream: TextIO) -> None:
     """Emit the result as CSV: LF endings, shortest round-trip floats.
 
-    The numeric cells of the csv_columns layout are stacked once into a
-    float64 table, and each row is written as the repr of its Python floats,
-    then the status.
+    Each numeric column of the csv_columns layout is taken as float64 and
+    written as the repr of its Python floats, a row at a time and then the
+    status; the whole text is formed first and written once.
     """
     header = csv_columns(result)
     cells = [result.coords[ax.name] for ax in result.axes]
@@ -539,9 +542,9 @@ def write_sweep_csv(result: SweepResult, stream: TextIO) -> None:
     with np.errstate(divide="ignore", invalid="ignore"):
         cells += [np.log10(result.column(name[len("log10_"):]))
                   for name in header if name.startswith("log10_")]
-    stream.write(",".join(header) + "\n")
-    for row, status in zip(np.column_stack(cells).tolist(), result.status):
-        stream.write(",".join(map(repr, row)) + "," + status + "\n")
+    columns = [map(repr, np.asarray(column, dtype=float).tolist()) for column in cells]
+    ends = [status + "\n" for status in result.status]
+    stream.write(",".join(header) + "\n" + "".join(map(",".join, zip(*columns, ends))))
 
 
 def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
@@ -567,15 +570,18 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
         raise ConfigError("CSV has a header but no data rows")
     if any(len(r) != len(header) for r in rows):
         raise ConfigError("ragged CSV row")
-    table = {name: [] for name in header[:-1]}
-    status = []
-    for r in rows:
-        for name, cell in zip(header[:-1], r[:-1]):
+    cells = [cell for r in rows for cell in r[:-1]]
+    try:
+        numbers = list(map(float, cells))
+    except ValueError:
+        for at, cell in enumerate(cells):  # name the first bad cell, row by row
             try:
-                table[name].append(float(cell))
+                float(cell)
             except ValueError as exc:
-                raise ConfigError(f"bad float {cell!r} in column {name}") from exc
-        status.append(r[-1])
+                raise ConfigError(f"bad float {cell!r} in column {header[at % (len(header) - 1)]}") from exc
+    # one column a row of the transposed table
+    table = dict(zip(header[:-1], np.array(numbers).reshape(len(rows), len(header) - 1).T.copy()))
+    status = [r[-1] for r in rows]
 
     axes = []
     for name in coord_names:
@@ -586,7 +592,7 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
         axes.append(Axis(name, float(uniq[0]), float(uniq[-1]), len(uniq)))
     if not axes:
         raise ConfigError("no coordinate column found")
-    coords = {name: np.array(table[name]) for name in coord_names}
+    coords = {name: table[name] for name in coord_names}
     # Only the full grid gives each axis its true step; a file with rows
     # missing would otherwise pass as a coarser axis and mis-scale every gap.
     for ax, want in zip(axes, _mesh(tuple(axes))):
@@ -596,11 +602,7 @@ def read_sweep_csv(stream: Iterable[str]) -> SweepResult:
                 f"coordinates do not form the full row-major grid of axis "
                 f"{ax.name} ({ax.count} values from {ax.start!r} to {ax.stop!r})"
             )
-    columns = {
-        name: np.array(table[name])
-        for name in data_names
-        if not name.startswith("log10_")
-    }
+    columns = {name: table[name] for name in data_names if not name.startswith("log10_")}
     return SweepResult(axes=tuple(axes), coords=coords, columns=columns, status=status)
 
 

@@ -657,7 +657,157 @@ def test_a_fig1_sweep_builds_only_the_block_kernel():
     assert built == [(H4.dim, False)]
 
 
-def test_steady_states_only_reads_its_argument():
+@pytest.mark.parametrize("nmax", range(1, 12))
+def test_the_photon_number_operators_are_exact_integer_diagonals(nmax):
+    # a' @ a rounds n = 2 to 2.0000000000000004, a' @ a' @ a @ a n = 3 to 6.000000000000001
+    h = HilbertConfig(nmax)
+    n = np.arange(h.dim) % h.cavity_dim  # the photon number of |atom, n>
+    zero = SystemParams(g=0.0, kappa=0.0, gamma=0.0, eta=0.0, delta_a=0.0, delta=0.0)
+    assert np.array_equal(build_hamiltonian(replace(zero, delta_a=1.0), h), np.diag(n))
+    _, _, off, first = lindblad._layout(h.dim)
+    diagonal = first[~off]
+    for row, want in zip(_functionals(h), (n, n * (n - 1))):
+        assert np.array_equal(row[diagonal], want)
+        assert not np.delete(row, diagonal).any()
+
+
+def _delta_line(p, deltas):
+    """Parameter rows at p with delta_a = delta set to each of deltas in turn."""
+    rows = np.repeat(p.row(), len(deltas), axis=0)
+    rows[:, -2:] = np.asarray(deltas, dtype=float)[:, None]
+    return rows
+
+
+def loaded(h, rows, monkeypatch):
+    """The block kernel of h and its blocks buffer as the solve of rows starts from it, the trace row written in."""
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+
+    def factor(count):
+        blocks = kernel._buffers(count)[0]
+        blocks[:, :kernel._trace.size] = kernel._trace
+        return blocks.copy()
+
+    monkeypatch.setattr(kernel, "_factor", factor)
+    return kernel, kernel.solve_values(basis.values(rows), basis.pattern.slots(kernel))
+
+
+def step_0_inputs(kernel, blocks):
+    """The bits that step 0 reads in each row of blocks: block row 0 and B_0 in block row 1."""
+    head = kernel._slot_start[1]
+    size, width, lo = kernel._rows[1]
+    below = blocks[:, head:head + size * width].reshape(len(blocks), size, width)[:, :, :lo]
+    return np.concatenate([blocks[:, :head], below.reshape(len(blocks), -1)], axis=1).view(np.int64)
+
+
+@pytest.mark.parametrize("nmax", range(1, 12))
+def test_a_delta_line_loads_the_same_step_0_inputs_on_every_row(nmax, monkeypatch):
+    # with a'a exact, the delta_a and delta parts of L cancel to the bit on
+    # every q = 0 entry where delta_a = delta; the later blocks keep Delta
+    rng = np.random.default_rng(nmax)
+    deltas = np.concatenate([fig1_spec().axis1.values()[::40], rng.uniform(-40.0, 40.0, 5)])
+    kernel, blocks = loaded(HilbertConfig(nmax), _delta_line(FIG1, deltas), monkeypatch)
+    inputs = step_0_inputs(kernel, blocks)
+    assert (inputs == inputs[0]).all()
+    assert not (blocks == blocks[0]).all()
+
+
+def _recorded(calls, method):
+    def record(*args):
+        calls.append(method(*args))
+        return calls[-1]
+
+    return record
+
+
+# Delta lines whose rows share step 0: fine rows, lossless rows and rows with
+# g = gamma = 0, whose S_0 is singular
+_LINES = {
+    "fine": _delta_line(FIG1, [0.0, 0.3, 1.0, 1.7, 40.0]),
+    "lossless": _delta_line(replace(FIG1, kappa=0.0, gamma=0.0), [0.0, 0.5, 1.0, 2.0]),
+    "singular": _delta_line(replace(FIG1, g=0.0, gamma=0.0), [0.0, 0.5, 1.0, 2.0]),
+}
+
+
+def outcome(vecs, beta, singular):
+    return vecs.tobytes(), beta.tobytes(), {r: (type(e), str(e)) for r, e in singular.items()}
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 4, 10])
+@pytest.mark.parametrize("line", sorted(_LINES))
+def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax, monkeypatch):
+    h, rows = HilbertConfig(nmax), _LINES[line]
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    slots, values = basis.pattern.slots(kernel), basis.values(rows)
+    shared = []
+    monkeypatch.setattr(lindblad._BlockKernel, "_shares_step_0",
+                        _recorded(shared, lindblad._BlockKernel._shares_step_0))
+    vecs, beta, singular = kernel.solve_values(values, slots)
+    alone = [kernel.solve_values(values[r:r + 1], slots) for r in range(len(rows))]
+    # the stack shares step 0; a row alone never does
+    assert shared == [True] + [False] * len(rows)
+    for r, (one_vecs, one_beta, one_singular) in enumerate(alone):
+        assert (outcome(one_vecs, one_beta, one_singular)
+                == outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {}))
+    if line != "fine":
+        assert sorted(singular) == list(range(len(rows)))
+        assert np.isnan(beta).all()
+    else:
+        assert not singular
+    chunk, failures = steady_states_at(rows, h)
+    for r in range(len(rows)):
+        one, one_failures = steady_states_at(rows[r:r + 1], h)
+        assert one.tobytes() == chunk[r:r + 1].tobytes()
+        assert ({k: (type(e), str(e)) for k, e in one_failures.items()}
+                == ({0: (type(failures[r]), str(failures[r]))} if r in failures else {}))
+    assert len(failures) == (0 if line == "fine" else len(rows))
+
+
+@pytest.mark.parametrize("nmax", [1, 4, 10])
+def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
+    h = HilbertConfig(nmax)
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    slots, values = basis.pattern.slots(kernel), basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
+    # one nonzero of B_0, in block row 1 left of A_1, made larger in the last row
+    size, width, lo = kernel._rows[1]
+    at = slots - kernel._slot_start[1]
+    in_b0 = np.flatnonzero((at >= 0) & (at < size * width) & (at % width < lo))
+    values[-1, in_b0[0]] *= 1.5
+    shared, pivots, pivot_inverse = [], [], lindblad._pivot_inverse
+
+    def pivot(stack, singular):
+        pivots.append(stack.shape[0])
+        return pivot_inverse(stack, singular)
+
+    monkeypatch.setattr(lindblad._BlockKernel, "_shares_step_0",
+                        _recorded(shared, lindblad._BlockKernel._shares_step_0))
+    monkeypatch.setattr(lindblad, "_pivot_inverse", pivot)
+    vecs, beta, singular = kernel.solve_values(values, slots)
+    assert shared == [False] and pivots[0] == 3
+    for r in range(3):
+        assert outcome(*kernel.solve_values(values[r:r + 1], slots)) == outcome(vecs[r:r + 1], beta[r:r + 1], {})
+    assert not singular
+    # the same rows unedited share step 0
+    kernel.solve_values(basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5])), slots)
+    assert shared[-1] is True
+
+
+def test_a_fig1_sweep_inverts_one_s0_a_chunk(monkeypatch):
+    stacks, pivot_inverse = [], lindblad._pivot_inverse
+
+    def pivot(stack, singular):
+        stacks.append(stack.shape)
+        return pivot_inverse(stack, singular)
+
+    monkeypatch.setattr(lindblad, "_pivot_inverse", pivot)
+    run_sweep(fig1_spec())
+    sizes = lindblad._block_kernel(H4.dim).sizes
+    # 201 distinct rows in 7 chunks of 26 and one of 19: S_0 once in each,
+    # and each later S_k for every row of the chunk
+    assert sorted(stacks) == sorted([(1, sizes[0], sizes[0])] * 8 + [
+        (count, size, size) for count in [26] * 7 + [19] for size in sizes[1:]])
+
+
+def test_steady_state_only_reads_its_argument():
     points = [FIG1, replace(FIG1, kappa=0.0, gamma=0.0), replace(FIG1, delta=1e11),
               SystemParams(g=0.0, kappa=0.3, gamma=0.0, eta=0.05, delta_a=0.5, delta=0.2)]
     stack = np.stack([liouvillian(p, H4) for p in points] + [liouvillian(FIG1, H4)])
@@ -678,7 +828,7 @@ def test_steady_states_only_reads_its_argument():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
-def test_steady_states_takes_a_real_stack_of_any_dtype_as_float64(dtype):
+def test_steady_state_takes_a_real_matrix_of_any_dtype_as_float64(dtype):
     def outcome(liou):
         try:
             return steady_state(liou, coordinates=True).tobytes()
@@ -940,9 +1090,9 @@ def test_cached_operators_are_read_only():
     for op in (a, sm, functionals):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
-    ad = a.conj().T
-    assert functionals[0].tobytes() == vectorize(ad @ a).tobytes()
-    assert functionals[1].tobytes() == vectorize(ad @ ad @ a @ a).tobytes()
+    n = np.arange(h.dim) % h.cavity_dim  # the photon number of |atom, n>
+    assert functionals[0].tobytes() == vectorize(np.diag(n)).tobytes()
+    assert functionals[1].tobytes() == vectorize(np.diag(n * (n - 1))).tobytes()
 
 
 def test_liouvillian_basis_matches_direct_build():

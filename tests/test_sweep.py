@@ -614,6 +614,50 @@ def test_each_distinct_canonical_row_of_a_grid_is_solved_once(spec, distinct):
     assert len({row.tobytes() for row in got}) == distinct
 
 
+def test_the_distinct_rows_come_sorted_in_field_order_so_each_delta_line_is_one_run():
+    spec = cli.fig3_spec(grid=11)
+    distinct, index = sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))
+    # g first, the detunings last, all of them nonnegative here
+    assert np.array_equal(np.lexsort(distinct.T[::-1]), np.arange(len(distinct)))
+    g = distinct[:, 0]
+    assert np.count_nonzero(np.diff(g)) == 10 and len(distinct) == 11 * 6
+
+
+# Delta lines of 4 distinct rows at n_max 4: fine rows, lossless rows and
+# rows with g = gamma = 0, whose first pivot block S_0 is singular
+_LINE_DELTAS = [0.25, 0.5, 1.0, 2.0]
+_LINES = np.concatenate([np.repeat(row, 4, axis=0) for row in (
+    BASE.row(), replace(BASE, kappa=0.0, gamma=0.0).row(), replace(BASE, g=0.0, gamma=0.0).row())])
+_LINES[:, _DETUNINGS] = np.tile(_LINE_DELTAS, 3)[:, None]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("nmax", [1, 4, 10])
+@pytest.mark.parametrize("mixed", [False, True], ids=["lines", "lines_and_mixed_rows"])
+def test_chunks_that_share_step_0_equal_their_rows_one_at_a_time(mixed, nmax, workers):
+    # in chunks of 4 rows each Delta line and its mirror is one chunk that
+    # shares step 0; MIXED_ROWS adds rows that fall between the lines
+    h = HilbertConfig(nmax)
+    grid = np.concatenate([_LINES, _mirrored(_LINES)] + [MIXED_ROWS] * mixed)
+    shared, shares = [], lindblad._BlockKernel._shares_step_0
+
+    def noted(kernel, blocks, head):
+        shared.append(shares(kernel, blocks, head))
+        return shared[-1]
+
+    with mock.patch.object(sweep, "_WORKERS", workers), \
+            mock.patch.object(sweep, "_CHUNK_BYTES", 4 * lindblad.steady_state_bytes(h)), \
+            mock.patch.object(lindblad._BlockKernel, "_shares_step_0", noted):
+        values, failed = evaluate(grid, h, OUTPUT_COLUMNS)
+    if not mixed:  # (a one-block retry of the singular line never shares)
+        assert shared.count(True) == 3
+    assert {type(exc).__name__ for exc in failed.values()} >= {"NoDissipationError", "DegenerateSteadyStateError"}
+    for r in range(len(grid)):
+        one, one_failed = evaluate(grid[r:r + 1], h, OUTPUT_COLUMNS)
+        assert _outcome(one, one_failed) == _outcome({name: column[r:r + 1] for name, column in values.items()},
+                                                     {0: failed[r]} if r in failed else {}), r
+
+
 def test_a_one_row_evaluate_solves_its_row_as_given():
     row, h = _detuned(-1.0, -0.5), HilbertConfig()
     with mock.patch.object(sweep, "_distinct_canonical", side_effect=AssertionError("canonicalised")), \
@@ -701,6 +745,41 @@ def test_locate_extrema_excludes_endpoints():
     res = synthetic_result(rows_from_curves(deltas, deltas + 3.0, np.ones_like(deltas)))
     with pytest.raises(NoInteriorExtremumError):
         locate_extrema(res, "g2_analytic")
+
+
+def test_locate_extrema_passes_over_a_nan_and_its_neighbours():
+    # cos(3x) on [-2, 2]: a minimum at -pi/3, a maximum at 0 and a minimum at
+    # pi/3, whose grid point (x = 1.0) has a NaN right neighbour; a
+    # comparison with NaN is false, so that minimum and the NaN drop out
+    deltas = np.linspace(-2.0, 2.0, 41)
+    curve = np.cos(3.0 * deltas)
+    curve[31] = np.nan
+    found = locate_extrema(synthetic_result(rows_from_curves(deltas, curve, curve)), "g2_analytic")
+    assert [e.kind for e in found] == ["min", "max"]
+    assert found[0].coordinate == pytest.approx(-np.pi / 3, abs=0.01)
+    assert found[1].coordinate == pytest.approx(0.0, abs=1e-12) and found[1].value == 1.0
+
+
+def test_locate_extrema_finds_what_the_loop_over_points_found():
+    # the reference: the per-point loop that the array comparisons replaced;
+    # small integers make ties, and a tenth of the points are NaN
+    rng = np.random.default_rng(3)
+    deltas = np.linspace(-2.0, 2.0, 31)
+    for _ in range(50):
+        y = rng.integers(0, 4, deltas.size).astype(float)
+        y[rng.random(deltas.size) < 0.1] = np.nan
+        want = []
+        for i in range(1, len(y) - 1):
+            if y[i] > y[i - 1] and y[i] > y[i + 1]:
+                want.append(sweep.Extremum(*sweep._refine(deltas, y, i), "max"))
+            elif y[i] < y[i - 1] and y[i] < y[i + 1]:
+                want.append(sweep.Extremum(*sweep._refine(deltas, y, i), "min"))
+        res = synthetic_result(rows_from_curves(deltas, y, y))
+        if want:
+            assert locate_extrema(res, "g2_numeric") == want
+        else:
+            with pytest.raises(NoInteriorExtremumError):
+                locate_extrema(res, "g2_numeric")
 
 
 def test_locate_extrema_row_selection():
@@ -835,14 +914,40 @@ def _dump(res):
     return buf.getvalue()
 
 
+def test_csv_text_and_table_are_those_of_the_loop_over_rows():
+    # the references: the per-row writer and the per-cell reader that the
+    # one-write text and the one float table replaced, on a grid with
+    # failed rows (NaN cells, log10 of NaN) at kappa = 0
+    res = run_sweep(SweepSpec(base=replace(BASE, gamma=0.0), axis1=Axis("kappa", 0.0, 0.3, 4),
+                              axis2=Axis("Delta", -2.0, 2.0, 5)))
+    assert set(res.status) > {"ok"}
+    header = csv_columns(res)
+    cells = [res.coords[ax.name] for ax in res.axes] + list(res.columns.values())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells += [np.log10(res.column(name[len("log10_"):])) for name in header if name.startswith("log10_")]
+    want = ",".join(header) + "\n"
+    for row, status in zip(np.column_stack(cells).tolist(), res.status):
+        want += ",".join(map(repr, row)) + "," + status + "\n"
+    text = _dump(res)
+    assert text == want
+    back = read_sweep_csv(io.StringIO(text))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    for j, name in enumerate(header[:-1]):
+        if not name.startswith("log10_"):
+            column = back.coords[name] if name in back.coords else back.column(name)
+            assert column.tobytes() == np.array([float(r[j]) for r in rows]).tobytes(), name
+    assert back.status == [r[-1] for r in rows]
+
+
 def test_csv_reader_rejects_malformed_input():
     with pytest.raises(ConfigError):
         read_sweep_csv(io.StringIO(""))
     with pytest.raises(ConfigError):
         read_sweep_csv(io.StringIO("Delta,g2_numeric\n0.0,1.0\n"))  # no status
     header = "Delta,g2_numeric,status"
-    with pytest.raises(ConfigError):
-        read_sweep_csv(io.StringIO(header + "\n0.0,abc,ok\n"))
+    # of two bad cells the first in row-major order is named, not the first column's
+    with pytest.raises(ConfigError, match=r"^bad float 'abc' in column g2_numeric$"):
+        read_sweep_csv(io.StringIO(header + "\n0.0,abc,ok\nxyz,1.0,ok\n"))
     with pytest.raises(ConfigError):
         read_sweep_csv(io.StringIO(header + "\n0.0,1.0\n"))  # ragged row
 
