@@ -34,10 +34,16 @@ The drive is the only term that changes the coherence order |N_i - N_j| of
 an element rho_ij, N being the photon number plus the atomic excitation, so
 ordered by that order L_r is block tridiagonal, and steady_state solves
 the bordered system block by block along that order (_BlockKernel). The
-kernel is loaded one way, from the nonzeros of L_r: their pattern is fixed
-for each truncation, so a sweep never forms its dense Liouvillians
-(steady_states_at), and steady_state on one L reads it through the same
-pattern, or through the full one, with one block, if L has a nonzero off it.
+elements of order q >= 1 are the adjoints of those of order -q, so each of
+those blocks is held and solved as a complex matrix of half its size, and
+they are eliminated from the top order down, which leaves the real q = 0
+block, with the trace row, to be inverted last; one step of iterative
+refinement then recovers the accuracy that this order gives up on the
+smallest populations. The kernel is loaded one way, from the nonzeros of
+L_r: their pattern is fixed for each truncation, so a sweep never forms its
+dense Liouvillians (steady_states_at), and steady_state on one L reads it
+through the same pattern, or through the full one, with one real block, if
+L has a nonzero off it.
 """
 
 from __future__ import annotations
@@ -435,7 +441,7 @@ def liouvillians(rows: np.ndarray, h: HilbertConfig) -> np.ndarray:
 
 
 class _BlockKernel:
-    """Steady state of the bordered matrix M by block LU over the coherence-order blocks.
+    """Steady state of the bordered matrix M by block elimination over the coherence-order blocks.
 
     The coherence order of an element rho_ij is q = |N_i - N_j|, with N the
     photon number plus the atomic excitation of a state of the atom-major
@@ -448,46 +454,77 @@ class _BlockKernel:
     inverse, for an L_r off the basis pattern (LiouvillianBasis) and for odd
     d (not atom x cavity).
 
-    With A_k the diagonal blocks, U_k = M[k, k+1] and B_k = M[k+1, k],
-    M x = e0 is solved by block LU with one right-hand side (Meurant, SIAM J.
-    Matrix Anal. Appl. 13, 707, 1992): the Schur complements S_0 = A_0 and
-    S_k = A_k - B_{k-1} W_{k-1} are inverted by LAPACK with partial pivoting,
-    [W_k | y_k] = S_k^-1 [U_k | z_k] is one product, with z_0 = e0, and the
-    next, B_k [W_k | y_k], gives both S_{k+1} and z_{k+1} = -B_k y_k; then
-    x_last = y_last and x_k = y_k - W_k x_{k+1}.
+    The +q and -q parts of rho are each other's adjoints, so L acts on the
+    elements of order q >= 1 as a complex-linear map of half the size. Each
+    element off the diagonal gives the pair (u, v) of its two coordinates
+    for which u + i v is sqrt2 rho_ij with N_i < N_j, or i sqrt2 rho_ij with
+    N_i > N_j: that is (x_s, x_a) or (x_a, x_s), a permutation and no sign.
+    Block k >= 1 runs over these pairs, and its blocks, with A_k the
+    diagonal ones, U_k = M[k, k+1] and B_k = M[k+1, k], are the real forms
+    of complex matrices X of half the size: X[e, f] = M[u_e, u_f] + i
+    M[v_e, u_f]. Only U_0 and B_0, which join the real q = 0 block to
+    q = 1, are not complex-linear; as maps, B_0 x_0 = B~_0 x_0 and U_0 x_1 =
+    Re(U~_0 (u + i v)_1) with B~_0 = M[u, 0] + i M[v, 0] and U~_0 = M[0, u] -
+    i M[0, v].
 
-    For the factors M = L_b U_b, block column j of U_b^-1 is, up to signs,
-    W_i ... W_{j-1} S_j^-1 over i <= j, and that of L_b^-1 is G_{i-1} ... G_j
-    over i >= j, with G_m = B_m S_m^-1. So ||M^-1||_1 <= ||U_b^-1||_1
-    ||L_b^-1||_1 <= beta = u l, with
+    M x = e0 is solved by eliminating from the top order down, which keeps
+    every Schur complement of q >= 1 complex: S_last = A_last, and for k =
+    last - 1, ..., 0, with F_k = S_{k+1}^-1 B_k and G_k = U_k S_{k+1}^-1,
+    S_k = A_k - U_k F_k, which is real for k = 0 (S_0 = A_0 -
+    Re(U~_0 S_1^-1 B~_0)). The trace row lies in S_0, which is inverted last
+    by LAPACK with partial pivoting, as each S_k is; then x_0 is column 0
+    of S_0^-1, and x_{k+1} = -F_k x_k, which the exact state satisfies too.
 
-        u = max_j ||S_j^-1||_1 (1 + ||W_{j-1}||_1 + ||W_{j-2}||_1 ||W_{j-1}||_1 + ...),
-        l = max_j (1 + ||G_j||_1 + ||G_j||_1 ||G_{j+1}||_1 + ...).
+    S_0 is formed from every block above it, and its rounding costs the
+    smallest populations most: g2 on fig4 was off by up to 7.5e-10. One step
+    of fixed-precision iterative refinement (Skeel, Math. Comp. 35, 817,
+    1980) on S_0 x_0 = e0 recovers it, to 1.2e-11: the residual r = e0 - M x
+    is the drift -L_r x with row 0 replaced by 1 - Tr x, the same factors
+    condense it to z_0 = e0 - S_0 x_0 (z_last = r_last, z_k = r_k -
+    G_k z_{k+1}), and x_0 + S_0^-1 z_0 is spread again by x_{k+1} = -F_k x_k.
+    The correction of the blocks q >= 1 that the full step x + M^-1 r would
+    add is left out. g2 and the photon number rest on x_0 and do not see
+    it; with a residual rounded in double it moves the coherences by about
+    their own error, a few ulps, and it took their worst error on fig3 at
+    n_max 10 from 6.9e-16 to 1.3e-15. With one block there is no
+    refinement: the state is column 0 of the one LAPACK inverse of M.
 
-    With one block, the state S_0^-1 e0 is column 0 of the one LAPACK
-    inverse of M, and beta is ||M^-1||_1.
+    Taken in reverse block order, M is block tridiagonal with the block LU
+    factors of these steps, M = L_b U_b, so ||M^-1||_1 <= ||U_b^-1||_1
+    ||L_b^-1||_1 <= beta = u l (Meurant, SIAM J. Matrix Anal. Appl. 13,
+    707, 1992), with
 
-    Along a Delta line (delta_a = delta, the other fields fixed) step 0
-    reads the same bits in every row: Delta (a'a + s+s-) is Delta N, which
-    commutes with N, and with a'a exact (build_hamiltonian) its two parts
-    cancel to the bit on every q = 0 entry, while B_0 is the drive alone.
-    So for a stack of more than one row on a kernel of more than one block
-    whose rows all have row 0's bits in block row 0, the trace row written
-    in, and in B_0, _factor runs step 0 on row 0 alone and copies S_0^-T,
-    [W_0 | y_0]^T, G_0^T, the Schur update of A_1 and z_1 to every row; a
-    singular S_0 gives every row the error of its own inversion. Any other
-    stack, and the one-block kernel, runs step 0 row by row. No later step is
-    shared: S_1 = C_1 + Delta D_1 differs from row to row.
+        u = max_k ||S_k^-1||_1 (1 + ||F_k||_1 + ||F_k||_1 ||F_{k+1}||_1 + ...),
+        l = max_k (1 + ||G_k||_1 + ||G_k||_1 ||G_{k-1}||_1 + ...),
 
-    One loader fills the kernel's blocks buffer, and _factor solves it:
-    solve_values writes the nonzeros of a stack of L_r at their slots (slots,
-    found once per pattern by _Pattern.slots), the other entries zero.
+    the norms those of the real maps, read exactly from the complex factors:
+    ||realify(X)||_1 = max_j sum_i (|Re X_ij| + |Im X_ij|), and for G_0,
+    whose real form has the columns Re G~_0 and -Im G~_0, the larger sum of
+    either. A row with n eps max(1, max |M|) beta >= 1, n the size of the
+    largest block, may have a pivot singular to working precision (beta
+    bounds each ||S_k^-1||_1, and max |M| stands in for ||S_k||_1), and its
+    beta is set to inf: such a computed inverse has no correct digit, and
+    its norm came out up to 800 times below the dense one on M with
+    ||M^-1||_1 near 1e20. The certificate would refuse such a row whatever
+    its beta, so the one-block solve takes it. With one block, beta is
+    ||M^-1||_1.
 
-    A solve leaves the blocks buffer holding what the norms of beta read:
-    the A_k slot of block row k holds |S_k^-T| and its U_k slot |G_k^T|,
-    each written once the block it replaces is spent. The bound buffer keeps
-    only [W_k | y_k]^T, which the back substitution reads. So the loader
-    zero-fills the whole blocks buffer rather than the entries off its slots.
+    One loader fills the kernel's factors buffer, and _factor solves it:
+    _load writes the nonzeros of a stack of L_r at their slots (slots, found
+    once per pattern by _Pattern.slots), the other entries zero. Each block
+    is stored as its transpose, and block k >= 1 as complex numbers, one
+    entry taken from the nonzero at [u_e, u_f] and one from [v_e, u_f]: the
+    nonzeros in the columns v_f repeat them and are not written. Block row
+    0 is [A_0 | U_0] as it stands, real, with the trace row written in as
+    row 0, and B_0 is held as B~_0^T. A row of a stack, its nonzeros
+    included, takes 53,360 bytes at n_max 4 and 520,752 at n_max 10, against
+    82,544 and 909,760 with every block real.
+
+    A solve leaves the factors buffer holding what the norms of beta read:
+    the A_k slot holds |S_k^-T|, the B_k slot |G_k^T| (|realify(G_0)^T| for
+    k = 0) and the bound part |F_k^T|, each written once the block it
+    replaces is spent, and their absolute values taken after the refinement
+    step, which reads the factors.
 
     NaN marks a row the kernel cannot solve, one that meets a singular pivot:
     that pivot's inverse is written NaN. The NaN runs on into that row's
@@ -506,179 +543,296 @@ class _BlockKernel:
         n = dim * dim
         self.key = (dim, single)
         order_of = np.zeros(n, dtype=np.intp)
+        groups = [np.arange(n)]
         if not single:
             excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
-            order_of[first] = np.abs(excitation[rows] - excitation[cols])
-            order_of[first[off] + 1] = order_of[first[off]]
-        # Each order's coordinates in their own order, so rho_00 stays first.
-        # (No argsort: its first use costs a process up to 0.4 MB of RSS.)
-        groups = [np.flatnonzero(order_of == q) for q in range(order_of.max() + 1)]
+            q = np.abs(excitation[rows] - excitation[cols])
+            order_of[first] = q
+            order_of[first[off] + 1] = q[off]
+            # (u, v) of each element: (x_a, x_s) where N_i > N_j, else (x_s, x_a)
+            u = first + (excitation[rows] > excitation[cols])
+            pairs = np.stack([u, 2 * first + 1 - u], axis=1)
+            # q = 0 in the coordinates' own order, so rho_00 stays first
+            groups = [np.flatnonzero(order_of == 0)]
+            groups += [pairs[off & (q == k)].reshape(-1) for k in range(1, q.max() + 1)]
         self.sizes = [g.size for g in groups]
-        self.n, self.last, self._order = n, len(groups) - 1, order_of
-        # writeable: np.take copies a read-only index on every call
+        self.n, self.last, self._q_of = n, len(groups) - 1, order_of
+        # the coordinate at each position of the kernel, and the position of each
+        # coordinate (writeable: np.take copies a read-only index on every call)
+        self.order = np.concatenate(groups)
         self.position = np.empty(n, dtype=np.intp)
-        self.position[np.concatenate(groups)] = np.arange(n)
+        self.position[self.order] = np.arange(n)
         bounds = np.cumsum([0] + self.sizes)
         self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # Block row k is laid out as one matrix [B_{k-1} | A_k | U_k | z_k]:
-        # its height, its width and the width of B. Row 0 has no B, the last
-        # no U. A z column is a placeholder, zeroed; the trace row sets z_0 = e0.
-        self._rows = [(size, lo + sum(self.sizes[k:k + 2]) + 1, lo)
-                      for k, (size, lo) in enumerate(zip(self.sizes, [0] + self.sizes[:-1]))]
-        areas = [h * w for h, w, _ in self._rows]
-        # for slots: where block row k starts in the buffer, and the coordinates
-        # that open its rows and its columns
-        self._slot_start = np.cumsum([0] + areas)[:-1]
-        self._slot_width = np.array([w for _, w, _ in self._rows])
-        self._slot_row, self._slot_col = bounds[:-1], bounds[np.maximum(np.arange(len(groups)) - 1, 0)]
-        # row 0 of block row 0: the trace row, zero in U_0, and 1 in z_0
-        trace = np.isin(np.arange(self._rows[0][1]), self.position[first[~off]]).astype(float)
-        trace[-1] = 1.0
-        self._trace = _read_only(trace)
+        self._diagonal = self.position[first[~off]]
+        s, last = self.sizes, self.last
 
-        # The norms are the maxima of row sums over segments. A sum is named by
-        # its norm, k and where it starts: the rows of |S_k^-T| (p) and |G_k^T|
-        # (g) in the blocks, each followed by a sum from its z on that no norm
-        # reads (None), then the rows of W_k^T (w) and y_k^T (y) in the bound;
-        # a 1 and a 0 follow. _kept takes the sums each norm reads, in segments
-        # p_0, g_0, w_0, y_0, p_1, ... that open at _segments.
-        self._factors = [(self.sizes[k + 1] + 1 if k < self.last else 1, size)
-                         for k, size in enumerate(self.sizes)]
-        named = []
-        for k, (size, width, lo) in enumerate(self._rows):
-            after = width - lo - size - 1
-            for opens in self._slot_start[k] + lo + width * np.arange(size):
-                named += [("p", k, opens)] + [("g", k, opens + size)] * (after > 0)
-                named.append((None, k, opens + size + after))
-        self._blocks_runs = _read_only(np.array([start for *_, start in named]))
-        start = 0
-        for k, (height, size) in enumerate(self._factors):
-            named += [("w" if i < height - 1 else "y", k, start + i * size) for i in range(height)]
-            start += height * size
-        self._bound_runs = _read_only(np.array([start for *_, start in named[self._blocks_runs.size:]]))
-        kept, segments, at = [], [], {}
-        for k, rank, j in sorted((k, "pgwy".index(name), j) for j, (name, k, _) in enumerate(named) if name):
-            if ("pgwy"[rank], k) not in at:
-                at["pgwy"[rank], k] = len(segments)
-                segments.append(len(kept))
-            kept.append(j)
-        one, zero, steps = len(segments), len(segments) + 1, range(self.last + 1)
+        # The factors buffer of a row, in this order: F_k^T for each k < last,
+        # which a solve writes; block row 0 as one real (s_0, s_0 + s_1) matrix
+        # [A_0 | U_0] and B~_0^T, then A_k^T and B_k^T for each k >= 1,
+        # complex, which it overwrites with the factors the norms read; then
+        # each U_k^T, which it only reads. Each region is a (shape, complex) pair.
+        head = s[0] + (s[1] if last else 0)
+        regions = {("f", k): ((s[k] // (1 + (k > 0)), s[k + 1] // 2), True) for k in range(last)}
+        regions["a", 0] = ((s[0], head), False)
+        for k in range(last + 1):
+            if k:
+                regions["a", k] = ((s[k] // 2, s[k] // 2), True)
+            if k < last:
+                regions["b", k] = regions["f", k]
+        regions.update((("u", k), ((s[k + 1] // 2, s[k] // 2), True)) for k in range(1, last))
+        self._regions, end = {}, 0
+        for key, (shape, cplx) in regions.items():
+            self._regions[key] = (end, shape, cplx)
+            end += shape[0] * shape[1] * (2 if cplx else 1)
+        self._loaded = self._regions["a", 0][0]
+        self._normed = self._regions["u", 1][0] if last > 1 else end
+        start = lambda key: self._regions[key][0]  # noqa: E731
+
+        # slot = start + row * row_stride + col * col_stride, by the blocks
+        # (kr, kc) of an entry M[r, c] and its place in them, with col the
+        # element of a pair in a complex block, whose column v is not stored
+        tables = np.zeros((4, last + 1, last + 1), dtype=np.intp)
+        tables[:, 0, 0] = start(("a", 0)), head, 1, 0
+        if last:
+            tables[:, 0, 1] = start(("a", 0)) + s[0], head, 1, 0
+            tables[:, 1, 0] = start(("b", 0)), 1, s[1], 0
+        for k in range(1, last + 1):
+            tables[:, k, k] = start(("a", k)), 1, s[k], 1
+            if k < last:
+                tables[:, k, k + 1] = start(("u", k)), 1, s[k], 1
+                tables[:, k + 1, k] = start(("b", k)), 1, s[k + 1], 1
+        self._slot_tables, self._slot_opens = _read_only(tables), bounds[:-1]
+        # row 0 of block row 0: the trace row, one at each diagonal coordinate
+        self._trace = _read_only(np.isin(np.arange(head), self._diagonal).astype(float))
+
+        # The norms are the maxima of row sums over runs: the rows of |F_k^T|
+        # (f), of |S_k^-T| (p) and of |G_k^T| (g), or for k = 0 of
+        # |realify(G_0)^T| in the B~_0^T slot. The U_0 half of each row of
+        # block row 0 is a run that no norm reads (None).
+        named, runs = [], []
+        for (name, k), (at, (height, width), cplx) in self._regions.items():
+            width *= 2 if cplx else 1
+            if (name, k) == ("a", 0):
+                for r in range(height):
+                    runs.append(at + r * width)
+                    named.append(("p", 0))
+                    if last:
+                        runs.append(at + r * width + s[0])
+                        named.append(None)
+                continue
+            if name == "u":
+                break
+            if name == "b":  # G_k^T: realify(G_0)^T (s_1, s_0), or (m_{k+1}, m_k) complex
+                height, width = (s[1], s[0]) if k == 0 else (width // 2, 2 * height)
+            runs += [at + r * width for r in range(height)]
+            named += [({"a": "p", "b": "g"}.get(name, name), k)] * height
+        self._runs = _read_only(np.array(runs))
+        keys = [("p", k) for k in range(last + 1)] + [(x, k) for x in "fg" for k in range(last)]
+        kept, segments = [], []
+        for key in keys:
+            segments.append(len(kept))
+            kept += [j for j, name in enumerate(named) if name == key]
+        one, zero = len(keys), len(keys) + 1
         self._kept = np.array(kept + [len(named), len(named) + 1])  # writeable, for np.take
         self._segments = _read_only(np.array(segments + [len(kept), len(kept) + 1]))
-        # Row j of chain[0] is p_j, w_{j-1}, ..., w_0 and of chain[1] 1, g_j, ...,
-        # g_{last-1}, padded with 0: its running products sum to a term of u, l.
+        at = {key: j for j, key in enumerate(keys)}
+        # Row k of chain[0] is p_k, f_k, ..., f_{last-1} and row m + 1 of
+        # chain[1] is 1, g_m, ..., g_0, padded with 0: their running products
+        # sum to a term of u and of l.
         self._chain = _read_only(np.array([
-            [[at.get(("w", j - t), zero) if t else at["p", j] for t in steps] for j in steps],
-            [[at.get(("g", j + t - 1), zero) if t else one for t in steps] for j in steps]]))
-        # a row's doubles in each buffer of _buffers: blocks, work, state, bound, sums
-        self._widths = (sum(areas), max(self.sizes) * (max(self.sizes) + 1), n,
-                        sum(r * c for r, c in self._factors), len(named) + 2)
+            [[at["p", k]] + [at["f", j] for j in range(k, last)] + [zero] * k for k in range(last + 1)],
+            [[one] + [at["g", j] for j in range(m, -1, -1)] + [zero] * (last - m - 1)
+             for m in range(-1, last)]]))
+        # a row's doubles in each buffer of _buffers: factors, work, state, sums;
+        # the work holds a Schur update (or U_0^T's partner J U_0^T) and then
+        # one block of a vector
+        matrices = [s[0] ** 2, s[1] * s[0]] if last else [0]
+        matrices += [s[k] ** 2 // 2 for k in range(1, last)]
+        self._vector_at = max(matrices)
+        # max n_k eps: a pivot whose condition number reaches its inverse is
+        # singular to working precision
+        self._unit_roundoff = max(s) * np.finfo(float).eps
+        self._widths = (end, self._vector_at + (max(s) if last else 0), 2 * n, len(named) + 2)
         self.row_bytes = 8 * sum(self._widths)
 
-    def _buffers(self, count: int) -> tuple:
-        """This thread's buffers for a stack of count, and the views each step of a solve takes of them.
+    def _buffers(self, count: int) -> SimpleNamespace:
+        """This thread's buffers for a stack of count, as the views each step of a solve takes of them.
 
         They hold the largest stack the thread has met so far, row_bytes a
         row, and last as long as the thread: the calling thread's from one
         sweep to the next, a sweep helper's for one evaluate. Fresh ones cost
-        page faults. After a solve, the A_k and U_k slots of the blocks hold
-        |S_k^-T| and |G_k^T| (see the class docstring).
+        page faults. After a solve, the factors hold the absolute values the
+        norms read (see the class docstring).
         """
         kernels = vars(_thread_kernels).setdefault("by_dim", {})
         mine = kernels.get(self.key) or kernels.setdefault(self.key, SimpleNamespace(capacity=0))
         if count > mine.capacity:
-            mine.blocks, mine.work, mine.state, mine.bound, mine.sums = (
+            mine.factors, mine.work, mine.state, mine.sums = (
                 np.empty((count, width)) for width in self._widths)
             mine.sums[:, -2:] = (1.0, 0.0)
             mine.capacity, mine.views = count, {}
         if count not in mine.views:
-            work, state = mine.work[:count], mine.state[:count]
-            rows = _split(mine.blocks[:count], [shape for *shape, _ in self._rows])
-            factors = _split(mine.bound[:count], self._factors)
-            steps = []
-            for k, (row, factor, (size, _, lo)) in enumerate(zip(rows, factors, self._rows)):
-                step = SimpleNamespace(diag=row[:, :, lo:lo + size], rhs=row[:, :, -1],
-                                       right=row[:, :, lo + size:].transpose(0, 2, 1),
-                                       x=state[:, self.spans[k]])
-                if k < self.last:
-                    after = self.sizes[k + 1]
-                    update = work[:, :after * (after + 1)].reshape(count, after, after + 1)
-                    step.below = rows[k + 1][:, :, :size]
-                    step.below_t, step.gain = step.below.transpose(0, 2, 1), row[:, :, lo + size:-1]
-                    step.update, step.schur, step.z = update, update[:, :, :-1], update[:, :, -1]
-                    step.next, step.coupled = state[:, self.spans[k + 1], None], work[:, :size, None]
-                step.factor, step.factor_t, step.y = factor, factor.transpose(0, 2, 1), factor[:, -1]
-                step.w = factor[:, :-1].transpose(0, 2, 1)
-                steps.append(step)
-            mine.views[count] = (mine.blocks[:count], state, mine.bound[:count],
-                                 mine.sums[:count], steps)
+            mine.views[count] = self._views(mine, count)
         return mine.views[count]
 
-    def slots(self, idx: np.ndarray) -> np.ndarray:
-        """The position in a row of the blocks buffer of each entry of L_r at the flat indices idx.
+    def _views(self, mine: SimpleNamespace, count: int) -> SimpleNamespace:
+        """The views of one stack size: the whole buffers, and steps, one namespace per block k.
 
-        Every entry must lie on the block pattern: within one coherence order
-        of its row's (see the class docstring).
+        A step holds x and z, the state and the residual of block k as rows
+        (count, 1, size) of its own type, real for k = 0 and complex after,
+        and x_r and z_r as real; its blocks and factors a, u, b, f and g; f_in,
+        F_k^T in the type of x_k; and the work it writes, schur, ju and tmp.
+        """
+        factors, work, state = mine.factors[:count], mine.work[:count], mine.state[:count]
+        whole = SimpleNamespace(factors=factors, loaded=factors[:, self._loaded:],
+                                normed=factors[:, :self._normed], sums=mine.sums[:count],
+                                x=state[:, :self.n], z=state[:, self.n:])
+
+        def region(flat, at, shape, cplx):
+            part = flat[:, at:at + shape[0] * shape[1] * (2 if cplx else 1)]
+            return (part.view(complex) if cplx else part).reshape(count, *shape)
+
+        steps = []
+        for k, (span, size) in enumerate(zip(self.spans, self.sizes)):
+            cplx = k > 0
+            step = SimpleNamespace()
+            for name in "xz":
+                flat = getattr(whole, name)[:, span]
+                setattr(step, name + "_r", flat.reshape(count, 1, size))
+                setattr(step, name, region(flat, 0, (1, size // (1 + cplx)), cplx))
+            if self.last:
+                step.tmp = region(work, self._vector_at, (1, size // (1 + cplx)), cplx)
+            step.a = region(factors, *self._regions["a", k])
+            if k < self.last:
+                at, shape, _ = self._regions["b", k]
+                step.b = region(factors, at, shape, True)
+                step.f = region(factors, *self._regions["f", k])
+                step.f_in = region(factors, self._regions["f", k][0], (shape[0], 2 * shape[1]), False) \
+                    if k == 0 else step.f
+                step.schur = region(work, 0, (size, size) if k == 0 else shape[:1] * 2, cplx)
+                if k == 0:
+                    head = step.a
+                    step.a, step.u = head[:, :, :size], head[:, :, size:]
+                    step.trace = head[:, 0]
+                    step.ju = region(work, 0, (self.sizes[1], size), False)
+                    # realify(G_0)^T as (s_1, s_0), and as the halves Re G~_0^T | -Im G~_0^T
+                    step.g = region(factors, at, (self.sizes[1], size), False)
+                    halves = region(factors, at, (self.sizes[1] // 2, 2 * size), False)
+                    step.g_re, step.g_im = halves[:, :, :size], halves[:, :, size:]
+                else:
+                    step.u = region(factors, *self._regions["u", k])
+                    step.g = region(factors, at, shape[::-1], True)
+            elif k == 0:
+                step.trace = step.a[:, 0]
+            steps.append(step)
+        whole.steps = steps
+        return whole
+
+    def slots(self, idx: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """Which entries of L_r at the flat indices idx the loader writes, and where in a row of the factors.
+
+        Returns take and at: the entry idx[take[j]] goes to at[j] (take is
+        None when every entry is written). Every entry must lie on the block
+        pattern: within one coherence order of its row's (see the class
+        docstring).
         """
         r, c = np.divmod(idx, self.n)
-        k = self._order[r]
-        return (self._slot_start[k] + (self.position[r] - self._slot_row[k]) * self._slot_width[k]
-                + self.position[c] - self._slot_col[k])
+        kr, kc = self._q_of[r], self._q_of[c]
+        row, col = self.position[r] - self._slot_opens[kr], self.position[c] - self._slot_opens[kc]
+        start, row_stride, col_stride, halved = self._slot_tables[:, kr, kc]
+        at = start + row * row_stride + (col >> halved) * col_stride
+        written = (col & halved) == 0
+        if written.all():
+            return None, at
+        return np.flatnonzero(written), at[written]
 
-    def solve_values(self, values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The solve of a stack of L_r given by their nonzeros: values[:, j] at slots[j] of its blocks.
+    def solve_values(self, values: np.ndarray, slots, drift=None) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The solve of a stack of L_r given by their nonzeros: values at the slots of the factors.
 
-        Every other entry of the blocks is zero.
+        drift(vecs), given, is L_r x for each row of the (count, n)
+        coordinates vecs, and a kernel of more than one block takes one
+        refinement step with it.
         """
-        blocks = self._buffers(len(values))[0]
-        blocks.fill(0.0)
-        for row, nonzeros in zip(blocks, values):  # a row at a time: 3x faster than blocks[:, slots]
-            row[slots] = nonzeros
-        return self._factor(len(values))
+        self._load(values, slots)
+        vecs, beta, singular = self._factor(len(values), drift)
+        if self.last:
+            # beta >= ||S_k^-1||_1, and max |M| stands in for ||S_k||_1
+            magnitude = np.maximum(1.0, np.maximum(values.max(axis=1), -values.min(axis=1)))
+            beta[self._unit_roundoff * magnitude * beta >= 1.0] = np.inf
+        return vecs, beta, singular
 
-    def _factor(self, count: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    def _load(self, values: np.ndarray, slots) -> None:
+        """Write the blocks of the stack in the factors buffer: each nonzero at its slot, the rest zero."""
+        take, at = slots
+        whole = self._buffers(len(values))
+        whole.loaded.fill(0.0)
+        if take is not None:
+            values = np.take(values, take, axis=1)
+        for row, nonzeros in zip(whole.factors, values):  # a row at a time: 3x faster than factors[:, at]
+            row[at] = nonzeros
+
+    def _factor(self, count: int, drift) -> tuple[np.ndarray, np.ndarray, dict]:
         """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        Solves the first count rows of the blocks buffer as solve_values left
-        them, with the trace row written in. The state and beta are NaN in a
-        row with a singular pivot. Whether a row's L is fit to solve at all
-        is for the caller to judge.
+        Solves the first count rows of the factors as _load left them, with
+        the trace row written in. The state and beta are NaN in a row with a
+        singular pivot. Whether a row's L is fit to solve at all is for the
+        caller to judge.
 
-        Each A_k slot takes S_k^-T once S_k is inverted, and each U_k slot
-        G_k^T once [W_k | y_k] is formed; one abs of the whole blocks then
-        leaves |S_k^-T| and |G_k^T| there, and the norms of beta are the row
-        sums of those slots and of the bound's |[W_k | y_k]^T|, each row
-        summed contiguously and in the same order as in a buffer of its own.
+        Each A_k slot takes S_k^-T once S_k is inverted, each B_k slot G_k^T
+        once F_k^T is formed; after the refinement step one abs of the whole
+        factors leaves the absolute values there, and the norms of beta are
+        their row sums, each summed contiguously and in the same order as in
+        a buffer of its own.
         """
-        last = self.last
-        blocks, state, bound, sums, steps = self._buffers(count)
-        blocks[:, :self._trace.size] = self._trace
+        last, whole = self.last, self._buffers(count)
+        steps = whole.steps
+        steps[0].trace[:] = self._trace
 
         singular = {}
-        shared = self._shares_step_0(blocks, steps[0])
-        if shared:
-            # step 0 on row 0 alone, whose views lie in the same buffers,
-            # then its results copied to every other row
-            self._step(0, self._buffers(1)[-1], singular)
-            head, after = steps[0], steps[1]
-            for out in (head.diag, head.factor, head.gain, after.rhs):
-                out[1:] = out[0]
-            after.diag[1:] -= head.schur[0]
-            singular = dict.fromkeys(range(count), singular[0]) if singular else {}
-        for k in range(int(shared), last + 1):
-            self._step(k, steps, singular)
-        steps[last].x[:] = steps[last].y
-        for step in reversed(steps[:last]):
-            np.matmul(step.w, step.next, out=step.coupled)
-            np.subtract(step.y, step.coupled[:, :, 0], out=step.x)
+        for k in range(last, 0, -1):
+            step, below = steps[k], steps[k - 1]
+            pivot = _pivot_inverse(step.a, singular)
+            np.copyto(step.a, pivot)  # A_k^T is spent: its slot keeps S_k^-T
+            np.matmul(below.b, pivot, out=below.f)  # F_{k-1}^T = B_{k-1}^T S_k^-T
+            if k > 1:
+                np.matmul(below.f, below.u, out=below.schur)  # (U_{k-1} F_{k-1})^T
+                below.a -= below.schur
+                np.matmul(pivot, below.u, out=below.g)  # G_{k-1}^T, in the spent B_{k-1}^T
+                continue
+            np.matmul(below.u, below.f_in.transpose(0, 2, 1), out=below.schur)  # U_0 realify(F_0)
+            below.a -= below.schur
+            # realify(G_0)^T from S_1^-T, whose real view meets U_0^T in Re G~_0^T
+            # and J U_0^T (rows (U_0^T)_{2f+1}, -(U_0^T)_{2f}) in -Im G~_0^T
+            u_t = below.u.transpose(0, 2, 1)
+            below.ju[:, 0::2] = u_t[:, 1::2]
+            np.negative(u_t[:, 0::2], out=below.ju[:, 1::2])
+            np.matmul(pivot.view(float), u_t, out=below.g_re)
+            np.matmul(pivot.view(float), below.ju, out=below.g_im)
+        pivot = _pivot_inverse(steps[0].a, singular)
+        steps[0].x[:, 0] = pivot[:, :, 0]
+        np.copyto(steps[0].a, pivot.transpose(0, 2, 1))  # A_0 is spent: its slot keeps S_0^-T
+        self._spread(steps)
+        if drift is not None and last:
+            # r = e0 - M x in the kernel's order, condensed to z_0 = e0 - S_0 x_0
+            residual = drift(np.take(whole.x, self.position, axis=1))
+            np.negative(np.take(residual, self.order, axis=1), out=whole.z)
+            # (np.take gives a C-ordered copy, whose rows sum alike in any stack)
+            whole.z[:, 0] = 1.0 - np.take(whole.x, self._diagonal, axis=1).sum(axis=1)
+            for k in range(last - 1, -1, -1):
+                step, above = steps[k], steps[k + 1]
+                np.matmul(above.z_r if k == 0 else above.z, step.g, out=step.tmp)  # G_k z_{k+1}
+                step.z -= step.tmp
+            np.matmul(steps[0].z, steps[0].a, out=steps[0].tmp)
+            steps[0].x += steps[0].tmp
+            self._spread(steps)
         # a C-ordered copy: the observables sum along its rows
-        vecs = np.take(state, self.position, axis=1)
+        vecs = np.take(whole.x, self.position, axis=1)
 
         # the norms, then u and l as sums of running products along the chains
-        # (one abs of the whole blocks costs less than one of each strided slot)
-        spent = self._blocks_runs.size
-        np.add.reduceat(np.abs(blocks, out=blocks), self._blocks_runs, axis=1, out=sums[:, :spent])
-        np.add.reduceat(np.abs(bound, out=bound), self._bound_runs, axis=1, out=sums[:, spent:-2])
+        sums = whole.sums
+        np.add.reduceat(np.abs(whole.normed, out=whole.normed), self._runs, axis=1, out=sums[:, :-2])
         tops = np.maximum.reduceat(np.take(sums, self._kept, axis=1), self._segments, axis=1)
         chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
         # summed in order by accumulate: sum takes a row alone pairwise from
@@ -686,38 +840,12 @@ class _BlockKernel:
         beta = np.add.accumulate(chains, axis=-1)[..., -1].max(axis=-1).prod(axis=-1)
         return vecs, beta, singular
 
-    def _shares_step_0(self, blocks: np.ndarray, head: SimpleNamespace) -> bool:
-        """Whether every row of blocks has row 0's bits in all that step 0 reads.
-
-        That is block row 0, with the trace row written in, and B_0 in block
-        row 1. Never so for one block or one row.
-        """
-        if self.last == 0 or len(blocks) < 2:
-            return False
-        rows = blocks[:, :self._slot_start[1]].view(np.int64)
-        below = head.below.view(np.int64)
-        return bool((rows[1:] == rows[0]).all() and (below[1:] == below[0]).all())
-
-    def _step(self, k: int, steps: list[SimpleNamespace], singular: dict) -> None:
-        """Step k of the block LU on the rows of steps: invert S_k, form [W_k | y_k], S_{k+1} and z_{k+1}."""
-        step = steps[k]
-        pivot = _pivot_inverse(step.diag, singular)
-        pivot_t = pivot.transpose(0, 2, 1)
-        np.copyto(step.diag, pivot_t)  # A_k is spent: its slot keeps S_k^-T
-        np.matmul(step.right, pivot_t, out=step.factor)
-        if k < self.last:
-            # [B_k W_k | -z_{k+1}] = B_k [W_k | y_k]
-            np.matmul(step.below, step.factor_t, out=step.update)
-            steps[k + 1].diag -= step.schur
-            np.negative(step.z, out=steps[k + 1].rhs)
-            # U_k is spent too: its slot keeps G_k^T
-            np.matmul(pivot_t, step.below_t, out=step.gain)
-
-
-def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of consecutive (rows, cols) matrices laid out along the last axis of a stack."""
-    ends = np.cumsum([r * c for r, c in shapes], dtype=int)
-    return [flat[:, e - r * c:e].reshape(len(flat), r, c) for (r, c), e in zip(shapes, ends)]
+    def _spread(self, steps: list[SimpleNamespace]) -> None:
+        """x_{k+1} = -F_k x_k for k = 0, ..., last - 1, from x_0."""
+        for k in range(self.last):
+            after = steps[k + 1]
+            np.matmul(steps[k].x, steps[k].f_in, out=after.x_r if k == 0 else after.x)
+            np.negative(after.x, out=after.x)
 
 
 def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
@@ -762,10 +890,12 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 def steady_state_bytes(h: HilbertConfig) -> int:
     """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers.
 
-    The buffers are the blocks, work, state, bound and sums rows of one
-    thread (_BlockKernel._buffers). The bound holds [W_k | y_k]^T alone,
-    since a solve writes |S_k^-T| and |G_k^T| into the spent A_k and U_k
-    slots of the blocks; each thread that solves holds its own rows.
+    The buffers are the factors, work, state and sums rows of one thread
+    (_BlockKernel._buffers). The factors hold the blocks of q >= 1 as
+    complex matrices of half their real size, and F_k^T besides, since a
+    solve writes S_k^-T and G_k^T into the spent A_k and B_k slots; the
+    state holds x and the residual of the refinement step. Each thread that
+    solves holds its own rows.
     """
     return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
 
@@ -787,8 +917,10 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     has no nonzero off the pattern of the LiouvillianBasis of that dimension, as
     every L_r the library assembles, it is read through that pattern by the
     block kernel (_BlockKernel), which takes its blocks from those values,
-    solves for x and bounds ||M^-1||_1 by beta. It leaves x and beta NaN if
-    it meets a singular pivot block, and a NaN bound fails the certificate.
+    solves for x, refines it once with the residual of L_r x, and bounds
+    ||M^-1||_1 by beta; the gates judge the refined x. It leaves x and beta
+    NaN if it meets a singular pivot block, and a NaN bound fails the
+    certificate.
     The state is solved again by the kernel with one block, a dense inverse
     of M whose beta is ||M^-1||_1, if it fails the certificate or the
     residual gate, and not if the first two gates below refuse it; an L_r
@@ -874,8 +1006,10 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
 def _solve_stack(pattern: _Pattern, values: np.ndarray, kernel: _BlockKernel) -> tuple[np.ndarray, dict]:
     """The passes and gates of steady_state on a non-empty stack of L_r, given by its values at pattern.
 
-    kernel makes the first pass; a kernel of more than one block hands the
-    rows its gates refuse to the one-block kernel of its dimension.
+    kernel makes the first pass, with the drift L_r x of its first solve for
+    the refinement step; a kernel of more than one block hands the rows its
+    gates refuse to the one-block kernel of its dimension, which does not
+    refine.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|;
@@ -893,7 +1027,8 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray, kernel: _BlockKernel) ->
             no_dissipation[r] = not np.any(np.where(transpose < 0, row, row + row[transpose]))
         refused = non_finite | no_dissipation
 
-        vecs, beta, reasons = kernel.solve_values(values, pattern.slots(kernel))
+        vecs, beta, reasons = kernel.solve_values(values, pattern.slots(kernel),
+                                                  lambda vecs: pattern.product(values, vecs))
         gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified

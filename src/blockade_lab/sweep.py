@@ -9,12 +9,11 @@ over the whole grid, and the numeric branch in chunks of rows, as many as a
 fixed memory budget holds, whose Liouvillians go into the steady-state
 solve as their nonzeros, with no dense stack formed (the one row of a point
 query is solved as given, by steady_state on its dense L). The rows are
-solved in the order of their bits, g first and the detunings last, so a
-chunk mostly holds one Delta line, whose first block-LU step the solve
-then takes once for the whole chunk (lindblad._BlockKernel). The chunks are
-shared between the calling thread and a helper thread that lives for one
-evaluate when the process may run on two CPUs (_WORKERS), and their results
-are merged in chunk order, so the threads change no bit and no failure.
+solved in the order of their bits, g first and the detunings last, the
+order in which their copies are found. The chunks are shared between the
+calling thread and a helper thread that lives for one evaluate when the
+process may run on two CPUs (_WORKERS), and their results are merged in
+chunk order, so the threads change no bit and no failure.
 H, a and sigma- are real, so the state at (-delta_a, -delta) is the
 photon-parity image of the conjugate state at (delta_a, delta), and the
 solve is sign-equivariant: negating both detunings changes no output bit
@@ -62,8 +61,11 @@ STATUS_OK = "ok"
 # The memory a numeric chunk may hold, in the nonzero values of its
 # Liouvillians and the block kernel's buffers (steady_state_bytes a point).
 # Each worker holds one chunk's buffers. The budget is the one measured
-# fastest on one thread (BENCH_block_assembly.json); the peak RSS of two
-# workers is in BENCH_threads.json.
+# fastest on one thread with the real blocks (BENCH_block_assembly.json);
+# with the blocks of q >= 1 held complex, at half their size, it holds about
+# 1.5 times the rows at n_max 4 (40) and twice at n_max 10 (4)
+# (BENCH_complex_blocks.json). The peak RSS of two workers is in
+# BENCH_threads.json.
 _CHUNK_BYTES = 2100 * 1024
 
 # The threads that solve a sweep's numeric chunks: the CPUs in this
@@ -218,9 +220,9 @@ def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A row's canonical row has (delta_a, delta) negated when delta_a < 0, or
     when delta_a == 0 and delta < 0, and a detuning of -0.0 made +0.0. Rows
     are distinct when their bits differ; the distinct rows come sorted by
-    their bits in field order, g first and the detunings last, so the rows
-    of one Delta line sit together and mostly share a chunk, and
-    distinct[index[r]] is row r's canonical row.
+    their bits in field order, g first and the detunings last, where equal
+    rows sit next to each other, and distinct[index[r]] is row r's canonical
+    row.
     """
     canonical = np.array(rows, dtype=float)
     detunings = canonical[:, _DETUNINGS]

@@ -293,13 +293,13 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows have 201 distinct canonical rows, 7 chunks of 26 and one of 19;
-    # 53 rows have 27, a chunk of 26 and one row. Every chunk, the one-row
+    # 401 rows have 201 distinct canonical rows, 5 chunks of 40 and one row;
+    # 117 rows have 59, a chunk of 40 and one of 19. Every chunk, the one-row
     # remainder too, goes to steady_states_at, and none to steady_state.
-    for grid, distinct, remainder in ((401, 201, 19), (53, 27, 1)):
+    for grid, distinct, remainder in ((401, 201, 1), (117, 59, 19)):
         spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
         solved = len(sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))[0])
-        assert sweep._chunk_size(spec.hilbert) == 26 and solved == distinct and solved % 26 == remainder
+        assert sweep._chunk_size(spec.hilbert) == 40 and solved == distinct and solved % 40 == remainder
         with mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
             whole = run_sweep(spec)
         assert single.call_count == 0, grid
@@ -321,10 +321,12 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         lindblad.steady_states_at(rows, h)
         kernel = lindblad._block_kernel(h.dim)
         mine = vars(lindblad._thread_kernels)["by_dim"][kernel.key]
-        buffers = (mine.blocks, mine.work, mine.state, mine.bound, mine.sums)
-        # the bound keeps [W_k | y_k]^T alone: |S_k^-T| and |G_k^T| go to the blocks
-        afters = kernel.sizes[1:] + [0]
-        assert mine.bound.shape[1] == sum(s * (a + 1) for s, a in zip(kernel.sizes, afters))
+        buffers = (mine.factors, mine.work, mine.state, mine.sums)
+        # block row 0 and B_0 real, each block of q >= 1 complex at half its
+        # real size, and F_k^T the size of B_k^T
+        s = kernel.sizes
+        assert mine.factors.shape[1] == s[0] * (s[0] + s[1]) + 2 * s[0] * s[1] + sum(
+            s[k] ** 2 + 3 * s[k] * s[k + 1] for k in range(1, len(s) - 1)) // 2 + s[-1] ** 2 // 2
         # the chunk's nonzero values, and no L stack
         nbytes = lindblad._basis(h).values(rows).nbytes + sum(b.nbytes for b in buffers)
         held[h.n_max] = size, {len(b) for b in buffers}, nbytes
@@ -338,15 +340,17 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         assert size == 1 or nbytes <= sweep._CHUNK_BYTES, nmax
         # and one more point would not fit
         assert nbytes // size * (size + 1) > sweep._CHUNK_BYTES, nmax
-    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [26, 14, 9, 6, 4, 2]
-    assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [82_544, 909_760]
+    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [40, 23, 15, 10, 7, 4]
+    # a chunk holds one row from n_max 14
+    assert [sweep._chunk_size(HilbertConfig(nmax)) for nmax in (13, 14)] == [2, 1]
+    assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [53_360, 520_752]
 
 
 _NUMERIC = ("g2_numeric", "coh_numeric", "mean_photon")
 
 
 def _n_max_10_rows_with_failures():
-    """Nine n_max-10 rows, four chunks of 2 and one row: fine ones, a lossless one and an overflowing one."""
+    """Nine n_max-10 rows, two chunks of 4 and one row: fine ones, a lossless one and an overflowing one."""
     rows = _grid_rows(cli.fig3_spec(nmax=10, grid=3), _mesh(cli.fig3_spec(nmax=10, grid=3).axes))
     lossless = replace(BASE, kappa=0.0, gamma=0.0, delta_a=1.0, delta=1.0).row()
     overflowing = replace(BASE, delta_a=1.7e308, delta=1.7e308).row()
@@ -355,10 +359,10 @@ def _n_max_10_rows_with_failures():
 
 @pytest.mark.parametrize("rows, h, outputs", [
     (_grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), OUTPUT_COLUMNS),
-    (_grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes)), HilbertConfig(), OUTPUT_COLUMNS),
+    (_grid_rows(fig1_spec(grid=81), _mesh(fig1_spec(grid=81).axes)), HilbertConfig(), OUTPUT_COLUMNS),
     (_n_max_10_rows_with_failures(), HilbertConfig(10), OUTPUT_COLUMNS),
     (_n_max_10_rows_with_failures(), HilbertConfig(10), _NUMERIC),
-], ids=["fig1_401", "fig1_53", "n_max_10_mixed", "n_max_10_mixed_numeric"])
+], ids=["fig1_401", "fig1_81", "n_max_10_mixed", "n_max_10_mixed_numeric"])
 def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
     outcomes, threads = {}, {}
     solve_chunk, solve_row = lindblad.steady_states_at, lindblad.steady_state
@@ -422,12 +426,12 @@ def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
 
 
 def _evaluate_with_a_failing_helper_then_without():
-    """Evaluate fig1 at 53 rows on two workers with an error in the helper's share, then again without one.
+    """Evaluate fig1 at 81 rows on two workers with an error in the helper's share, then again without one.
 
     Returns the second evaluate's values and failures, and the helper
     threads alive after each evaluate.
     """
-    rows = _grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes))
+    rows = _grid_rows(fig1_spec(grid=81), _mesh(fig1_spec(grid=81).axes))
     caller, solve_chunk = threading.get_ident(), lindblad.steady_states_at
 
     def chunk(rows, h):
@@ -469,7 +473,7 @@ def test_evaluate_leaves_no_sweep_thread_running():
 
 
 def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
-    grids = (53, 57, 61, 65)
+    grids = (81, 85, 89, 93)
     rows = {grid: _grid_rows(fig1_spec(grid=grid), _mesh(fig1_spec(grid=grid).axes)) for grid in grids}
     with mock.patch.object(sweep, "_WORKERS", 1):
         want = {grid: evaluate(rows[grid], HilbertConfig(), OUTPUT_COLUMNS)[0] for grid in grids}
@@ -499,11 +503,11 @@ def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
 
 def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian():
     h = HilbertConfig(10)
-    # two rows that are not each other's mirror, so they stay a chunk of two
-    rows = np.repeat(BASE.row(), 2, axis=0)
-    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 2.0)
-    rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 2.0)
-    assert sweep._chunk_size(h) == 2 and len(sweep._distinct_canonical(rows)[0]) == 2
+    # four rows, none the mirror of another, so they stay one chunk of four
+    rows = np.repeat(BASE.row(), 4, axis=0)
+    rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 2.0, 0.5, 3.0)
+    rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 2.0, 0.5, 3.0)
+    assert sweep._chunk_size(h) == 4 and len(sweep._distinct_canonical(rows)[0]) == 4
     evaluate(rows, h, OUTPUT_COLUMNS)
     tracemalloc.start()
     try:
@@ -634,23 +638,14 @@ _LINES[:, _DETUNINGS] = np.tile(_LINE_DELTAS, 3)[:, None]
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("nmax", [1, 4, 10])
 @pytest.mark.parametrize("mixed", [False, True], ids=["lines", "lines_and_mixed_rows"])
-def test_chunks_that_share_step_0_equal_their_rows_one_at_a_time(mixed, nmax, workers):
-    # in chunks of 4 rows each Delta line and its mirror is one chunk that
-    # shares step 0; MIXED_ROWS adds rows that fall between the lines
+def test_delta_line_chunks_equal_their_rows_one_at_a_time(mixed, nmax, workers):
+    # in chunks of 4 rows each Delta line and its mirror is one chunk;
+    # MIXED_ROWS adds rows that fall between the lines
     h = HilbertConfig(nmax)
     grid = np.concatenate([_LINES, _mirrored(_LINES)] + [MIXED_ROWS] * mixed)
-    shared, shares = [], lindblad._BlockKernel._shares_step_0
-
-    def noted(kernel, blocks, head):
-        shared.append(shares(kernel, blocks, head))
-        return shared[-1]
-
     with mock.patch.object(sweep, "_WORKERS", workers), \
-            mock.patch.object(sweep, "_CHUNK_BYTES", 4 * lindblad.steady_state_bytes(h)), \
-            mock.patch.object(lindblad._BlockKernel, "_shares_step_0", noted):
+            mock.patch.object(sweep, "_CHUNK_BYTES", 4 * lindblad.steady_state_bytes(h)):
         values, failed = evaluate(grid, h, OUTPUT_COLUMNS)
-    if not mixed:  # (a one-block retry of the singular line never shares)
-        assert shared.count(True) == 3
     assert {type(exc).__name__ for exc in failed.values()} >= {"NoDissipationError", "DegenerateSteadyStateError"}
     for r in range(len(grid)):
         one, one_failed = evaluate(grid[r:r + 1], h, OUTPUT_COLUMNS)
@@ -672,8 +667,8 @@ def test_a_one_row_evaluate_solves_its_row_as_given():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(workers):
     # a tracer of sweep.steady_state sees one call for each point query and
-    # none for a sweep: fig1's 401 rows solve 201, 7 chunks of 26 and one of
-    # 19, and with _CHUNK_BYTES at 1 every chunk has one row
+    # none for a sweep: fig1's 401 rows solve 201, 5 chunks of 40 and one
+    # row, and with _CHUNK_BYTES at 1 every chunk has one row
     fig1_rows, h, callers = _grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), []
     with mock.patch.object(sweep, "_WORKERS", workers), \
             mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, callers)):
@@ -692,12 +687,14 @@ def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(wo
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_grid_at_n_max_11_in_one_row_chunks_equals_its_rows_one_at_a_time(workers):
-    # from n_max 11 a chunk holds one row; MIXED_ROWS has a lossless row,
-    # an overflowing one and two the certificate refuses
+    # a budget of one row's bytes, which from n_max 14 is _CHUNK_BYTES
+    # itself (test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers);
+    # MIXED_ROWS has a lossless row, an overflowing one and two the
+    # certificate refuses
     h = HilbertConfig(11)
-    assert sweep._chunk_size(h) == 1
     solvers = []
     with mock.patch.object(sweep, "_WORKERS", workers), \
+            mock.patch.object(sweep, "_CHUNK_BYTES", lindblad.steady_state_bytes(h)), \
             mock.patch.object(sweep, "steady_states_at", _noting_threads(lindblad.steady_states_at, solvers)):
         values, failed = evaluate(MIXED_ROWS, h, _NUMERIC)
     # seven one-row chunks: on two workers the helper solves three of them
