@@ -611,7 +611,7 @@ def test_a_refused_liouvillian_of_odd_dimension_is_inverted_once(monkeypatch):
 
 
 @pytest.mark.parametrize("nmax", range(1, 11))
-def test_steady_states_at_gives_steady_state_of_each_dense_liouvillian(nmax, monkeypatch):
+def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch):
     h = HilbertConfig(nmax)
 
     def no_full_pattern(n):
@@ -750,6 +750,27 @@ def _delta_line(p, deltas):
     return rows
 
 
+def _bits(stack):
+    """Each row of a stack as its bytes."""
+    return [row.tobytes() for row in stack]
+
+
+@pytest.mark.parametrize("nmax", range(1, 12))
+def test_a_delta_line_loads_the_same_step_0_inputs_on_every_row(nmax):
+    # with a'a exact, the delta_a and delta parts of L cancel to the bit on
+    # every q = 0 entry where delta_a = delta, so block row 0 and B~_0, the
+    # blocks of step 0, load alike on every row; the blocks of q >= 1 keep Delta
+    rng = np.random.default_rng(nmax)
+    deltas = np.concatenate([fig1_spec().axis1.values()[::40], rng.uniform(-40.0, 40.0, 5)])
+    h, rows = HilbertConfig(nmax), _delta_line(FIG1, deltas)
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    kernel._load(basis.values(rows), basis.pattern.slots(kernel))
+    steps = kernel._buffers(len(rows)).steps
+    for block in (steps[0].a, steps[0].u, steps[0].b):
+        assert _bits(block) == _bits(block[:1]) * len(rows)
+    assert len(set(_bits(steps[1].a))) == len(rows)
+
+
 # Delta lines: fine rows, lossless rows and rows with g = gamma = 0, whose M
 # is exactly singular
 _LINES = {
@@ -761,6 +782,60 @@ _LINES = {
 
 def outcome(vecs, beta, singular):
     return vecs.tobytes(), beta.tobytes(), {r: (type(e), str(e)) for r, e in singular.items()}
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 4, 10])
+@pytest.mark.parametrize("line", sorted(_LINES))
+def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
+    # the rows of a Delta line share the inputs of step 0, but S_0 is formed
+    # last, from blocks that keep Delta, so each row is solved on its own:
+    # by the kernel and by steady_states_at, as it is alone
+    h, rows = HilbertConfig(nmax), _LINES[line]
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    slots, values = basis.pattern.slots(kernel), basis.values(rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vecs, beta, singular = kernel.solve_values(values, slots)
+        want = [outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {})
+                for r in range(len(rows))]
+        for r in range(len(rows)):
+            assert outcome(*kernel.solve_values(values[r:r + 1], slots)) == want[r], r
+    chunk, failures = steady_states_at(rows, h)
+    for r in range(len(rows)):
+        one, one_failures = steady_states_at(rows[r:r + 1], h)
+        assert one.tobytes() == chunk[r:r + 1].tobytes()
+        assert ({k: (type(e), str(e)) for k, e in one_failures.items()}
+                == ({0: (type(failures[r]), str(failures[r]))} if r in failures else {}))
+    assert len(failures) == (0 if line == "fine" else len(rows))
+    if line == "fine":
+        assert not singular and np.isfinite(chunk).all()
+
+
+@pytest.mark.parametrize("nmax", [1, 4, 10])
+def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
+    h = HilbertConfig(nmax)
+    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    slots, values = basis.pattern.slots(kernel), basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
+    unedited = values.copy()
+    # one nonzero of B~_0, made larger in the last row
+    take, at = slots
+    start, shape, _ = kernel._regions["b", 0]
+    in_b0 = np.flatnonzero((at >= start) & (at < start + 2 * shape[0] * shape[1]))
+    values[-1, in_b0[0] if take is None else take[in_b0[0]]] *= 1.5
+    pivots, pivot_inverse = [], lindblad._pivot_inverse
+
+    def pivot(stack, singular):
+        pivots.append(stack.shape[0])
+        return pivot_inverse(stack, singular)
+
+    monkeypatch.setattr(lindblad, "_pivot_inverse", pivot)
+    vecs, beta, singular = kernel.solve_values(values, slots)
+    # each pivot, S_0 too, is inverted for every row
+    assert pivots == [3] * (kernel.last + 1) and not singular
+    vecs, beta = vecs.copy(), beta.copy()
+    for r in range(3):
+        assert outcome(*kernel.solve_values(values[r:r + 1], slots)) == outcome(vecs[r:r + 1], beta[r:r + 1], {})
+    # and the edit moves the last row's state
+    assert not np.array_equal(kernel.solve_values(unedited[-1:], slots)[0], vecs[-1:])
 
 
 @pytest.mark.parametrize("refined", [False, True], ids=["unrefined", "refined"])
@@ -825,7 +900,7 @@ def test_steady_state_takes_a_real_matrix_of_any_dtype_as_float64(dtype):
 
 @pytest.mark.parametrize("shape", [(1, 0, 0), (0, 0, 0), (2, 3, 3), (2, 4, 9),
                                    (), (4,), (1, 4, 4), (3, 3), (4, 9), (0, 0)])
-def test_steady_state_refuses_anything_but_one_d2_by_d2_matrix(shape):
+def test_steady_states_refuses_a_stack_that_is_not_of_d2_by_d2_matrices(shape):
     # steady_state takes one d^2 x d^2 matrix: no stack, not even of one
     with pytest.raises(ValueError, match="expected a d\\^2 x d\\^2 Liouvillian"):
         steady_state(np.zeros(shape))

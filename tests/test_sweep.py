@@ -357,14 +357,18 @@ def _n_max_10_rows_with_failures():
     return np.concatenate([rows[:2], lossless, rows[2:5], overflowing, rows[5:7]])
 
 
-@pytest.mark.parametrize("rows, h, outputs", [
-    (_grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), OUTPUT_COLUMNS),
-    (_grid_rows(fig1_spec(grid=81), _mesh(fig1_spec(grid=81).axes)), HilbertConfig(), OUTPUT_COLUMNS),
-    (_n_max_10_rows_with_failures(), HilbertConfig(10), OUTPUT_COLUMNS),
-    (_n_max_10_rows_with_failures(), HilbertConfig(10), _NUMERIC),
-], ids=["fig1_401", "fig1_81", "n_max_10_mixed", "n_max_10_mixed_numeric"])
-def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
+@pytest.mark.parametrize("rows, h, outputs, chunk_rows", [
+    (_grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), OUTPUT_COLUMNS, None),
+    # 27 distinct rows: one chunk at the default budget, so a budget of 26
+    # rows makes a chunk and a one-row remainder
+    (_grid_rows(fig1_spec(grid=53), _mesh(fig1_spec(grid=53).axes)), HilbertConfig(), OUTPUT_COLUMNS, 26),
+    (_grid_rows(fig1_spec(grid=81), _mesh(fig1_spec(grid=81).axes)), HilbertConfig(), OUTPUT_COLUMNS, None),
+    (_n_max_10_rows_with_failures(), HilbertConfig(10), OUTPUT_COLUMNS, None),
+    (_n_max_10_rows_with_failures(), HilbertConfig(10), _NUMERIC, None),
+], ids=["fig1_401", "fig1_53", "fig1_81", "n_max_10_mixed", "n_max_10_mixed_numeric"])
+def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs, chunk_rows):
     outcomes, threads = {}, {}
+    budget = sweep._CHUNK_BYTES if chunk_rows is None else chunk_rows * lindblad.steady_state_bytes(h)
     solve_chunk, solve_row = lindblad.steady_states_at, lindblad.steady_state
     for workers in (1, 2):
         threads[workers] = chunk_threads, row_threads = [], []
@@ -378,6 +382,7 @@ def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs):
             return solve_row(liou, coordinates)
 
         with mock.patch.object(sweep, "_WORKERS", workers), \
+                mock.patch.object(sweep, "_CHUNK_BYTES", budget), \
                 mock.patch.object(sweep, "steady_states_at", chunk), \
                 mock.patch.object(sweep, "steady_state", row):
             values, failed = evaluate(rows, h, outputs)
@@ -628,7 +633,7 @@ def test_the_distinct_rows_come_sorted_in_field_order_so_each_delta_line_is_one_
 
 
 # Delta lines of 4 distinct rows at n_max 4: fine rows, lossless rows and
-# rows with g = gamma = 0, whose first pivot block S_0 is singular
+# rows with g = gamma = 0, whose M is exactly singular
 _LINE_DELTAS = [0.25, 0.5, 1.0, 2.0]
 _LINES = np.concatenate([np.repeat(row, 4, axis=0) for row in (
     BASE.row(), replace(BASE, kappa=0.0, gamma=0.0).row(), replace(BASE, g=0.0, gamma=0.0).row())])
@@ -638,9 +643,10 @@ _LINES[:, _DETUNINGS] = np.tile(_LINE_DELTAS, 3)[:, None]
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("nmax", [1, 4, 10])
 @pytest.mark.parametrize("mixed", [False, True], ids=["lines", "lines_and_mixed_rows"])
-def test_delta_line_chunks_equal_their_rows_one_at_a_time(mixed, nmax, workers):
-    # in chunks of 4 rows each Delta line and its mirror is one chunk;
-    # MIXED_ROWS adds rows that fall between the lines
+def test_chunks_that_share_step_0_equal_their_rows_one_at_a_time(mixed, nmax, workers):
+    # in chunks of 4 rows each Delta line and its mirror is one chunk, whose
+    # rows load the same step-0 blocks; MIXED_ROWS adds rows that fall
+    # between the lines
     h = HilbertConfig(nmax)
     grid = np.concatenate([_LINES, _mirrored(_LINES)] + [MIXED_ROWS] * mixed)
     with mock.patch.object(sweep, "_WORKERS", workers), \
