@@ -42,8 +42,8 @@ refinement then recovers the accuracy that this order gives up on the
 smallest populations. The kernel is loaded one way, from the nonzeros of
 L_r: their pattern is fixed for each truncation, so a sweep never forms its
 dense Liouvillians (steady_states_at), and steady_state on one L reads it
-through the same pattern, or through the full one, with one real block, if
-L has a nonzero off it.
+through the same pattern. An L with a nonzero off it, and a row the block
+solve's gates refuse, get a dense solve of the bordered system instead.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,13 +329,13 @@ class _Pattern:
 
     A stack of such matrices is held as its values at idx, one row a matrix.
     The pattern keeps the nonzeros on the diagonal, the nonzero at the
-    transpose position of each (-1 where there is none), the column and the
-    row runs of the product L_r x, and the slot of each nonzero in a block
-    kernel's buffer (slots).
+    transpose position of each (-1 where there is none), and the column and
+    the row runs of the product L_r x; a basis pattern also keeps the slot of
+    each nonzero in the block kernel's buffer (slots).
     """
 
     def __init__(self, idx: np.ndarray, n: int):
-        self.idx = idx
+        self.idx, self.n = idx, n
         # idx ascends, so each row's nonzeros are one run, starting at _starts
         rows, self._cols = np.divmod(idx, n)
         self._diagonal = np.flatnonzero(rows == self._cols)
@@ -344,7 +344,6 @@ class _Pattern:
         self._transpose = _read_only(np.where(idx[at] == mirror, at, -1))
         self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self._filled = rows[self._starts]
-        self._slots = {}
 
     def product(self, values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
@@ -353,19 +352,15 @@ class _Pattern:
                                                self._starts, axis=1)
         return out
 
-    def slots(self, kernel: _BlockKernel) -> np.ndarray:
-        """Where each nonzero sits in a row of the kernel's blocks buffer, found once per layout.
-
-        Threads that race here each find the same map, so either one may stay.
-        """
-        if kernel.key not in self._slots:
-            self._slots[kernel.key] = kernel.slots(self.idx)
-        return self._slots[kernel.key]
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where the block kernel of this dimension loads the nonzeros (_BlockKernel.slots), found once."""
+        return _block_kernel(math.isqrt(self.n)).slots(self.idx)
 
 
 @cache
 def _full_pattern(n: int) -> _Pattern:
-    """Every entry of an n x n matrix: how steady_state reads an L_r off its basis's pattern, with one block."""
+    """Every entry of an n x n matrix: how steady_state reads an L_r off its basis's pattern."""
     return _Pattern(np.arange(n * n), n)
 
 
@@ -450,9 +445,7 @@ class _BlockKernel:
     symmetry of Buca and Prosen, New J. Phys. 14, 073007, 2012), so ordered
     by q, L_r and M are block tridiagonal, with the trace row inside the
     q = 0 block: 18/32/24/16/8/2 coordinates at n_max 4, 42/80/72/.../8/2 at
-    n_max 10. With one block of all coordinates, the kernel is the dense
-    inverse, for an L_r off the basis pattern (LiouvillianBasis) and for odd
-    d (not atom x cavity).
+    n_max 10.
 
     The +q and -q parts of rho are each other's adjoints, so L acts on the
     elements of order q >= 1 as a complex-linear map of half the size. Each
@@ -486,8 +479,7 @@ class _BlockKernel:
     add is left out. g2 and the photon number rest on x_0 and do not see
     it; with a residual rounded in double it moves the coherences by about
     their own error, a few ulps, and it took their worst error on fig3 at
-    n_max 10 from 6.9e-16 to 1.3e-15. With one block there is no
-    refinement: the state is column 0 of the one LAPACK inverse of M.
+    n_max 10 from 6.9e-16 to 1.3e-15.
 
     Taken in reverse block order, M is block tridiagonal with the block LU
     factors of these steps, M = L_b U_b, so ||M^-1||_1 <= ||U_b^-1||_1
@@ -506,12 +498,11 @@ class _BlockKernel:
     beta is set to inf: such a computed inverse has no correct digit, and
     its norm came out up to 800 times below the dense one on M with
     ||M^-1||_1 near 1e20. The certificate would refuse such a row whatever
-    its beta, so the one-block solve takes it. With one block, beta is
-    ||M^-1||_1.
+    its beta, so the dense solve (_dense_solve) takes it.
 
     One loader fills the kernel's factors buffer, and _factor solves it:
     _load writes the nonzeros of a stack of L_r at their slots (slots, found
-    once per pattern by _Pattern.slots), the other entries zero. Each block
+    once per basis pattern by _Pattern.slots), the other entries zero. Each block
     is stored as its transpose, and block k >= 1 as complex numbers, one
     entry taken from the nonzero at [u_e, u_f] and one from [v_e, u_f]: the
     nonzeros in the columns v_f repeat them and are not written. Block row
@@ -529,32 +520,29 @@ class _BlockKernel:
     NaN marks a row the kernel cannot solve, one that meets a singular pivot:
     that pivot's inverse is written NaN. The NaN runs on into that row's
     state and beta, and no step mixes rows, so the other rows of a stack keep
-    their bits. A pattern read by a kernel of more than one block lies on
-    the block pattern; the basis pattern does, since only the drive changes
-    the coherence order.
+    their bits. A pattern read by the kernel lies on the block pattern; the
+    basis pattern does, since only the drive changes the coherence order.
 
     A kernel holds only its read-only layout (slot tables, norm runs), built
-    once per dimension and layout (_block_kernel) and shared by all threads;
-    the buffers it writes belong to the calling thread (_thread_kernels).
+    once per dimension (_block_kernel) and shared by all threads; the
+    buffers it writes belong to the calling thread (_thread_kernels).
     """
 
-    def __init__(self, dim: int, single: bool):
+    def __init__(self, dim: int):
         rows, cols, off, first = _layout(dim)
         n = dim * dim
-        self.key = (dim, single)
+        self.dim = dim
+        excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
+        q = np.abs(excitation[rows] - excitation[cols])
         order_of = np.zeros(n, dtype=np.intp)
-        groups = [np.arange(n)]
-        if not single:
-            excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
-            q = np.abs(excitation[rows] - excitation[cols])
-            order_of[first] = q
-            order_of[first[off] + 1] = q[off]
-            # (u, v) of each element: (x_a, x_s) where N_i > N_j, else (x_s, x_a)
-            u = first + (excitation[rows] > excitation[cols])
-            pairs = np.stack([u, 2 * first + 1 - u], axis=1)
-            # q = 0 in the coordinates' own order, so rho_00 stays first
-            groups = [np.flatnonzero(order_of == 0)]
-            groups += [pairs[off & (q == k)].reshape(-1) for k in range(1, q.max() + 1)]
+        order_of[first] = q
+        order_of[first[off] + 1] = q[off]
+        # (u, v) of each element: (x_a, x_s) where N_i > N_j, else (x_s, x_a)
+        u = first + (excitation[rows] > excitation[cols])
+        pairs = np.stack([u, 2 * first + 1 - u], axis=1)
+        # q = 0 in the coordinates' own order, so rho_00 stays first
+        groups = [np.flatnonzero(order_of == 0)]
+        groups += [pairs[off & (q == k)].reshape(-1) for k in range(1, q.max() + 1)]
         self.sizes = [g.size for g in groups]
         self.n, self.last, self._q_of = n, len(groups) - 1, order_of
         # the coordinate at each position of the kernel, and the position of each
@@ -572,7 +560,7 @@ class _BlockKernel:
         # [A_0 | U_0] and B~_0^T, then A_k^T and B_k^T for each k >= 1,
         # complex, which it overwrites with the factors the norms read; then
         # each U_k^T, which it only reads. Each region is a (shape, complex) pair.
-        head = s[0] + (s[1] if last else 0)
+        head = s[0] + s[1]
         regions = {("f", k): ((s[k] // (1 + (k > 0)), s[k + 1] // 2), True) for k in range(last)}
         regions["a", 0] = ((s[0], head), False)
         for k in range(last + 1):
@@ -586,7 +574,7 @@ class _BlockKernel:
             self._regions[key] = (end, shape, cplx)
             end += shape[0] * shape[1] * (2 if cplx else 1)
         self._loaded = self._regions["a", 0][0]
-        self._normed = self._regions["u", 1][0] if last > 1 else end
+        self._normed = self._regions["u", 1][0]
         start = lambda key: self._regions[key][0]  # noqa: E731
 
         # slot = start + row * row_stride + col * col_stride, by the blocks
@@ -594,9 +582,8 @@ class _BlockKernel:
         # element of a pair in a complex block, whose column v is not stored
         tables = np.zeros((4, last + 1, last + 1), dtype=np.intp)
         tables[:, 0, 0] = start(("a", 0)), head, 1, 0
-        if last:
-            tables[:, 0, 1] = start(("a", 0)) + s[0], head, 1, 0
-            tables[:, 1, 0] = start(("b", 0)), 1, s[1], 0
+        tables[:, 0, 1] = start(("a", 0)) + s[0], head, 1, 0
+        tables[:, 1, 0] = start(("b", 0)), 1, s[1], 0
         for k in range(1, last + 1):
             tables[:, k, k] = start(("a", k)), 1, s[k], 1
             if k < last:
@@ -615,11 +602,8 @@ class _BlockKernel:
             width *= 2 if cplx else 1
             if (name, k) == ("a", 0):
                 for r in range(height):
-                    runs.append(at + r * width)
-                    named.append(("p", 0))
-                    if last:
-                        runs.append(at + r * width + s[0])
-                        named.append(None)
+                    runs += [at + r * width, at + r * width + s[0]]
+                    named += [("p", 0), None]
                 continue
             if name == "u":
                 break
@@ -647,13 +631,11 @@ class _BlockKernel:
         # a row's doubles in each buffer of _buffers: factors, work, state, sums;
         # the work holds a Schur update (or U_0^T's partner J U_0^T) and then
         # one block of a vector
-        matrices = [s[0] ** 2, s[1] * s[0]] if last else [0]
-        matrices += [s[k] ** 2 // 2 for k in range(1, last)]
-        self._vector_at = max(matrices)
+        self._vector_at = max([s[0] ** 2, s[1] * s[0]] + [s[k] ** 2 // 2 for k in range(1, last)])
         # max n_k eps: a pivot whose condition number reaches its inverse is
         # singular to working precision
         self._unit_roundoff = max(s) * np.finfo(float).eps
-        self._widths = (end, self._vector_at + (max(s) if last else 0), 2 * n, len(named) + 2)
+        self._widths = (end, self._vector_at + max(s), 2 * n, len(named) + 2)
         self.row_bytes = 8 * sum(self._widths)
 
     def _buffers(self, count: int) -> SimpleNamespace:
@@ -666,7 +648,7 @@ class _BlockKernel:
         norms read (see the class docstring).
         """
         kernels = vars(_thread_kernels).setdefault("by_dim", {})
-        mine = kernels.get(self.key) or kernels.setdefault(self.key, SimpleNamespace(capacity=0))
+        mine = kernels.get(self.dim) or kernels.setdefault(self.dim, SimpleNamespace(capacity=0))
         if count > mine.capacity:
             mine.factors, mine.work, mine.state, mine.sums = (
                 np.empty((count, width)) for width in self._widths)
@@ -701,8 +683,7 @@ class _BlockKernel:
                 flat = getattr(whole, name)[:, span]
                 setattr(step, name + "_r", flat.reshape(count, 1, size))
                 setattr(step, name, region(flat, 0, (1, size // (1 + cplx)), cplx))
-            if self.last:
-                step.tmp = region(work, self._vector_at, (1, size // (1 + cplx)), cplx)
+            step.tmp = region(work, self._vector_at, (1, size // (1 + cplx)), cplx)
             step.a = region(factors, *self._regions["a", k])
             if k < self.last:
                 at, shape, _ = self._regions["b", k]
@@ -723,19 +704,16 @@ class _BlockKernel:
                 else:
                     step.u = region(factors, *self._regions["u", k])
                     step.g = region(factors, at, shape[::-1], True)
-            elif k == 0:
-                step.trace = step.a[:, 0]
             steps.append(step)
         whole.steps = steps
         return whole
 
-    def slots(self, idx: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    def slots(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which entries of L_r at the flat indices idx the loader writes, and where in a row of the factors.
 
-        Returns take and at: the entry idx[take[j]] goes to at[j] (take is
-        None when every entry is written). Every entry must lie on the block
-        pattern: within one coherence order of its row's (see the class
-        docstring).
+        Returns take and at: the entry idx[take[j]] goes to at[j]. Every entry
+        must lie on the block pattern: within one coherence order of its
+        row's (see the class docstring).
         """
         r, c = np.divmod(idx, self.n)
         kr, kc = self._q_of[r], self._q_of[c]
@@ -743,23 +721,19 @@ class _BlockKernel:
         start, row_stride, col_stride, halved = self._slot_tables[:, kr, kc]
         at = start + row * row_stride + (col >> halved) * col_stride
         written = (col & halved) == 0
-        if written.all():
-            return None, at
         return np.flatnonzero(written), at[written]
 
     def solve_values(self, values: np.ndarray, slots, drift=None) -> tuple[np.ndarray, np.ndarray, dict]:
         """The solve of a stack of L_r given by their nonzeros: values at the slots of the factors.
 
         drift(vecs), given, is L_r x for each row of the (count, n)
-        coordinates vecs, and a kernel of more than one block takes one
-        refinement step with it.
+        coordinates vecs, and the kernel takes one refinement step with it.
         """
         self._load(values, slots)
         vecs, beta, singular = self._factor(len(values), drift)
-        if self.last:
-            # beta >= ||S_k^-1||_1, and max |M| stands in for ||S_k||_1
-            magnitude = np.maximum(1.0, np.maximum(values.max(axis=1), -values.min(axis=1)))
-            beta[self._unit_roundoff * magnitude * beta >= 1.0] = np.inf
+        # beta >= ||S_k^-1||_1, and max |M| stands in for ||S_k||_1
+        magnitude = np.maximum(1.0, np.maximum(values.max(axis=1), -values.min(axis=1)))
+        beta[self._unit_roundoff * magnitude * beta >= 1.0] = np.inf
         return vecs, beta, singular
 
     def _load(self, values: np.ndarray, slots) -> None:
@@ -767,8 +741,7 @@ class _BlockKernel:
         take, at = slots
         whole = self._buffers(len(values))
         whole.loaded.fill(0.0)
-        if take is not None:
-            values = np.take(values, take, axis=1)
+        values = np.take(values, take, axis=1)
         for row, nonzeros in zip(whole.factors, values):  # a row at a time: 3x faster than factors[:, at]
             row[at] = nonzeros
 
@@ -814,7 +787,7 @@ class _BlockKernel:
         steps[0].x[:, 0] = pivot[:, :, 0]
         np.copyto(steps[0].a, pivot.transpose(0, 2, 1))  # A_0 is spent: its slot keeps S_0^-T
         self._spread(steps)
-        if drift is not None and last:
+        if drift is not None:
             # r = e0 - M x in the kernel's order, condensed to z_0 = e0 - S_0 x_0
             residual = drift(np.take(whole.x, self.position, axis=1))
             np.negative(np.take(residual, self.order, axis=1), out=whole.z)
@@ -866,15 +839,37 @@ def _pivot_inverse(stack: np.ndarray, singular: dict) -> np.ndarray:
         return out
 
 
-# Each thread keeps its own buffers for each kernel, by the kernel's key, for
+def _dense_solve(pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The states, betas and singular rows of a stack of L_r given by its values at pattern, by dense inverse.
+
+    Each M, L_r scattered dense with the trace row written in as row 0, is
+    inverted by LAPACK (_pivot_inverse): the state is column 0 of M^-1 and
+    beta is ||M^-1||_1; a singular M leaves its row NaN. Each column of
+    |M^-1| is summed contiguously by np.add.reduceat, which gives a row the
+    same bits in any stack.
+    """
+    n = pattern.n
+    d = math.isqrt(n)
+    _, _, off, first = _layout(d)
+    bordered = _dense(d, pattern.idx, values)
+    bordered[:, 0] = 0.0
+    bordered[:, 0, first[~off]] = 1.0
+    singular = {}
+    inverse = _pivot_inverse(bordered, singular)
+    columns = np.abs(inverse.transpose(0, 2, 1).reshape(len(values), n * n))
+    beta = np.add.reduceat(columns, np.arange(0, n * n, n), axis=1).max(axis=1)
+    return inverse[:, :, 0].copy(), beta, singular
+
+
+# Each thread keeps its own buffers for each kernel, by its dimension, for
 # as long as it runs: a kernel's buffers are written on every call.
 _thread_kernels = threading.local()
 
 
 @cache
-def _block_kernel(dim: int, single: bool = False) -> _BlockKernel:
-    """The kernel of dimension dim, shared by all threads; one block if single, which odd dim needs."""
-    return _BlockKernel(dim, single)
+def _block_kernel(dim: int) -> _BlockKernel:
+    """The kernel of the even dimension dim, shared by all threads."""
+    return _BlockKernel(dim)
 
 
 def _require_real(liou: np.ndarray) -> None:
@@ -921,15 +916,15 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     ||M^-1||_1 by beta; the gates judge the refined x. It leaves x and beta
     NaN if it meets a singular pivot block, and a NaN bound fails the
     certificate.
-    The state is solved again by the kernel with one block, a dense inverse
-    of M whose beta is ||M^-1||_1, if it fails the certificate or the
-    residual gate, and not if the first two gates below refuse it; an L_r
-    refused later thus gets the error and message of the dense solve. It
-    gets the state and the message of its row in steady_states_at, which
-    runs the same passes and gates on the nonzeros of assembled
-    Liouvillians. Any other L_r (odd d, a matrix built by hand) is read
-    through the full pattern of all n^2 entries, and the one pass is the
-    dense one.
+    The state is solved again by the dense solve (_dense_solve), column 0 of
+    the LAPACK inverse of M, whose beta is ||M^-1||_1, if it fails the
+    certificate or the residual gate, and not if the first two gates below
+    refuse it; an L_r refused later thus gets the error and message of the
+    dense solve. It gets the state and the message of its row in
+    steady_states_at, which runs the same passes and gates on the nonzeros
+    of assembled Liouvillians. Any other L_r (odd d, a matrix built by hand)
+    is read through the full pattern of all n^2 entries, and the one pass is
+    the dense one.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -976,7 +971,7 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     if on_basis:
         vecs, failures = _solve_stack(pattern, values, _block_kernel(d))
     else:
-        vecs, failures = _solve_stack(_full_pattern(n), flat, _block_kernel(d, single=True))
+        vecs, failures = _solve_stack(_full_pattern(n), flat, None)
     if failures:
         raise failures[0]
     return vecs[0] if coordinates else unvectorize(vecs[0], d)
@@ -1003,13 +998,14 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
     return _solve_stack(basis.pattern, basis.values(rows), _block_kernel(h.dim))
 
 
-def _solve_stack(pattern: _Pattern, values: np.ndarray, kernel: _BlockKernel) -> tuple[np.ndarray, dict]:
+def _solve_stack(pattern: _Pattern, values: np.ndarray,
+                 kernel: _BlockKernel | None) -> tuple[np.ndarray, dict]:
     """The passes and gates of steady_state on a non-empty stack of L_r, given by its values at pattern.
 
-    kernel makes the first pass, with the drift L_r x of its first solve for
-    the refinement step; a kernel of more than one block hands the rows its
-    gates refuse to the one-block kernel of its dimension, which does not
-    refine.
+    The block kernel, given, makes the first pass, with the drift L_r x of
+    its first solve for the refinement step, and hands the rows its gates
+    refuse to the dense solve, which does not refine. Without a kernel the
+    dense solve is the one pass.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|;
@@ -1027,15 +1023,17 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray, kernel: _BlockKernel) ->
             no_dissipation[r] = not np.any(np.where(transpose < 0, row, row + row[transpose]))
         refused = non_finite | no_dissipation
 
-        vecs, beta, reasons = kernel.solve_values(values, pattern.slots(kernel),
-                                                  lambda vecs: pattern.product(values, vecs))
+        if kernel is None:
+            vecs, beta, reasons = _dense_solve(pattern, values)
+        else:
+            vecs, beta, reasons = kernel.solve_values(values, pattern.slots,
+                                                      lambda vecs: pattern.product(values, vecs))
         gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified
         retry = np.flatnonzero(~refused & (uncertified | unsettled))
-        if retry.size and len(kernel.spans) > 1:
-            single = _block_kernel(kernel.key[0], single=True)
-            vecs[retry], beta[retry], errors = single.solve_values(values[retry], pattern.slots(single))
+        if retry.size and kernel is not None:
+            vecs[retry], beta[retry], errors = _dense_solve(pattern, values[retry])
             reasons = {int(retry[r]): exc for r, exc in errors.items()}
             gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         gap_lo, null_hi, uncertified, residual, unsettled = gates

@@ -15,7 +15,7 @@ _FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta
 
 # Fine rows between the failing kinds: a lossless row (no dissipation), one
 # whose entries overflow, one with a singular pivot and an exactly singular M,
-# one that the block bound does not certify but the one-block solve does
+# one that the block bound does not certify but the dense solve does
 # (from n_max 2 up), and one that neither certifies.
 MIXED_ROWS = np.concatenate([
     _FIG1.row(), replace(_FIG1, kappa=0.0, gamma=0.0).row(),

@@ -80,10 +80,19 @@ def _fig4_corner():
 # queries, and that case's bounds. On these rows alone c5e92a3 erred by up
 # to 2.9e-12 in g2 and the complex top-down solve with one refinement step
 # by 1.2e-11, the worst of the grid for it.
+#
+# fig1_grid401 is the whole fig1 preset. Its bounds are 3x the worst errors
+# measured on the solve of 842fd79, not c5e92a3: g2 3.2e-13, coherence
+# 2.5e-15, mean photon number 1.6e-13. Its coherence bound lies above
+# fig1_grid41's: it holds the complex top-down solve of 0885f92 to its own
+# worst coherence error on this grid, 3.5x c5e92a3's 7.2e-16, and does not
+# ask for that accuracy back, so the coherence loss of 0885f92 that
+# CHANGES.md records stays open.
 _CASES = {
     "fig4_grid11": (lambda: _grid(fig4_spec(grid=11)), (2.9e-11, 1.4e-15, 1.5e-11)),
     "fig3_nmax10_grid5": (_fig3_rows, (4.3e-12, 1.3e-15, 2.1e-12)),
     "fig1_grid41": (lambda: _grid(fig1_spec(grid=41)), (5.1e-13, 2.2e-15, 2.6e-13)),
+    "fig1_grid401": (lambda: _grid(fig1_spec()), (9.6e-13, 7.5e-15, 4.8e-13)),
     # each row a point query, solved by steady_state on its dense L
     "fig4_corner_points": (_fig4_corner, (2.9e-11, 1.4e-15, 1.5e-11)),
 }
@@ -113,7 +122,7 @@ def test_the_refinement_step_recovers_what_the_top_down_order_loses_on_fig4():
     rows, h = _grid(fig4_spec(grid=11))
     basis, kernel = _basis(h), _block_kernel(h.dim)
     values = basis.values(rows)
-    slots = basis.pattern.slots(kernel)
+    slots = basis.pattern.slots
     want = reference_outputs(rows, h)["g2_numeric"]
     errors = []
     for drift in (None, lambda vecs: basis.pattern.product(values, vecs)):

@@ -212,20 +212,20 @@ def bordered_solve_state(liou):
 @pytest.mark.parametrize("spec", [fig1_spec(), fig3_spec(nmax=10, grid=5)],
                          ids=["fig1", "fig3_5x5_nmax10"])
 def test_certificate_accepts_every_preset_point(spec, monkeypatch):
-    kernels, block_kernel = [], lindblad._block_kernel
+    solved, dense_solve = [], lindblad._dense_solve
 
-    def counted(dim, single=False):
-        kernels.append(single)
-        return block_kernel(dim, single)
+    def counted(pattern, values):
+        solved.append(len(values))
+        return dense_solve(pattern, values)
 
-    monkeypatch.setattr(lindblad, "_block_kernel", counted)
+    monkeypatch.setattr(lindblad, "_dense_solve", counted)
     basis = LiouvillianBasis(spec.hilbert)
     for row in _grid_rows(spec, _mesh(spec.axes)):
         liou = basis.assemble(SystemParams(*row))
         rho = steady_state(liou)
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
-    # the bound of the block factors certified every row: none took the one-block solve
-    assert kernels and not any(kernels)
+    # the bound of the block factors certified every row: none took the dense solve
+    assert solved == []
 
 
 def complex_basis_state(liou):
@@ -330,28 +330,30 @@ def bordered(liou):
     return mat
 
 
-def kernel_solve(stack, single=False):
+def kernel_solve(stack, dense=False):
     """The block kernel's states, betas and singular pivots on a dense stack, read through the basis pattern.
 
     Each matrix must lie on the pattern of the LiouvillianBasis of its
-    dimension, as every Liouvillian the library assembles does.
+    dimension, as every Liouvillian the library assembles does. With dense
+    on, those of the dense solve instead.
     """
     d = math.isqrt(stack.shape[-1])
     pattern = lindblad._basis(HilbertConfig(d // 2 - 1)).pattern
     flat = stack.reshape(len(stack), -1)
     values = flat[:, pattern.idx]
     assert np.count_nonzero(values) == np.count_nonzero(flat), "a matrix off the basis pattern"
-    kernel = lindblad._block_kernel(d, single)
-    return kernel.solve_values(values, pattern.slots(kernel))
+    if dense:
+        return lindblad._dense_solve(pattern, values)
+    return lindblad._block_kernel(d).solve_values(values, pattern.slots)
 
 
-def block_solve(liou, single=False):
-    """The state and beta of the block kernel on one Liouvillian, NaN beta if it is not solved.
+def block_solve(liou, dense=False):
+    """The state and beta of the block kernel, or the dense solve, on one L_r; NaN beta if it is not solved.
 
     As in steady_state, an overflow is left to the gates, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vecs, beta, _ = kernel_solve(liou[None], single)
+        vecs, beta, _ = kernel_solve(liou[None], dense)
     return vecs[0], beta[0]
 
 
@@ -365,8 +367,8 @@ def test_block_solve_is_column_0_of_the_dense_inverse(spec):
         vec, beta = block_solve(liou)
         assert np.max(np.abs(vec - want[:, 0])) <= 1e-12 * np.max(np.abs(want[:, 0])), row
         assert exact <= beta <= 4.0 * exact, row
-        # with one block, the state is the dense inverse's and the bound its norm
-        vec, beta = block_solve(liou, single=True)
+        # the dense solve's state is the dense inverse's, and its bound that inverse's norm
+        vec, beta = block_solve(liou, dense=True)
         assert np.array_equal(vec, want[:, 0]), row
         assert abs(beta - exact) <= 1e-13 * exact, row
 
@@ -560,13 +562,14 @@ def test_an_l_on_the_block_pattern_but_off_the_basis_pattern_gets_only_the_dense
     on_blocks = np.flatnonzero(np.abs(q[:, None] - q[None, :]) <= 1)
     spare = np.setdiff1d(on_blocks[on_blocks >= q.size], LiouvillianBasis(H4).pattern.idx)
     assert spare.size == 5235
-    built, block_kernel = [], lindblad._block_kernel
+    built, solved, dense_solve = [], [], lindblad._dense_solve
 
-    def counted(dim, single=False):
-        built.append(single)
-        return block_kernel(dim, single)
+    def counted(pattern, values):
+        solved.append(len(values))
+        return dense_solve(pattern, values)
 
-    monkeypatch.setattr(lindblad, "_block_kernel", counted)
+    monkeypatch.setattr(lindblad, "_block_kernel", built.append)
+    monkeypatch.setattr(lindblad, "_dense_solve", counted)
     picked = spare[np.linspace(0, spare.size - 1, 9).astype(int)]
     for k in picked:
         hand = liou.copy()
@@ -574,7 +577,7 @@ def test_an_l_on_the_block_pattern_but_off_the_basis_pattern_gets_only_the_dense
         want = dense_steady_state(hand)
         assert isinstance(want, np.ndarray), (k, want)
         assert np.array_equal(steady_state(hand, coordinates=True), want), k
-    assert built == [True] * picked.size
+    assert built == [] and solved == [1] * picked.size
 
 
 def test_a_liouvillian_of_odd_dimension_gets_the_dense_solve():
@@ -625,17 +628,17 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
             want[r] = steady_state(liou, coordinates=True)
         except (ValueError, SolverError) as exc:
             want_failures[r] = exc
-    retried, dense, block_kernel, to_dense = [], [], lindblad._block_kernel, lindblad._dense
+    retried, dense, dense_solve, to_dense = [], [], lindblad._dense_solve, lindblad._dense
 
-    def counted(dim, single=False):
-        retried.append(single)
-        return block_kernel(dim, single)
+    def counted(pattern, values):
+        retried.append(len(values))
+        return dense_solve(pattern, values)
 
     def formed(dim, idx, values):
         dense.append(values.shape[0])
         return to_dense(dim, idx, values)
 
-    monkeypatch.setattr(lindblad, "_block_kernel", counted)
+    monkeypatch.setattr(lindblad, "_dense_solve", counted)
     monkeypatch.setattr(lindblad, "_dense", formed)
     vecs, failures = steady_states_at(MIXED_ROWS, h)
     assert vecs.tobytes() == want.tobytes()
@@ -643,9 +646,10 @@ def test_steady_states_at_is_steady_states_of_the_dense_stack(nmax, monkeypatch)
             == {r: (type(e), str(e)) for r, e in want_failures.items()})
     assert sorted(failures) == [1, 2, 3, 5]
     assert np.isfinite(vecs[[0, 4, 6]]).all()
-    assert any(retried)
-    # no dense L is formed, not even for the row whose diagonal is zero
-    assert dense == []
+    assert retried
+    # no dense L is formed, not even for the row whose diagonal is zero: the
+    # only dense stacks are the bordered M of the rows the dense solve retries
+    assert dense == retried
     vecs, failures = steady_states_at(MIXED_ROWS[:0], h)
     assert vecs.shape == (0, h.dim**2) and failures == {}
 
@@ -665,43 +669,39 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     basis = LiouvillianBasis(h)
     rows = np.concatenate([MIXED_ROWS[[0, 1, 4, 6]], _delta_line(FIG1, [-3.0, 0.0, 0.7])])
     liou = liouvillians(rows, h)
-    for single in (False, True):
-        kernel = lindblad._block_kernel(h.dim, single)
-        take, at = basis.pattern.slots(kernel)
-        assert np.unique(at).size == at.size
-        kernel._load(basis.values(rows), (take, at))
-        steps = kernel._buffers(len(rows)).steps
-        spans = [kernel.order[span] for span in kernel.spans]
-        for r, full in enumerate(liou):
-            if single:
-                assert take is None and np.array_equal(steps[0].a[r], full)
-                continue
-            m = full[np.ix_(kernel.order, kernel.order)]
-            # block row 0 as it stands, then B~_0^T, then A_k^T, U_k^T and B_k^T
-            s0, s1 = kernel.sizes[:2]
-            assert np.array_equal(steps[0].a[r], m[:s0, :s0])
-            assert np.array_equal(steps[0].u[r], m[:s0, s0:s0 + s1])
-            assert np.array_equal(steps[0].b[r], complex_block(full, spans[1], list(spans[0])).T)
-            for k in range(1, kernel.last + 1):
-                assert np.array_equal(steps[k].a[r], complex_block(full, spans[k], spans[k]).T)
-                if k < kernel.last:
-                    assert np.array_equal(steps[k].u[r], complex_block(full, spans[k], spans[k + 1]).T)
-                    assert np.array_equal(steps[k].b[r], complex_block(full, spans[k + 1], spans[k]).T)
-        if single:
-            continue
-        # the entries left out are the columns v of the complex blocks, which
-        # repeat the others: M[v_e, v_f] = M[u_e, u_f], M[u_e, v_f] = -M[v_e, u_f]
-        n = h.dim ** 2
-        left = np.setdiff1d(np.arange(basis.pattern.idx.size), take)
-        r, c = np.divmod(basis.pattern.idx[left], n)
-        # (each block of q >= 1 opens at an even position, so a pair is (even, odd))
-        assert (kernel.position[r] >= kernel.sizes[0]).all() and (kernel.position[c] >= kernel.sizes[0]).all()
-        assert (kernel.position[c] % 2 == 1).all()
-        pair = kernel.order[kernel.position[c] - 1]
-        partner = kernel.order[kernel.position[r] ^ 1]
-        sign = np.where(kernel.position[r] % 2 == 1, 1.0, -1.0)
-        for full in liou:
-            assert np.array_equal(full[r, c], sign * full[partner, pair])
+    # the dense solve scatters every nonzero to its own place
+    assert np.array_equal(lindblad._dense(h.dim, basis.pattern.idx, basis.values(rows)), liou)
+    kernel = lindblad._block_kernel(h.dim)
+    take, at = basis.pattern.slots
+    assert np.unique(at).size == at.size
+    kernel._load(basis.values(rows), (take, at))
+    steps = kernel._buffers(len(rows)).steps
+    spans = [kernel.order[span] for span in kernel.spans]
+    for r, full in enumerate(liou):
+        m = full[np.ix_(kernel.order, kernel.order)]
+        # block row 0 as it stands, then B~_0^T, then A_k^T, U_k^T and B_k^T
+        s0, s1 = kernel.sizes[:2]
+        assert np.array_equal(steps[0].a[r], m[:s0, :s0])
+        assert np.array_equal(steps[0].u[r], m[:s0, s0:s0 + s1])
+        assert np.array_equal(steps[0].b[r], complex_block(full, spans[1], list(spans[0])).T)
+        for k in range(1, kernel.last + 1):
+            assert np.array_equal(steps[k].a[r], complex_block(full, spans[k], spans[k]).T)
+            if k < kernel.last:
+                assert np.array_equal(steps[k].u[r], complex_block(full, spans[k], spans[k + 1]).T)
+                assert np.array_equal(steps[k].b[r], complex_block(full, spans[k + 1], spans[k]).T)
+    # the entries left out are the columns v of the complex blocks, which
+    # repeat the others: M[v_e, v_f] = M[u_e, u_f], M[u_e, v_f] = -M[v_e, u_f]
+    n = h.dim ** 2
+    left = np.setdiff1d(np.arange(basis.pattern.idx.size), take)
+    r, c = np.divmod(basis.pattern.idx[left], n)
+    # (each block of q >= 1 opens at an even position, so a pair is (even, odd))
+    assert (kernel.position[r] >= kernel.sizes[0]).all() and (kernel.position[c] >= kernel.sizes[0]).all()
+    assert (kernel.position[c] % 2 == 1).all()
+    pair = kernel.order[kernel.position[c] - 1]
+    partner = kernel.order[kernel.position[r] ^ 1]
+    sign = np.where(kernel.position[r] % 2 == 1, 1.0, -1.0)
+    for full in liou:
+        assert np.array_equal(full[r, c], sign * full[partner, pair])
 
 
 @pytest.mark.parametrize("nmax", range(1, 11))
@@ -726,7 +726,7 @@ def test_a_fig1_sweep_builds_only_the_block_kernel():
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    assert built == [(H4.dim, False)]
+    assert built == [H4.dim]
 
 
 @pytest.mark.parametrize("nmax", range(1, 12))
@@ -764,7 +764,7 @@ def test_a_delta_line_loads_the_same_step_0_inputs_on_every_row(nmax):
     deltas = np.concatenate([fig1_spec().axis1.values()[::40], rng.uniform(-40.0, 40.0, 5)])
     h, rows = HilbertConfig(nmax), _delta_line(FIG1, deltas)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    kernel._load(basis.values(rows), basis.pattern.slots(kernel))
+    kernel._load(basis.values(rows), basis.pattern.slots)
     steps = kernel._buffers(len(rows)).steps
     for block in (steps[0].a, steps[0].u, steps[0].b):
         assert _bits(block) == _bits(block[:1]) * len(rows)
@@ -792,7 +792,7 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
     # by the kernel and by steady_states_at, as it is alone
     h, rows = HilbertConfig(nmax), _LINES[line]
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    slots, values = basis.pattern.slots(kernel), basis.values(rows)
+    slots, values = basis.pattern.slots, basis.values(rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vecs, beta, singular = kernel.solve_values(values, slots)
         want = [outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {})
@@ -814,13 +814,13 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
 def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    slots, values = basis.pattern.slots(kernel), basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
+    slots, values = basis.pattern.slots, basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
     unedited = values.copy()
     # one nonzero of B~_0, made larger in the last row
     take, at = slots
     start, shape, _ = kernel._regions["b", 0]
     in_b0 = np.flatnonzero((at >= start) & (at < start + 2 * shape[0] * shape[1]))
-    values[-1, in_b0[0] if take is None else take[in_b0[0]]] *= 1.5
+    values[-1, take[in_b0[0]]] *= 1.5
     pivots, pivot_inverse = [], lindblad._pivot_inverse
 
     def pivot(stack, singular):
@@ -846,7 +846,7 @@ def test_a_stacked_solve_gives_each_row_the_solve_it_gets_alone(nmax, refined):
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
     rows = np.concatenate(list(_LINES.values()) + [MIXED_ROWS])
-    slots, values = basis.pattern.slots(kernel), basis.values(rows)
+    slots, values = basis.pattern.slots, basis.values(rows)
 
     def drift(values):
         return (lambda vecs: basis.pattern.product(values, vecs)) if refined else None

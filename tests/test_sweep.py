@@ -320,7 +320,7 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         rows = np.repeat(BASE.row(), size, axis=0)
         lindblad.steady_states_at(rows, h)
         kernel = lindblad._block_kernel(h.dim)
-        mine = vars(lindblad._thread_kernels)["by_dim"][kernel.key]
+        mine = vars(lindblad._thread_kernels)["by_dim"][h.dim]
         buffers = (mine.factors, mine.work, mine.state, mine.sums)
         # block row 0 and B_0 real, each block of q >= 1 complex at half its
         # real size, and F_k^T the size of B_k^T
