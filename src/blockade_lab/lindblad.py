@@ -331,7 +331,9 @@ class _Pattern:
     The pattern keeps the nonzeros on the diagonal, the nonzero at the
     transpose position of each (-1 where there is none), and the column and
     the row runs of the product L_r x; a basis pattern also keeps the slot of
-    each nonzero in the block kernel's buffer (slots).
+    each nonzero in the block kernel's buffer (slots). Every row must hold an
+    entry, as every row of a basis pattern and of the full pattern does:
+    product takes the i-th run of entries as row i.
     """
 
     def __init__(self, idx: np.ndarray, n: int):
@@ -343,14 +345,10 @@ class _Pattern:
         at = np.minimum(np.searchsorted(idx, mirror), idx.size - 1)
         self._transpose = _read_only(np.where(idx[at] == mirror, at, -1))
         self._starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        self._filled = rows[self._starts]
 
     def product(self, values: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
-        out = np.zeros_like(vecs)
-        out[:, self._filled] = np.add.reduceat(values * np.take(vecs, self._cols, axis=1),
-                                               self._starts, axis=1)
-        return out
+        return np.add.reduceat(values * np.take(vecs, self._cols, axis=1), self._starts, axis=1)
 
     @cached_property
     def slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -505,17 +503,19 @@ class _BlockKernel:
     once per basis pattern by _Pattern.slots), the other entries zero. Each block
     is stored as its transpose, and block k >= 1 as complex numbers, one
     entry taken from the nonzero at [u_e, u_f] and one from [v_e, u_f]: the
-    nonzeros in the columns v_f repeat them and are not written. Block row
-    0 is [A_0 | U_0] as it stands, real, with the trace row written in as
-    row 0, and B_0 is held as B~_0^T. A row of a stack, its nonzeros
-    included, takes 53,360 bytes at n_max 4 and 520,752 at n_max 10, against
-    82,544 and 909,760 with every block real.
+    nonzeros in the columns v_f repeat them and are not written. A_0 and U_0
+    are stored as they stand, real, each in a slot of its own, with the
+    trace row written in as row 0 of A_0 and row 0 of U_0 zero, and B_0 is
+    held as B~_0^T. A row of a stack, its nonzeros included, takes 53,216
+    bytes at n_max 4 and 520,416 at n_max 10, against 82,544 and 909,760
+    with every block real.
 
     A solve leaves the factors buffer holding what the norms of beta read:
     the A_k slot holds |S_k^-T|, the B_k slot |G_k^T| (|realify(G_0)^T| for
     k = 0) and the bound part |F_k^T|, each written once the block it
     replaces is spent, and their absolute values taken after the refinement
-    step, which reads the factors.
+    step, which reads the factors. These slots lie before every U_k^T slot,
+    and each is a contiguous run of the rows whose sums the norms take.
 
     NaN marks a row the kernel cannot solve, one that meets a singular pivot:
     that pivot's inverse is written NaN. The NaN runs on into that row's
@@ -556,33 +556,33 @@ class _BlockKernel:
         s, last = self.sizes, self.last
 
         # The factors buffer of a row, in this order: F_k^T for each k < last,
-        # which a solve writes; block row 0 as one real (s_0, s_0 + s_1) matrix
-        # [A_0 | U_0] and B~_0^T, then A_k^T and B_k^T for each k >= 1,
-        # complex, which it overwrites with the factors the norms read; then
-        # each U_k^T, which it only reads. Each region is a (shape, complex) pair.
-        head = s[0] + s[1]
+        # which a solve writes; A_0, real, and B~_0^T, then A_k^T and B_k^T for
+        # each k >= 1, complex, which it overwrites with the factors the norms
+        # read; then U_0, real, and each U_k^T, which it only reads. Each
+        # region is a (shape, complex) pair.
         regions = {("f", k): ((s[k] // (1 + (k > 0)), s[k + 1] // 2), True) for k in range(last)}
-        regions["a", 0] = ((s[0], head), False)
+        regions["a", 0] = ((s[0], s[0]), False)
         for k in range(last + 1):
             if k:
                 regions["a", k] = ((s[k] // 2, s[k] // 2), True)
             if k < last:
                 regions["b", k] = regions["f", k]
+        regions["u", 0] = ((s[0], s[1]), False)
         regions.update((("u", k), ((s[k + 1] // 2, s[k] // 2), True)) for k in range(1, last))
         self._regions, end = {}, 0
         for key, (shape, cplx) in regions.items():
             self._regions[key] = (end, shape, cplx)
             end += shape[0] * shape[1] * (2 if cplx else 1)
         self._loaded = self._regions["a", 0][0]
-        self._normed = self._regions["u", 1][0]
+        self._normed = self._regions["u", 0][0]
         start = lambda key: self._regions[key][0]  # noqa: E731
 
         # slot = start + row * row_stride + col * col_stride, by the blocks
         # (kr, kc) of an entry M[r, c] and its place in them, with col the
         # element of a pair in a complex block, whose column v is not stored
         tables = np.zeros((4, last + 1, last + 1), dtype=np.intp)
-        tables[:, 0, 0] = start(("a", 0)), head, 1, 0
-        tables[:, 0, 1] = start(("a", 0)) + s[0], head, 1, 0
+        tables[:, 0, 0] = start(("a", 0)), s[0], 1, 0
+        tables[:, 0, 1] = start(("u", 0)), s[1], 1, 0
         tables[:, 1, 0] = start(("b", 0)), 1, s[1], 0
         for k in range(1, last + 1):
             tables[:, k, k] = start(("a", k)), 1, s[k], 1
@@ -590,43 +590,30 @@ class _BlockKernel:
                 tables[:, k, k + 1] = start(("u", k)), 1, s[k], 1
                 tables[:, k + 1, k] = start(("b", k)), 1, s[k + 1], 1
         self._slot_tables, self._slot_opens = _read_only(tables), bounds[:-1]
-        # row 0 of block row 0: the trace row, one at each diagonal coordinate
-        self._trace = _read_only(np.isin(np.arange(head), self._diagonal).astype(float))
+        # row 0 of A_0: the trace row, one at each diagonal coordinate
+        self._trace = _read_only(np.isin(np.arange(s[0]), self._diagonal).astype(float))
 
-        # The norms are the maxima of row sums over runs: the rows of |F_k^T|
-        # (f), of |S_k^-T| (p) and of |G_k^T| (g), or for k = 0 of
-        # |realify(G_0)^T| in the B~_0^T slot. The U_0 half of each row of
-        # block row 0 is a run that no norm reads (None).
-        named, runs = [], []
+        # The norms are the maxima of row sums over the rows of each region
+        # before U_0: |F_k^T| (f), |S_k^-T| (a) and |G_k^T| (b), rows of s_{k+1},
+        # s_k and s_k doubles, the last read as |realify(G_0)^T| for k = 0.
+        # Each region's rows open at one of _runs, and its maximum at one of
+        # _opens, in memory order, followed by the constants 1 and 0.
+        runs, opens = [], []
         for (name, k), (at, (height, width), cplx) in self._regions.items():
-            width *= 2 if cplx else 1
-            if (name, k) == ("a", 0):
-                for r in range(height):
-                    runs += [at + r * width, at + r * width + s[0]]
-                    named += [("p", 0), None]
-                continue
             if name == "u":
                 break
-            if name == "b":  # G_k^T: realify(G_0)^T (s_1, s_0), or (m_{k+1}, m_k) complex
-                height, width = (s[1], s[0]) if k == 0 else (width // 2, 2 * height)
-            runs += [at + r * width for r in range(height)]
-            named += [({"a": "p", "b": "g"}.get(name, name), k)] * height
+            opens.append(len(runs))
+            runs += range(at, at + height * width * (2 if cplx else 1), s[k + (name == "f")])
         self._runs = _read_only(np.array(runs))
-        keys = [("p", k) for k in range(last + 1)] + [(x, k) for x in "fg" for k in range(last)]
-        kept, segments = [], []
-        for key in keys:
-            segments.append(len(kept))
-            kept += [j for j, name in enumerate(named) if name == key]
-        one, zero = len(keys), len(keys) + 1
-        self._kept = np.array(kept + [len(named), len(named) + 1])  # writeable, for np.take
-        self._segments = _read_only(np.array(segments + [len(kept), len(kept) + 1]))
-        at = {key: j for j, key in enumerate(keys)}
-        # Row k of chain[0] is p_k, f_k, ..., f_{last-1} and row m + 1 of
-        # chain[1] is 1, g_m, ..., g_0, padded with 0: their running products
+        self._opens = _read_only(np.array(opens + [len(runs), len(runs) + 1]))
+        at = {key: j for j, key in enumerate(self._regions)}
+        one, zero = len(opens), len(opens) + 1
+        # Row k of chain[0] is a_k, f_k, ..., f_{last-1} and row m + 1 of
+        # chain[1] is 1, b_m, ..., b_0, padded with 0: their running products
         # sum to a term of u and of l.
         self._chain = _read_only(np.array([
-            [[at["p", k]] + [at["f", j] for j in range(k, last)] + [zero] * k for k in range(last + 1)],
-            [[one] + [at["g", j] for j in range(m, -1, -1)] + [zero] * (last - m - 1)
+            [[at["a", k]] + [at["f", j] for j in range(k, last)] + [zero] * k for k in range(last + 1)],
+            [[one] + [at["b", j] for j in range(m, -1, -1)] + [zero] * (last - m - 1)
              for m in range(-1, last)]]))
         # a row's doubles in each buffer of _buffers: factors, work, state, sums;
         # the work holds a Schur update (or U_0^T's partner J U_0^T) and then
@@ -635,7 +622,7 @@ class _BlockKernel:
         # max n_k eps: a pivot whose condition number reaches its inverse is
         # singular to working precision
         self._unit_roundoff = max(s) * np.finfo(float).eps
-        self._widths = (end, self._vector_at + max(s), 2 * n, len(named) + 2)
+        self._widths = (end, self._vector_at + max(s), 2 * n, len(runs) + 2)
         self.row_bytes = 8 * sum(self._widths)
 
     def _buffers(self, count: int) -> SimpleNamespace:
@@ -692,17 +679,14 @@ class _BlockKernel:
                 step.f_in = region(factors, self._regions["f", k][0], (shape[0], 2 * shape[1]), False) \
                     if k == 0 else step.f
                 step.schur = region(work, 0, (size, size) if k == 0 else shape[:1] * 2, cplx)
+                step.u = region(factors, *self._regions["u", k])
                 if k == 0:
-                    head = step.a
-                    step.a, step.u = head[:, :, :size], head[:, :, size:]
-                    step.trace = head[:, 0]
                     step.ju = region(work, 0, (self.sizes[1], size), False)
                     # realify(G_0)^T as (s_1, s_0), and as the halves Re G~_0^T | -Im G~_0^T
                     step.g = region(factors, at, (self.sizes[1], size), False)
                     halves = region(factors, at, (self.sizes[1] // 2, 2 * size), False)
                     step.g_re, step.g_im = halves[:, :, :size], halves[:, :, size:]
                 else:
-                    step.u = region(factors, *self._regions["u", k])
                     step.g = region(factors, at, shape[::-1], True)
             steps.append(step)
         whole.steps = steps
@@ -761,7 +745,9 @@ class _BlockKernel:
         """
         last, whole = self.last, self._buffers(count)
         steps = whole.steps
-        steps[0].trace[:] = self._trace
+        # the trace row replaces row 0 of L, whose drive entries the loader wrote in U_0
+        steps[0].a[:, 0] = self._trace
+        steps[0].u[:, 0] = 0.0
 
         singular = {}
         for k in range(last, 0, -1):
@@ -806,7 +792,7 @@ class _BlockKernel:
         # the norms, then u and l as sums of running products along the chains
         sums = whole.sums
         np.add.reduceat(np.abs(whole.normed, out=whole.normed), self._runs, axis=1, out=sums[:, :-2])
-        tops = np.maximum.reduceat(np.take(sums, self._kept, axis=1), self._segments, axis=1)
+        tops = np.maximum.reduceat(sums, self._opens, axis=1)
         chains = np.multiply.accumulate(tops[:, self._chain], axis=-1)
         # summed in order by accumulate: sum takes a row alone pairwise from
         # 8 blocks up, and a stack of rows in order, so beta would move with count

@@ -182,36 +182,35 @@ def _chunk_size(h: HilbertConfig) -> int:
     return max(1, _CHUNK_BYTES // steady_state_bytes(h))
 
 
-def _solve_shared(solve, starts: range) -> dict:
+def _solve_shared(solve, starts: range) -> None:
     """solve(starts), the chunks of range(0, rows, size), split between this thread and a helper.
 
     With _WORKERS at 2 a helper thread, started here and joined before this
     returns or raises, takes every other chunk (starts[1::2]), and this
-    thread the rest, so an evaluate of one chunk stays on this thread.
-    Returns the results of both shares in one dict; an error of the
-    helper's share is raised here.
+    thread the rest, so an evaluate of one chunk stays on this thread. solve
+    keeps what it finds itself; an error of the helper's share is raised
+    here.
     """
     helped = starts[1::2] if _WORKERS > 1 else range(0)
     if not helped:
-        return solve(starts)
-    share = {}
+        solve(starts)
+        return
+    errors = []
 
     def run():
         try:
-            share["found"] = solve(helped)
+            solve(helped)
         except BaseException as exc:  # re-raised on the caller's thread
-            share["error"] = exc
+            errors.append(exc)
 
     helper = threading.Thread(target=run, name="blockade_lab.sweep")
     helper.start()
     try:
-        found = solve(starts[::2])
+        solve(starts[::2])
     finally:
         helper.join()
-    if "error" in share:
-        raise share["error"]
-    found.update(share["found"])
-    return found
+    if errors:
+        raise errors[0]
 
 
 def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +255,10 @@ def _numeric(rows: np.ndarray, h: HilbertConfig, numeric: list[str]) -> tuple[di
     """The numeric outputs of each row, solved in chunks, each row's solve failure and its g2 failure."""
     values = {name: np.empty(len(rows)) for name in numeric}
     size = _chunk_size(h)
+    found = {}
 
-    def solve(starts) -> dict:
-        """Solve the chunks that open at starts, into values; each one's failures, by start."""
-        found = {}
+    def solve(starts) -> None:
+        """Solve the chunks that open at starts, into values, and each one's failures into found, by start."""
         for start in starts:
             chunk = rows[start:start + size]
             vecs, failures = steady_states_at(chunk, h)
@@ -267,10 +266,9 @@ def _numeric(rows: np.ndarray, h: HilbertConfig, numeric: list[str]) -> tuple[di
             for name in numeric:
                 values[name][start:start + len(chunk)] = observed[name]
             found[start] = failures, undefined
-        return found
 
     starts = range(0, len(rows), size)
-    found = _solve_shared(solve, starts)
+    _solve_shared(solve, starts)
     solve_failed, g2_failed = {}, {}
     for start in starts:
         failures, undefined = found[start]

@@ -407,8 +407,16 @@ def block_factor_bound(liou, kernel):
     return upper * lower
 
 
-@pytest.mark.parametrize("spec, every", [(fig1_spec(), 10), (fig3_spec(nmax=10, grid=2), 1)],
-                         ids=["fig1", "fig3_2x2_nmax10"])
+# the rows of fig1 at grid 41 and fig3 at grid 5 on the smallest and odd
+# block layouts, n_max 1, 2 and 7 (g2 is not asked for: n_max 1 has no g2)
+_SMALL_LAYOUTS = {
+    f"{name}_nmax{nmax}": replace(make(grid=grid), outputs=("coh_numeric",), hilbert=HilbertConfig(nmax))
+    for nmax in (1, 2, 7) for name, make, grid in (("fig1_grid41", fig1_spec, 41), ("fig3_grid5", fig3_spec, 5))}
+
+
+@pytest.mark.parametrize("spec, every", [(fig1_spec(), 10), (fig3_spec(nmax=10, grid=2), 1)]
+                         + [(spec, 1) for spec in _SMALL_LAYOUTS.values()],
+                         ids=["fig1", "fig3_2x2_nmax10", *_SMALL_LAYOUTS])
 def test_beta_is_the_bound_of_the_block_factors(spec, every):
     kernel = lindblad._block_kernel(spec.hilbert.dim)
     for row in _grid_rows(spec, _mesh(spec.axes))[::every]:
@@ -679,7 +687,7 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     spans = [kernel.order[span] for span in kernel.spans]
     for r, full in enumerate(liou):
         m = full[np.ix_(kernel.order, kernel.order)]
-        # block row 0 as it stands, then B~_0^T, then A_k^T, U_k^T and B_k^T
+        # A_0 and U_0 as they stand, then B~_0^T, then A_k^T, U_k^T and B_k^T
         s0, s1 = kernel.sizes[:2]
         assert np.array_equal(steps[0].a[r], m[:s0, :s0])
         assert np.array_equal(steps[0].u[r], m[:s0, s0:s0 + s1])
@@ -713,6 +721,16 @@ def test_the_transpose_map_points_each_nonzero_at_its_mirror(nmax):
         paired = pattern._transpose >= 0
         assert np.array_equal(pattern.idx[pattern._transpose[paired]], mirror[paired])
         assert not np.isin(mirror[~paired], pattern.idx).any()
+
+
+@pytest.mark.parametrize("nmax", range(1, 15))
+def test_every_row_of_a_pattern_holds_an_entry(nmax):
+    # _Pattern.product gives row i of L_r x the i-th run of the pattern's rows;
+    # the full pattern is that of a hand-built L of any dimension, odd too
+    h = HilbertConfig(nmax)
+    for pattern in (lindblad._basis(h).pattern, lindblad._full_pattern((nmax + 1) ** 2)):
+        rows = pattern.idx // pattern.n
+        assert np.array_equal(rows[pattern._starts], np.arange(pattern.n))
 
 
 def test_a_fig1_sweep_builds_only_the_block_kernel():

@@ -322,13 +322,17 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         kernel = lindblad._block_kernel(h.dim)
         mine = vars(lindblad._thread_kernels)["by_dim"][h.dim]
         buffers = (mine.factors, mine.work, mine.state, mine.sums)
-        # block row 0 and B_0 real, each block of q >= 1 complex at half its
+        # A_0, U_0 and B_0 real, each block of q >= 1 complex at half its
         # real size, and F_k^T the size of B_k^T
         s = kernel.sizes
         assert mine.factors.shape[1] == s[0] * (s[0] + s[1]) + 2 * s[0] * s[1] + sum(
             s[k] ** 2 + 3 * s[k] * s[k + 1] for k in range(1, len(s) - 1)) // 2 + s[-1] ** 2 // 2
+        # one sum for each row of F_k^T, S_k^-T and G_k^T (realify(G_0)^T for
+        # k = 0), and the constants 1 and 0; none for a row of U_0
+        assert mine.sums.shape[1] == 2 * s[0] + s[1] + (sum(s[1:-1]) + sum(s[1:]) + sum(s[2:])) // 2 + 2
         # the chunk's nonzero values, and no L stack
         nbytes = lindblad._basis(h).values(rows).nbytes + sum(b.nbytes for b in buffers)
+        assert nbytes == size * lindblad.steady_state_bytes(h)
         held[h.n_max] = size, {len(b) for b in buffers}, nbytes
 
     for nmax in range(1, 11):
@@ -343,7 +347,7 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
     assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [40, 23, 15, 10, 7, 4]
     # a chunk holds one row from n_max 14
     assert [sweep._chunk_size(HilbertConfig(nmax)) for nmax in (13, 14)] == [2, 1]
-    assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [53_360, 520_752]
+    assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [53_216, 520_416]
 
 
 _NUMERIC = ("g2_numeric", "coh_numeric", "mean_photon")
