@@ -629,10 +629,9 @@ class _BlockKernel:
         """This thread's buffers for a stack of count, as the views each step of a solve takes of them.
 
         They hold the largest stack the thread has met so far, row_bytes a
-        row, and last as long as the thread: the calling thread's from one
-        sweep to the next, a sweep helper's for one evaluate. Fresh ones cost
-        page faults. After a solve, the factors hold the absolute values the
-        norms read (see the class docstring).
+        row, and last as long as the thread, from one sweep to the next.
+        Fresh ones cost page faults. After a solve, the factors hold the
+        absolute values the norms read (see the class docstring).
         """
         kernels = vars(_thread_kernels).setdefault("by_dim", {})
         mine = kernels.get(self.dim) or kernels.setdefault(self.dim, SimpleNamespace(capacity=0))
@@ -875,8 +874,9 @@ def steady_state_bytes(h: HilbertConfig) -> int:
     (_BlockKernel._buffers). The factors hold the blocks of q >= 1 as
     complex matrices of half their real size, and F_k^T besides, since a
     solve writes S_k^-T and G_k^T into the spent A_k and B_k slots; the
-    state holds x and the residual of the refinement step. Each thread that
-    solves holds its own rows.
+    state holds x and the residual of the refinement step. A sweep solves
+    on its calling thread; a caller that solves from several threads holds
+    these rows once in each.
     """
     return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
 

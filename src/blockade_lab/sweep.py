@@ -10,10 +10,8 @@ fixed memory budget holds, whose Liouvillians go into the steady-state
 solve as their nonzeros, with no dense stack formed (the one row of a point
 query is solved as given, by steady_state on its dense L). The rows are
 solved in the order of their bits, g first and the detunings last, the
-order in which their copies are found. The chunks are shared between the
-calling thread and a helper thread that lives for one evaluate when the
-process may run on two CPUs (_WORKERS), and their results are merged in
-chunk order, so the threads change no bit and no failure.
+order in which their copies are found, one chunk after another on the
+calling thread.
 H, a and sigma- are real, so the state at (-delta_a, -delta) is the
 photon-parity image of the conjugate state at (delta_a, delta), and the
 solve is sign-equivariant: negating both detunings changes no output bit
@@ -32,8 +30,6 @@ sweep row and identical specs produce byte-identical CSV files.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -59,19 +55,14 @@ _NUMERIC_STEPS = ("steady_state", "g2_numeric", "coh_numeric", "mean_photon")
 STATUS_OK = "ok"
 
 # The memory a numeric chunk may hold, in the nonzero values of its
-# Liouvillians and the block kernel's buffers (steady_state_bytes a point).
-# Each worker holds one chunk's buffers. The budget is the one measured
-# fastest on one thread with the real blocks (BENCH_block_assembly.json);
-# with the blocks of q >= 1 held complex, at half their size, it holds about
-# 1.5 times the rows at n_max 4 (40) and twice at n_max 10 (4)
-# (BENCH_complex_blocks.json). The peak RSS of two workers is in
-# BENCH_threads.json.
-_CHUNK_BYTES = 2100 * 1024
-
-# The threads that solve a sweep's numeric chunks: the CPUs in this
-# process's affinity mask, at most 2.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# Liouvillians and the block kernel's buffers (steady_state_bytes a point):
+# 80 rows at n_max 4 and 8 at n_max 10. Two sweep threads once held a chunk
+# of half this each, so one thread holding it keeps peak buffer memory where
+# it was and pays each chunk's fixed cost half as often. One thread took
+# 0.92 of two threads' time on a cutoff_map pass at that half budget (x1),
+# 0.85 at x2 and 0.83 at x4, and 0.93, 0.90 and 0.95 on a detuning_scan
+# pass; x4 adds about 4 MB of peak RSS (BENCH_one_thread.json).
+_CHUNK_BYTES = 4200 * 1024
 
 # The columns of a parameter row that the Delta -> -Delta mirror negates.
 _DETUNINGS = [PARAM_FIELDS.index("delta_a"), PARAM_FIELDS.index("delta")]
@@ -182,37 +173,6 @@ def _chunk_size(h: HilbertConfig) -> int:
     return max(1, _CHUNK_BYTES // steady_state_bytes(h))
 
 
-def _solve_shared(solve, starts: range) -> None:
-    """solve(starts), the chunks of range(0, rows, size), split between this thread and a helper.
-
-    With _WORKERS at 2 a helper thread, started here and joined before this
-    returns or raises, takes every other chunk (starts[1::2]), and this
-    thread the rest, so an evaluate of one chunk stays on this thread. solve
-    keeps what it finds itself; an error of the helper's share is raised
-    here.
-    """
-    helped = starts[1::2] if _WORKERS > 1 else range(0)
-    if not helped:
-        solve(starts)
-        return
-    errors = []
-
-    def run():
-        try:
-            solve(helped)
-        except BaseException as exc:  # re-raised on the caller's thread
-            errors.append(exc)
-
-    helper = threading.Thread(target=run, name="blockade_lab.sweep")
-    helper.start()
-    try:
-        solve(starts[::2])
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-
-
 def _distinct_canonical(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct canonical rows of (N, 6) parameter rows, and the index of each row's one among them.
 
@@ -255,23 +215,13 @@ def _numeric(rows: np.ndarray, h: HilbertConfig, numeric: list[str]) -> tuple[di
     """The numeric outputs of each row, solved in chunks, each row's solve failure and its g2 failure."""
     values = {name: np.empty(len(rows)) for name in numeric}
     size = _chunk_size(h)
-    found = {}
-
-    def solve(starts) -> None:
-        """Solve the chunks that open at starts, into values, and each one's failures into found, by start."""
-        for start in starts:
-            chunk = rows[start:start + size]
-            vecs, failures = steady_states_at(chunk, h)
-            observed, undefined = steady_observables(vecs, h)
-            for name in numeric:
-                values[name][start:start + len(chunk)] = observed[name]
-            found[start] = failures, undefined
-
-    starts = range(0, len(rows), size)
-    _solve_shared(solve, starts)
     solve_failed, g2_failed = {}, {}
-    for start in starts:
-        failures, undefined = found[start]
+    for start in range(0, len(rows), size):
+        chunk = rows[start:start + size]
+        vecs, failures = steady_states_at(chunk, h)
+        observed, undefined = steady_observables(vecs, h)
+        for name in numeric:
+            values[name][start:start + len(chunk)] = observed[name]
         solve_failed.update((start + r, e) for r, e in failures.items())
         g2_failed.update((start + r, e) for r, e in undefined.items())
     return values, solve_failed, g2_failed
@@ -299,9 +249,9 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     steady_state applied per row (steady_states_at, which gives the bits and
     messages of steady_state), and one elementwise product with the
     observable functionals. No step mixes rows, so a row's bits do not
-    depend on N or on the chunk it falls in, nor on the thread that solves
-    it (_solve_shared); and the solve is sign-equivariant, so they do not
-    depend on whether the row or its mirror was solved.
+    depend on N or on the chunk it falls in; and the solve is
+    sign-equivariant, so they do not depend on whether the row or its mirror
+    was solved.
     """
     values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):

@@ -374,8 +374,7 @@ def test_check_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
 
 
 def test_importing_the_cli_imports_neither_logging_nor_concurrent_futures():
-    # each costs a fresh process milliseconds of setup; the sweep's helper is a
-    # plain threading.Thread
+    # each costs a fresh process milliseconds of setup
     script = ("import sys\n"
               "import blockade_lab.cli\n"
               "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))\n")

@@ -6,6 +6,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -293,13 +294,13 @@ def test_a_grid_evaluated_whole_equals_chunks_of_one_and_point_queries(
 
 
 def test_fig1_in_its_chunks_and_a_one_row_remainder_equals_chunks_of_one():
-    # 401 rows have 201 distinct canonical rows, 5 chunks of 40 and one row;
-    # 117 rows have 59, a chunk of 40 and one of 19. Every chunk, the one-row
+    # 321 rows have 161 distinct canonical rows, 2 chunks of 80 and one row;
+    # 197 rows have 99, a chunk of 80 and one of 19. Every chunk, the one-row
     # remainder too, goes to steady_states_at, and none to steady_state.
-    for grid, distinct, remainder in ((401, 201, 1), (117, 59, 19)):
+    for grid, distinct, remainder in ((321, 161, 1), (197, 99, 19)):
         spec = replace(fig1_spec(grid=grid), outputs=OUTPUT_COLUMNS)
         solved = len(sweep._distinct_canonical(_grid_rows(spec, _mesh(spec.axes)))[0])
-        assert sweep._chunk_size(spec.hilbert) == 40 and solved == distinct and solved % 40 == remainder
+        assert sweep._chunk_size(spec.hilbert) == 80 and solved == distinct and solved % 80 == remainder
         with mock.patch.object(sweep, "steady_state", wraps=lindblad.steady_state) as single:
             whole = run_sweep(spec)
         assert single.call_count == 0, grid
@@ -344,9 +345,8 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         assert size == 1 or nbytes <= sweep._CHUNK_BYTES, nmax
         # and one more point would not fit
         assert nbytes // size * (size + 1) > sweep._CHUNK_BYTES, nmax
-    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [40, 23, 15, 10, 7, 4]
-    # a chunk holds one row from n_max 14
-    assert [sweep._chunk_size(HilbertConfig(nmax)) for nmax in (13, 14)] == [2, 1]
+    assert [held[nmax][0] for nmax in (4, 5, 6, 7, 8, 10)] == [80, 47, 30, 20, 14, 8]
+    assert [sweep._chunk_size(HilbertConfig(nmax)) for nmax in (13, 14)] == [4, 3]
     assert [held[nmax][2] // held[nmax][0] for nmax in (4, 10)] == [53_216, 520_416]
 
 
@@ -354,11 +354,28 @@ _NUMERIC = ("g2_numeric", "coh_numeric", "mean_photon")
 
 
 def _n_max_10_rows_with_failures():
-    """Nine n_max-10 rows, two chunks of 4 and one row: fine ones, a lossless one and an overflowing one."""
+    """Nine n_max-10 rows, a chunk of 8 and one row: fine ones, a lossless one and an overflowing one."""
     rows = _grid_rows(cli.fig3_spec(nmax=10, grid=3), _mesh(cli.fig3_spec(nmax=10, grid=3).axes))
     lossless = replace(BASE, kappa=0.0, gamma=0.0, delta_a=1.0, delta=1.0).row()
     overflowing = replace(BASE, delta_a=1.7e308, delta=1.7e308).row()
     return np.concatenate([rows[:2], lossless, rows[2:5], overflowing, rows[5:7]])
+
+
+def _called_from(workers, call, *args):
+    """call(*args) on this thread for 1 worker, or for 2 on a fresh thread, whose kernel buffers start cold."""
+    if workers == 1:
+        return call(*args)
+    with ThreadPoolExecutor(1) as fresh:
+        return fresh.submit(call, *args).result()
+
+
+def _noting_threads(solve, seen):
+    """solve, appending the thread of each call to seen."""
+    def call(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    return call
 
 
 @pytest.mark.parametrize("rows, h, outputs, chunk_rows", [
@@ -371,100 +388,91 @@ def _n_max_10_rows_with_failures():
     (_n_max_10_rows_with_failures(), HilbertConfig(10), _NUMERIC, None),
 ], ids=["fig1_401", "fig1_53", "fig1_81", "n_max_10_mixed", "n_max_10_mixed_numeric"])
 def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs, chunk_rows):
+    # the "2" side is the same evaluate called from a fresh thread, whose
+    # kernel buffers start cold
     outcomes, threads = {}, {}
     budget = sweep._CHUNK_BYTES if chunk_rows is None else chunk_rows * lindblad.steady_state_bytes(h)
-    solve_chunk, solve_row = lindblad.steady_states_at, lindblad.steady_state
+
+    def called(seen):
+        seen["caller"] = threading.get_ident()
+        values, failed = evaluate(rows, h, outputs)
+        return ({name: column.tobytes() for name, column in values.items()},
+                [(r, type(e), str(e)) for r, e in failed.items()])
+
     for workers in (1, 2):
-        threads[workers] = chunk_threads, row_threads = [], []
-
-        def chunk(rows, h, seen=chunk_threads):
-            seen.append(threading.get_ident())
-            return solve_chunk(rows, h)
-
-        def row(liou, coordinates=False, seen=row_threads):
-            seen.append(threading.get_ident())
-            return solve_row(liou, coordinates)
-
-        with mock.patch.object(sweep, "_WORKERS", workers), \
-                mock.patch.object(sweep, "_CHUNK_BYTES", budget), \
-                mock.patch.object(sweep, "steady_states_at", chunk), \
-                mock.patch.object(sweep, "steady_state", row):
-            values, failed = evaluate(rows, h, outputs)
-        outcomes[workers] = ({name: column.tobytes() for name, column in values.items()},
-                             [(r, type(e), str(e)) for r, e in failed.items()])
+        threads[workers] = seen = {"chunks": [], "rows": []}
+        with mock.patch.object(sweep, "_CHUNK_BYTES", budget), \
+                mock.patch.object(sweep, "steady_states_at",
+                                  _noting_threads(lindblad.steady_states_at, seen["chunks"])), \
+                mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, seen["rows"])):
+            outcomes[workers] = _called_from(workers, called, seen)
     assert outcomes[2] == outcomes[1]
-    # the chunks of the distinct canonical rows, a one-row remainder too,
-    # were shared between two threads, and none went to steady_state
-    assert set(threads[1][0]) == {threading.get_ident()}
-    assert len(set(threads[2][0])) == 2
+    # every chunk of the distinct canonical rows, a one-row remainder too,
+    # went to steady_states_at on the thread that called evaluate, and none
+    # to steady_state
+    assert threads[1]["caller"] == threading.get_ident() != threads[2]["caller"]
     for workers in (1, 2):
-        assert threads[workers][1] == []
+        seen = threads[workers]
+        assert set(seen["chunks"]) == {seen["caller"]}
+        assert seen["rows"] == []
     if h.n_max == 10:
-        # the lossless and the overflowing row fail, both in the helper's chunks
+        # the lossless and the overflowing row fail
         errors = [(r, error.__name__) for r, error, _ in outcomes[1][1]]
         assert errors == ([(2, "NoDissipationError"), (6, "ValueError")] if outputs == _NUMERIC
                           else [(2, "SingularDenominatorError"), (6, "OverflowError")])
 
 
-def _noting_threads(solve, seen):
-    """solve, appending the thread of each call to seen."""
-    def call(*args, **kwargs):
-        seen.append(threading.get_ident())
-        return solve(*args, **kwargs)
-
-    return call
-
-
-@pytest.mark.parametrize("chunk_bytes", [sweep._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [2100 * 1024, 1])
 def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
+    # no evaluate starts a thread: of one row, and of three rows, whose two
+    # distinct canonical rows (delta -1 is the mirror of 1) are one chunk at
+    # a budget of 40 rows, or two chunks of one row at a budget of 1 byte
     rows = np.repeat(BASE.row(), 3, axis=0)
     rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 0.0, 1.0)
-    with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
+    with mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(threading.Thread, "start", side_effect=AssertionError("work handed over")):
-        values, failed = evaluate(rows[:1], HilbertConfig(), OUTPUT_COLUMNS)
-    assert not failed and np.isfinite(values["g2_numeric"]).all()
-    if chunk_bytes == 1:
-        # the three rows' two distinct canonical rows (delta -1 is the mirror
-        # of 1) are two chunks of one row, and the helper takes one of them
-        solvers = []
-        with mock.patch.object(sweep, "_WORKERS", 2), mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
-                mock.patch.object(sweep, "steady_states_at", _noting_threads(lindblad.steady_states_at, solvers)):
-            values, failed = evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
-        assert not failed and np.isfinite(values["g2_numeric"]).all()
-        assert len(solvers) == 2 and solvers.count(threading.get_ident()) == 1
+        for some in (rows[:1], rows):
+            values, failed = evaluate(some, HilbertConfig(), OUTPUT_COLUMNS)
+            assert not failed and np.isfinite(values["g2_numeric"]).all()
 
 
-def _evaluate_with_a_failing_helper_then_without():
-    """Evaluate fig1 at 81 rows on two workers with an error in the helper's share, then again without one.
+def _evaluate_with_a_failing_second_chunk_then_without():
+    """Evaluate fig1 at 81 rows in chunks of 16 with an error in the second chunk, then again without one.
 
-    Returns the second evaluate's values and failures, and the helper
-    threads alive after each evaluate.
+    Returns the second evaluate's values and failures, the values of an
+    evaluate before the two, and the threads alive before and after each
+    evaluate.
     """
     rows = _grid_rows(fig1_spec(grid=81), _mesh(fig1_spec(grid=81).axes))
-    caller, solve_chunk = threading.get_ident(), lindblad.steady_states_at
+    h, solve_chunk, calls = HilbertConfig(), lindblad.steady_states_at, []
 
     def chunk(rows, h):
-        if threading.get_ident() != caller:
-            raise RuntimeError("helper failed")
+        calls.append(len(rows))
+        if len(calls) == 2:
+            raise RuntimeError("second chunk failed")
         return solve_chunk(rows, h)
 
-    def helpers():
-        return [thread for thread in threading.enumerate() if thread.name == "blockade_lab.sweep"]
-
-    alive = []
-    with mock.patch.object(sweep, "_WORKERS", 2):
-        with mock.patch.object(sweep, "steady_states_at", chunk), pytest.raises(RuntimeError, match="helper"):
-            evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
-        alive.append(helpers())
-        # and the next evaluate shares its chunks as before
-        values, failed = evaluate(rows, HilbertConfig(), OUTPUT_COLUMNS)
-        alive.append(helpers())
-    return values, failed, alive
+    alive = [threading.enumerate()]
+    with mock.patch.object(sweep, "_CHUNK_BYTES", 16 * lindblad.steady_state_bytes(h)):
+        want = evaluate(rows, h, OUTPUT_COLUMNS)[0]
+        alive.append(threading.enumerate())
+        with mock.patch.object(sweep, "steady_states_at", chunk), pytest.raises(RuntimeError, match="second"):
+            evaluate(rows, h, OUTPUT_COLUMNS)
+        alive.append(threading.enumerate())
+        # the 41 distinct rows are chunks of 16, 16 and 9: the error stopped the solve
+        assert calls == [16, 16]
+        values, failed = evaluate(rows, h, OUTPUT_COLUMNS)
+        alive.append(threading.enumerate())
+    return values, failed, want, alive
 
 
 def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
-    values, failed, _ = _evaluate_with_a_failing_helper_then_without()
+    # an error in the second chunk is raised by evaluate, and the next
+    # evaluate gives the usual bits
+    values, failed, want, _ = _evaluate_with_a_failing_second_chunk_then_without()
     assert not failed and np.isfinite(values["g2_numeric"]).all()
+    assert {name: column.tobytes() for name, column in values.items()} == \
+           {name: column.tobytes() for name, column in want.items()}
 
 
 def test_evaluate_leaves_no_sweep_thread_running():
@@ -475,17 +483,16 @@ def test_evaluate_leaves_no_sweep_thread_running():
         start(thread)
 
     with mock.patch.object(threading.Thread, "start", counted):
-        _, _, alive = _evaluate_with_a_failing_helper_then_without()
-    # each evaluate started its helper, and neither left it running
-    assert started == ["blockade_lab.sweep"] * 2
-    assert alive == [[], []]
+        _, _, _, alive = _evaluate_with_a_failing_second_chunk_then_without()
+    # no evaluate started a thread, and the threads alive stayed the same
+    assert started == []
+    assert all(threads == alive[0] for threads in alive)
 
 
 def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
     grids = (81, 85, 89, 93)
     rows = {grid: _grid_rows(fig1_spec(grid=grid), _mesh(fig1_spec(grid=grid).axes)) for grid in grids}
-    with mock.patch.object(sweep, "_WORKERS", 1):
-        want = {grid: evaluate(rows[grid], HilbertConfig(), OUTPUT_COLUMNS)[0] for grid in grids}
+    want = {grid: evaluate(rows[grid], HilbertConfig(), OUTPUT_COLUMNS)[0] for grid in grids}
     got = {grid: [] for grid in grids}
 
     def caller(grid):
@@ -495,12 +502,11 @@ def test_evaluate_from_more_threads_than_cores_gives_each_caller_its_own_bits():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(sweep, "_WORKERS", 2):
-            threads = [threading.Thread(target=caller, args=(grid,)) for grid in grids]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+        threads = [threading.Thread(target=caller, args=(grid,)) for grid in grids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
@@ -516,7 +522,7 @@ def test_a_warm_evaluate_at_n_max_10_allocates_less_than_one_dense_liouvillian()
     rows = np.repeat(BASE.row(), 4, axis=0)
     rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 2.0, 0.5, 3.0)
     rows[:, PARAM_FIELDS.index("delta_a")] = (-1.0, 2.0, 0.5, 3.0)
-    assert sweep._chunk_size(h) == 4 and len(sweep._distinct_canonical(rows)[0]) == 4
+    assert sweep._chunk_size(h) >= 4 and len(sweep._distinct_canonical(rows)[0]) == 4
     evaluate(rows, h, OUTPUT_COLUMNS)
     tracemalloc.start()
     try:
@@ -566,22 +572,25 @@ def _outcome(values, failed):
 def test_a_row_and_its_mirror_give_the_same_bits_and_failures(nmax, workers):
     # evaluate solves a row's canonical row in its place, so the solve of a
     # row as given and of its mirror must agree to the bit; chunks of three
-    # rows mix the failing rows with fine ones and give the helper a share
+    # rows mix the failing rows with fine ones; on 2 workers every evaluate
+    # is called from a fresh thread
     h = HilbertConfig(nmax)
     zeros = _SIGNED_ROWS[(_SIGNED_ROWS[:, _DETUNINGS] == 0).any(axis=1)]
     negative_zeros = zeros.copy()
     negative_zeros[:, _DETUNINGS] = np.where(zeros[:, _DETUNINGS] == 0, -0.0, zeros[:, _DETUNINGS])
     assert len(zeros) == 4
-    with mock.patch.object(sweep, "_WORKERS", workers), \
-            mock.patch.object(sweep, "_CHUNK_BYTES", 3 * lindblad.steady_state_bytes(h)):
-        want = _outcome(*evaluate(_SIGNED_ROWS, h, OUTPUT_COLUMNS))
-        assert _outcome(*evaluate(_mirrored(_SIGNED_ROWS), h, OUTPUT_COLUMNS)) == want
+
+    def outcome(rows):
+        return _called_from(workers, lambda: _outcome(*evaluate(rows, h, OUTPUT_COLUMNS)))
+
+    with mock.patch.object(sweep, "_CHUNK_BYTES", 3 * lindblad.steady_state_bytes(h)):
+        want = outcome(_SIGNED_ROWS)
+        assert outcome(_mirrored(_SIGNED_ROWS)) == want
         with mock.patch.object(sweep, "_distinct_canonical", _as_given):
-            assert _outcome(*evaluate(_SIGNED_ROWS, h, OUTPUT_COLUMNS)) == want
-            assert _outcome(*evaluate(_mirrored(_SIGNED_ROWS), h, OUTPUT_COLUMNS)) == want
+            assert outcome(_SIGNED_ROWS) == want
+            assert outcome(_mirrored(_SIGNED_ROWS)) == want
             # and a detuning of -0.0 gives the bits of +0.0
-            assert (_outcome(*evaluate(negative_zeros, h, OUTPUT_COLUMNS))
-                    == _outcome(*evaluate(zeros, h, OUTPUT_COLUMNS)))
+            assert outcome(negative_zeros) == outcome(zeros)
     # the lossless, the overflowing and the singular row of MIXED_ROWS fail at each sign
     assert {1, 2, 3, 8, 9, 10, 15, 16, 17} <= set(want[1])
 
@@ -591,8 +600,7 @@ def test_a_row_and_its_mirror_give_the_same_bits_and_failures(nmax, workers):
 def test_a_grid_of_mirrors_and_copies_equals_its_rows_one_at_a_time(nmax, workers):
     h = HilbertConfig(nmax)
     grid = np.concatenate([_SIGNED_ROWS, _mirrored(_SIGNED_ROWS), _SIGNED_ROWS])
-    with mock.patch.object(sweep, "_WORKERS", workers):
-        values, failed = evaluate(grid, h, OUTPUT_COLUMNS)
+    values, failed = _called_from(workers, evaluate, grid, h, OUTPUT_COLUMNS)
     for r in range(len(grid)):
         one, one_failed = evaluate(grid[r:r + 1], h, OUTPUT_COLUMNS)
         assert _outcome(one, one_failed) == _outcome({name: column[r:r + 1] for name, column in values.items()},
@@ -653,9 +661,8 @@ def test_chunks_that_share_step_0_equal_their_rows_one_at_a_time(mixed, nmax, wo
     # between the lines
     h = HilbertConfig(nmax)
     grid = np.concatenate([_LINES, _mirrored(_LINES)] + [MIXED_ROWS] * mixed)
-    with mock.patch.object(sweep, "_WORKERS", workers), \
-            mock.patch.object(sweep, "_CHUNK_BYTES", 4 * lindblad.steady_state_bytes(h)):
-        values, failed = evaluate(grid, h, OUTPUT_COLUMNS)
+    with mock.patch.object(sweep, "_CHUNK_BYTES", 4 * lindblad.steady_state_bytes(h)):
+        values, failed = _called_from(workers, evaluate, grid, h, OUTPUT_COLUMNS)
     assert {type(exc).__name__ for exc in failed.values()} >= {"NoDissipationError", "DegenerateSteadyStateError"}
     for r in range(len(grid)):
         one, one_failed = evaluate(grid[r:r + 1], h, OUTPUT_COLUMNS)
@@ -677,11 +684,12 @@ def test_a_one_row_evaluate_solves_its_row_as_given():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(workers):
     # a tracer of sweep.steady_state sees one call for each point query and
-    # none for a sweep: fig1's 401 rows solve 201, 5 chunks of 40 and one
-    # row, and with _CHUNK_BYTES at 1 every chunk has one row
+    # none for a sweep: fig1's 401 rows solve 201, 2 chunks of 80 and one of
+    # 41, and with _CHUNK_BYTES at 1 every chunk has one row; on 2 workers
+    # the evaluates are called from a fresh thread
     fig1_rows, h, callers = _grid_rows(fig1_spec(), _mesh(fig1_spec().axes)), HilbertConfig(), []
-    with mock.patch.object(sweep, "_WORKERS", workers), \
-            mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, callers)):
+
+    def evaluates():
         for one in (fig1_rows[:1], MIXED_ROWS[1:2]):  # a fine row and a lossless one
             callers.clear()
             evaluate(one, h, OUTPUT_COLUMNS)
@@ -692,24 +700,30 @@ def test_only_a_one_row_evaluate_calls_steady_state_and_on_the_calling_thread(wo
         with mock.patch.object(sweep, "_CHUNK_BYTES", 1):
             evaluate(MIXED_ROWS, h, OUTPUT_COLUMNS)
             evaluate(fig1_rows[:2], h, OUTPUT_COLUMNS)
+
+    with mock.patch.object(sweep, "steady_state", _noting_threads(lindblad.steady_state, callers)):
+        _called_from(workers, evaluates)
     assert callers == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_grid_at_n_max_11_in_one_row_chunks_equals_its_rows_one_at_a_time(workers):
-    # a budget of one row's bytes, which from n_max 14 is _CHUNK_BYTES
-    # itself (test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers);
-    # MIXED_ROWS has a lossless row, an overflowing one and two the
+    # a budget of one row's bytes, which from n_max 17 is _CHUNK_BYTES
+    # itself; MIXED_ROWS has a lossless row, an overflowing one and two the
     # certificate refuses
     h = HilbertConfig(11)
     solvers = []
-    with mock.patch.object(sweep, "_WORKERS", workers), \
-            mock.patch.object(sweep, "_CHUNK_BYTES", lindblad.steady_state_bytes(h)), \
+
+    def called():
+        return threading.get_ident(), evaluate(MIXED_ROWS, h, _NUMERIC)
+
+    with mock.patch.object(sweep, "_CHUNK_BYTES", lindblad.steady_state_bytes(h)), \
             mock.patch.object(sweep, "steady_states_at", _noting_threads(lindblad.steady_states_at, solvers)):
-        values, failed = evaluate(MIXED_ROWS, h, _NUMERIC)
-    # seven one-row chunks: on two workers the helper solves three of them
-    assert len(solvers) == len(MIXED_ROWS)
-    assert solvers.count(threading.get_ident()) == (len(MIXED_ROWS) if workers == 1 else 4)
+        caller, (values, failed) = _called_from(workers, called)
+    # seven one-row chunks, all solved on the thread that called evaluate,
+    # a fresh one on 2 workers
+    assert (caller == threading.get_ident()) == (workers == 1)
+    assert solvers == [caller] * len(MIXED_ROWS)
     assert {r: type(exc).__name__ for r, exc in failed.items()} == {
         1: "NoDissipationError", 2: "ValueError", 3: "DegenerateSteadyStateError",
         5: "DegenerateSteadyStateError"}
