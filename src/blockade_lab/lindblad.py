@@ -523,15 +523,14 @@ class _BlockKernel:
     their bits. A pattern read by the kernel lies on the block pattern; the
     basis pattern does, since only the drive changes the coherence order.
 
-    A kernel holds only its read-only layout (slot tables, norm runs), built
-    once per dimension (_block_kernel) and shared by all threads; the
-    buffers it writes belong to the calling thread (_thread_kernels).
+    A kernel's layout (slot tables, norm runs) is read-only, built once per
+    dimension (_block_kernel) and shared by all threads; the buffers it
+    writes are held apart for each thread that solves on it (_buffers).
     """
 
     def __init__(self, dim: int):
         rows, cols, off, first = _layout(dim)
         n = dim * dim
-        self.dim = dim
         excitation = np.arange(dim) // (dim // 2) + np.arange(dim) % (dim // 2)
         q = np.abs(excitation[rows] - excitation[cols])
         order_of = np.zeros(n, dtype=np.intp)
@@ -624,18 +623,21 @@ class _BlockKernel:
         self._unit_roundoff = max(s) * np.finfo(float).eps
         self._widths = (end, self._vector_at + max(s), 2 * n, len(runs) + 2)
         self.row_bytes = 8 * sum(self._widths)
+        self._local = threading.local()
 
     def _buffers(self, count: int) -> SimpleNamespace:
-        """This thread's buffers for a stack of count, as the views each step of a solve takes of them.
+        """The calling thread's buffers for a stack of count, as the views each step of a solve takes of them.
 
-        They hold the largest stack the thread has met so far, row_bytes a
-        row, and last as long as the thread, from one sweep to the next.
-        Fresh ones cost page faults. After a solve, the factors hold the
-        absolute values the norms read (see the class docstring).
+        Each thread that solves on this kernel has buffers of its own, in the
+        kernel's thread-local, so no two threads write one buffer. They hold
+        the largest stack the thread has met so far, row_bytes a row, and last
+        as long as the thread, from one sweep to the next; a thread's first
+        call allocates them, for a stack of 0 too. Fresh ones cost page
+        faults. After a solve, the factors hold the absolute values the norms
+        read (see the class docstring).
         """
-        kernels = vars(_thread_kernels).setdefault("by_dim", {})
-        mine = kernels.get(self.dim) or kernels.setdefault(self.dim, SimpleNamespace(capacity=0))
-        if count > mine.capacity:
+        mine = self._local
+        if count > getattr(mine, "capacity", -1):
             mine.factors, mine.work, mine.state, mine.sums = (
                 np.empty((count, width)) for width in self._widths)
             mine.sums[:, -2:] = (1.0, 0.0)
@@ -706,14 +708,16 @@ class _BlockKernel:
         written = (col & halved) == 0
         return np.flatnonzero(written), at[written]
 
-    def solve_values(self, values: np.ndarray, slots, drift=None) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The solve of a stack of L_r given by their nonzeros: values at the slots of the factors.
+    def solve(self, pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The states, betas and singular pivots of a stack of L_r given by its values at pattern.
 
-        drift(vecs), given, is L_r x for each row of the (count, n)
-        coordinates vecs, and the kernel takes one refinement step with it.
+        The kernel's one entry: it loads the values at pattern.slots, solves,
+        and takes one refinement step on the drift pattern.product(values,
+        x). A row whose pivots may be singular to working precision gets
+        beta inf (see the class docstring).
         """
-        self._load(values, slots)
-        vecs, beta, singular = self._factor(len(values), drift)
+        self._load(values, pattern.slots)
+        vecs, beta, singular = self._factor(pattern, values)
         # beta >= ||S_k^-1||_1, and max |M| stands in for ||S_k||_1
         magnitude = np.maximum(1.0, np.maximum(values.max(axis=1), -values.min(axis=1)))
         beta[self._unit_roundoff * magnitude * beta >= 1.0] = np.inf
@@ -728,11 +732,12 @@ class _BlockKernel:
         for row, nonzeros in zip(whole.factors, values):  # a row at a time: 3x faster than factors[:, at]
             row[at] = nonzeros
 
-    def _factor(self, count: int, drift) -> tuple[np.ndarray, np.ndarray, dict]:
+    def _factor(self, pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The states' coordinates, beta, and LAPACK's error for each singular pivot.
 
-        Solves the first count rows of the factors as _load left them, with
-        the trace row written in. The state and beta are NaN in a row with a
+        Solves the rows of the factors that _load filled with values, with
+        the trace row written in, and takes the refinement step on the drift
+        pattern.product(values, x). The state and beta are NaN in a row with a
         singular pivot. Whether a row's L is fit to solve at all is for the
         caller to judge.
 
@@ -742,7 +747,7 @@ class _BlockKernel:
         their row sums, each summed contiguously and in the same order as in
         a buffer of its own.
         """
-        last, whole = self.last, self._buffers(count)
+        last, whole = self.last, self._buffers(len(values))
         steps = whole.steps
         # the trace row replaces row 0 of L, whose drive entries the loader wrote in U_0
         steps[0].a[:, 0] = self._trace
@@ -772,19 +777,18 @@ class _BlockKernel:
         steps[0].x[:, 0] = pivot[:, :, 0]
         np.copyto(steps[0].a, pivot.transpose(0, 2, 1))  # A_0 is spent: its slot keeps S_0^-T
         self._spread(steps)
-        if drift is not None:
-            # r = e0 - M x in the kernel's order, condensed to z_0 = e0 - S_0 x_0
-            residual = drift(np.take(whole.x, self.position, axis=1))
-            np.negative(np.take(residual, self.order, axis=1), out=whole.z)
-            # (np.take gives a C-ordered copy, whose rows sum alike in any stack)
-            whole.z[:, 0] = 1.0 - np.take(whole.x, self._diagonal, axis=1).sum(axis=1)
-            for k in range(last - 1, -1, -1):
-                step, above = steps[k], steps[k + 1]
-                np.matmul(above.z_r if k == 0 else above.z, step.g, out=step.tmp)  # G_k z_{k+1}
-                step.z -= step.tmp
-            np.matmul(steps[0].z, steps[0].a, out=steps[0].tmp)
-            steps[0].x += steps[0].tmp
-            self._spread(steps)
+        # r = e0 - M x in the kernel's order, condensed to z_0 = e0 - S_0 x_0
+        residual = pattern.product(values, np.take(whole.x, self.position, axis=1))
+        np.negative(np.take(residual, self.order, axis=1), out=whole.z)
+        # (np.take gives a C-ordered copy, whose rows sum alike in any stack)
+        whole.z[:, 0] = 1.0 - np.take(whole.x, self._diagonal, axis=1).sum(axis=1)
+        for k in range(last - 1, -1, -1):
+            step, above = steps[k], steps[k + 1]
+            np.matmul(above.z_r if k == 0 else above.z, step.g, out=step.tmp)  # G_k z_{k+1}
+            step.z -= step.tmp
+        np.matmul(steps[0].z, steps[0].a, out=steps[0].tmp)
+        steps[0].x += steps[0].tmp
+        self._spread(steps)
         # a C-ordered copy: the observables sum along its rows
         vecs = np.take(whole.x, self.position, axis=1)
 
@@ -846,11 +850,6 @@ def _dense_solve(pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, np.
     return inverse[:, :, 0].copy(), beta, singular
 
 
-# Each thread keeps its own buffers for each kernel, by its dimension, for
-# as long as it runs: a kernel's buffers are written on every call.
-_thread_kernels = threading.local()
-
-
 @cache
 def _block_kernel(dim: int) -> _BlockKernel:
     """The kernel of the even dimension dim, shared by all threads."""
@@ -870,13 +869,13 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 def steady_state_bytes(h: HilbertConfig) -> int:
     """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers.
 
-    The buffers are the factors, work, state and sums rows of one thread
-    (_BlockKernel._buffers). The factors hold the blocks of q >= 1 as
+    The buffers are the factors, work, state and sums rows that the kernel
+    holds for the calling thread (_BlockKernel._buffers). The factors hold the blocks of q >= 1 as
     complex matrices of half their real size, and F_k^T besides, since a
     solve writes S_k^-T and G_k^T into the spent A_k and B_k slots; the
     state holds x and the residual of the refinement step. A sweep solves
-    on its calling thread; a caller that solves from several threads holds
-    these rows once in each.
+    on its calling thread; each further thread that solves on the kernel
+    holds these rows once more.
     """
     return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
 
@@ -979,19 +978,17 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
     solved with it.
     """
     basis = _basis(h)
-    if not len(rows):
-        return np.empty((0, h.dim ** 2)), {}
     return _solve_stack(basis.pattern, basis.values(rows), _block_kernel(h.dim))
 
 
 def _solve_stack(pattern: _Pattern, values: np.ndarray,
                  kernel: _BlockKernel | None) -> tuple[np.ndarray, dict]:
-    """The passes and gates of steady_state on a non-empty stack of L_r, given by its values at pattern.
+    """The passes and gates of steady_state on a stack of L_r, given by its values at pattern.
 
-    The block kernel, given, makes the first pass, with the drift L_r x of
-    its first solve for the refinement step, and hands the rows its gates
-    refuse to the dense solve, which does not refine. Without a kernel the
-    dense solve is the one pass.
+    The block kernel, given, makes the first pass (_BlockKernel.solve), and
+    hands the rows its gates refuse to the dense solve, which does not
+    refine. Without a kernel the dense solve is the one pass. A stack of no
+    rows takes the same path and gives (0, n) states and no failures.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|;
@@ -1012,8 +1009,7 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray,
         if kernel is None:
             vecs, beta, reasons = _dense_solve(pattern, values)
         else:
-            vecs, beta, reasons = kernel.solve_values(values, pattern.slots,
-                                                      lambda vecs: pattern.product(values, vecs))
+            vecs, beta, reasons = kernel.solve(pattern, values)
         gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified

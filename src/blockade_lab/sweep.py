@@ -56,12 +56,10 @@ STATUS_OK = "ok"
 
 # The memory a numeric chunk may hold, in the nonzero values of its
 # Liouvillians and the block kernel's buffers (steady_state_bytes a point):
-# 80 rows at n_max 4 and 8 at n_max 10. Two sweep threads once held a chunk
-# of half this each, so one thread holding it keeps peak buffer memory where
-# it was and pays each chunk's fixed cost half as often. One thread took
-# 0.92 of two threads' time on a cutoff_map pass at that half budget (x1),
-# 0.85 at x2 and 0.83 at x4, and 0.93, 0.90 and 0.95 on a detuning_scan
-# pass; x4 adds about 4 MB of peak RSS (BENCH_one_thread.json).
+# 80 rows at n_max 4 and 8 at n_max 10. At half this budget (x1), at this
+# one (x2) and at twice it (x4), a cutoff_map pass took 0.92, 0.85 and 0.83
+# of the time that two threads took at x1, and a detuning_scan pass 0.93,
+# 0.90 and 0.95; x4 adds about 4 MB of peak RSS (BENCH_one_thread.json).
 _CHUNK_BYTES = 4200 * 1024
 
 # The columns of a parameter row that the Delta -> -Delta mirror negates.

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ MIXED_ROWS = np.concatenate([
     SystemParams(g=4.0, kappa=0.01, gamma=0.0, eta=0.3, delta_a=1.6, delta=1.6).row(),
     SystemParams(g=0.0, kappa=0.3, gamma=1e-12, eta=0.05, delta_a=0.5, delta=0.2).row(),
     replace(_FIG1, delta_a=0.5, delta=0.5).row()])
+
+
+def undrifted(pattern):
+    """pattern with a zero drift, for the block kernel's solve before its refinement step.
+
+    Solving through it, the kernel's refinement step finds no residual but
+    the trace's, so it only rescales x by 2 - Tr x.
+    """
+    return SimpleNamespace(slots=pattern.slots, product=lambda values, vecs: np.zeros_like(vecs))
 
 
 def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from blockade_lab.correlations import _functionals, steady_observables
 from blockade_lab.lindblad import _basis, _block_kernel, liouvillians, vectorize
 from blockade_lab.quantum_core import SystemParams
 from blockade_lab.sweep import _grid_rows, _mesh, evaluate
+from conftest import undrifted
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -122,11 +123,10 @@ def test_the_refinement_step_recovers_what_the_top_down_order_loses_on_fig4():
     rows, h = _grid(fig4_spec(grid=11))
     basis, kernel = _basis(h), _block_kernel(h.dim)
     values = basis.values(rows)
-    slots = basis.pattern.slots
     want = reference_outputs(rows, h)["g2_numeric"]
     errors = []
-    for drift in (None, lambda vecs: basis.pattern.product(values, vecs)):
-        got, _ = steady_observables(kernel.solve_values(values, slots, drift)[0], h)
+    for pattern in (undrifted(basis.pattern), basis.pattern):
+        got, _ = steady_observables(kernel.solve(pattern, values)[0], h)
         errors.append((np.abs(got["g2_numeric"] - want) / np.abs(want)).max())
     unrefined, refined = errors
     assert refined <= unrefined / 10, (unrefined, refined)

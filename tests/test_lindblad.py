@@ -47,7 +47,7 @@ from blockade_lab.quantum_core import (
     lowering_operators,
 )
 from blockade_lab.sweep import _grid_rows, _mesh, run_sweep
-from conftest import MIXED_ROWS, evolve
+from conftest import MIXED_ROWS, evolve, undrifted
 
 H4 = HilbertConfig(4)
 FIG1 = SystemParams(g=1.0, kappa=0.05, gamma=0.05, eta=0.01, delta_a=1.0, delta=1.0)
@@ -334,8 +334,8 @@ def kernel_solve(stack, dense=False):
     """The block kernel's states, betas and singular pivots on a dense stack, read through the basis pattern.
 
     Each matrix must lie on the pattern of the LiouvillianBasis of its
-    dimension, as every Liouvillian the library assembles does. With dense
-    on, those of the dense solve instead.
+    dimension, as every Liouvillian the library assembles does. The kernel
+    takes its refinement step; with dense on, these are the dense solve's.
     """
     d = math.isqrt(stack.shape[-1])
     pattern = lindblad._basis(HilbertConfig(d // 2 - 1)).pattern
@@ -344,7 +344,7 @@ def kernel_solve(stack, dense=False):
     assert np.count_nonzero(values) == np.count_nonzero(flat), "a matrix off the basis pattern"
     if dense:
         return lindblad._dense_solve(pattern, values)
-    return lindblad._block_kernel(d).solve_values(values, pattern.slots)
+    return lindblad._block_kernel(d).solve(pattern, values)
 
 
 def block_solve(liou, dense=False):
@@ -733,18 +733,38 @@ def test_every_row_of_a_pattern_holds_an_entry(nmax):
         assert np.array_equal(rows[pattern._starts], np.arange(pattern.n))
 
 
-def test_a_fig1_sweep_builds_only_the_block_kernel():
-    built = []
-
-    def sweep():  # in a thread of its own, whose kernel cache starts empty
-        run_sweep(fig1_spec())
-        built.extend(vars(lindblad._thread_kernels)["by_dim"])
-
-    thread = threading.Thread(target=sweep)
+def _on_a_fresh_thread(call):
+    """call() on a thread of its own, which holds no kernel buffers yet, and its result."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()))
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    assert built == [H4.dim]
+    return result[0]
+
+
+def test_a_fig1_sweep_builds_only_the_block_kernel():
+    def sweep():
+        run_sweep(fig1_spec())
+        # the kernels that hold buffers for this thread, in their own thread-locals
+        return [d for d in range(4, 24, 2) if vars(lindblad._block_kernel(d)._local)]
+
+    assert _on_a_fresh_thread(sweep) == [H4.dim]
+
+
+def test_a_thread_solves_no_rows_then_each_dimension_in_turn_as_it_does_alone():
+    # a thread's first solve allocates its buffers, for no rows too, and each
+    # kernel holds its own, so moving between n_max 4 and 10 changes no bit
+    calls = [(MIXED_ROWS[:0], H4), (MIXED_ROWS, H4), (MIXED_ROWS, HilbertConfig(10)), (MIXED_ROWS, H4)]
+
+    def solve(rows, h):
+        vecs, failures = steady_states_at(rows, h)
+        return vecs.shape, vecs.tobytes(), {r: (type(e), str(e)) for r, e in failures.items()}
+
+    in_turn = _on_a_fresh_thread(lambda: [solve(*call) for call in calls])
+    assert in_turn[0] == ((0, H4.dim ** 2), b"", {})
+    assert in_turn == [_on_a_fresh_thread(lambda: solve(*call)) for call in calls]
+    assert sorted(in_turn[2][2]) == [1, 2, 3, 5]
 
 
 @pytest.mark.parametrize("nmax", range(1, 12))
@@ -810,13 +830,13 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
     # by the kernel and by steady_states_at, as it is alone
     h, rows = HilbertConfig(nmax), _LINES[line]
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    slots, values = basis.pattern.slots, basis.values(rows)
+    pattern, values = basis.pattern, basis.values(rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vecs, beta, singular = kernel.solve_values(values, slots)
+        vecs, beta, singular = kernel.solve(pattern, values)
         want = [outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {})
                 for r in range(len(rows))]
         for r in range(len(rows)):
-            assert outcome(*kernel.solve_values(values[r:r + 1], slots)) == want[r], r
+            assert outcome(*kernel.solve(pattern, values[r:r + 1])) == want[r], r
     chunk, failures = steady_states_at(rows, h)
     for r in range(len(rows)):
         one, one_failures = steady_states_at(rows[r:r + 1], h)
@@ -832,10 +852,10 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
 def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    slots, values = basis.pattern.slots, basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
+    pattern, values = basis.pattern, basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
     unedited = values.copy()
     # one nonzero of B~_0, made larger in the last row
-    take, at = slots
+    take, at = pattern.slots
     start, shape, _ = kernel._regions["b", 0]
     in_b0 = np.flatnonzero((at >= start) & (at < start + 2 * shape[0] * shape[1]))
     values[-1, take[in_b0[0]]] *= 1.5
@@ -846,36 +866,42 @@ def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
         return pivot_inverse(stack, singular)
 
     monkeypatch.setattr(lindblad, "_pivot_inverse", pivot)
-    vecs, beta, singular = kernel.solve_values(values, slots)
+    vecs, beta, singular = kernel.solve(pattern, values)
     # each pivot, S_0 too, is inverted for every row
     assert pivots == [3] * (kernel.last + 1) and not singular
     vecs, beta = vecs.copy(), beta.copy()
     for r in range(3):
-        assert outcome(*kernel.solve_values(values[r:r + 1], slots)) == outcome(vecs[r:r + 1], beta[r:r + 1], {})
+        assert outcome(*kernel.solve(pattern, values[r:r + 1])) == outcome(vecs[r:r + 1], beta[r:r + 1], {})
     # and the edit moves the last row's state
-    assert not np.array_equal(kernel.solve_values(unedited[-1:], slots)[0], vecs[-1:])
+    assert not np.array_equal(kernel.solve(pattern, unedited[-1:])[0], vecs[-1:])
 
 
-@pytest.mark.parametrize("refined", [False, True], ids=["unrefined", "refined"])
+@pytest.mark.parametrize("solve", ["unrefined", "refined", "dense"])
 @pytest.mark.parametrize("nmax", range(1, 11))
-def test_a_stacked_solve_gives_each_row_the_solve_it_gets_alone(nmax, refined):
-    # the state, beta and singular pivots, to the bit, with and without the
-    # refinement step; the complex products of a stack must not batch rows
+def test_a_stacked_solve_gives_each_row_the_solve_it_gets_alone(nmax, solve):
+    # the state, beta and singular pivots, to the bit: of the kernel with and
+    # without the drift of its refinement step, whose complex products must
+    # not batch rows, and of the dense solve, which steady_states_at gives
+    # any subset of a stack's rows to retry
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
     rows = np.concatenate(list(_LINES.values()) + [MIXED_ROWS])
-    slots, values = basis.pattern.slots, basis.values(rows)
-
-    def drift(values):
-        return (lambda vecs: basis.pattern.product(values, vecs)) if refined else None
+    values = basis.values(rows)
+    pattern = undrifted(basis.pattern) if solve == "unrefined" else basis.pattern
+    solved = lindblad._dense_solve if solve == "dense" else kernel.solve
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vecs, beta, singular = kernel.solve_values(values, slots, drift(values))
+        vecs, beta, singular = solved(pattern, values)
         vecs, beta = vecs.copy(), beta.copy()
         for r in range(len(rows)):
-            one = kernel.solve_values(values[r:r + 1], slots, drift(values[r:r + 1]))
-            assert outcome(*one) == outcome(vecs[r:r + 1], beta[r:r + 1],
-                                            {0: singular[r]} if r in singular else {}), r
+            one = outcome(*solved(pattern, values[r:r + 1]))
+            want = outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {})
+            if solve == "unrefined" and r in singular:
+                # the zero drift meets the NaN of a singular pivot in the step's
+                # products, whose NaN sign a stack and a row may pick apart
+                one, want = (tuple(np.isnan(np.frombuffer(bits)).all() for bits in got[:2]) + got[2:]
+                             for got in (one, want))
+            assert one == want, r
     assert np.isfinite(vecs[:5]).all() and np.isfinite(beta[:5]).all()
     # the lossless resonant row meets an exactly singular top block
     assert 5 in singular

@@ -321,7 +321,7 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         rows = np.repeat(BASE.row(), size, axis=0)
         lindblad.steady_states_at(rows, h)
         kernel = lindblad._block_kernel(h.dim)
-        mine = vars(lindblad._thread_kernels)["by_dim"][h.dim]
+        mine = kernel._local  # read on this thread: its own buffers
         buffers = (mine.factors, mine.work, mine.state, mine.sums)
         # A_0, U_0 and B_0 real, each block of q >= 1 complex at half its
         # real size, and F_k^T the size of B_k^T
@@ -422,11 +422,11 @@ def test_evaluate_on_two_workers_equals_evaluate_on_one(rows, h, outputs, chunk_
                           else [(2, "SingularDenominatorError"), (6, "OverflowError")])
 
 
-@pytest.mark.parametrize("chunk_bytes", [2100 * 1024, 1])
-def test_a_one_row_evaluate_never_hands_work_to_the_helper(chunk_bytes):
+@pytest.mark.parametrize("chunk_bytes", [sweep._CHUNK_BYTES, 1])
+def test_an_evaluate_of_one_row_or_of_more_starts_no_thread(chunk_bytes):
     # no evaluate starts a thread: of one row, and of three rows, whose two
     # distinct canonical rows (delta -1 is the mirror of 1) are one chunk at
-    # a budget of 40 rows, or two chunks of one row at a budget of 1 byte
+    # the default budget, or two chunks of one row at a budget of 1 byte
     rows = np.repeat(BASE.row(), 3, axis=0)
     rows[:, PARAM_FIELDS.index("delta")] = (-1.0, 0.0, 1.0)
     with mock.patch.object(sweep, "_CHUNK_BYTES", chunk_bytes), \
@@ -466,7 +466,7 @@ def _evaluate_with_a_failing_second_chunk_then_without():
     return values, failed, want, alive
 
 
-def test_an_error_in_the_helpers_share_is_raised_by_evaluate():
+def test_an_error_in_a_later_chunk_is_raised_by_evaluate():
     # an error in the second chunk is raised by evaluate, and the next
     # evaluate gives the usual bits
     values, failed, want, _ = _evaluate_with_a_failing_second_chunk_then_without()
