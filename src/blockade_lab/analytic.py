@@ -11,6 +11,10 @@ Everything here is expressed through the two complex half-width detunings
 
 and the recurring denominators D1 = g^2 + alpha beta and
 D2 = g^2 + beta^2 + alpha beta.
+
+The amplitude ODE (integrate_amplitude_odes) is why this module imports
+RK4Propagator, its one import from lindblad, rather than copy that RK4 map;
+no Liouvillian is used here, so the two branches stay independent.
 """
 
 from __future__ import annotations

@@ -370,18 +370,17 @@ class LiouvillianBasis:
     sparsely in the column-stacking basis, taken once to real coordinates,
     and kept as the flat indices and values of its nonzeros, also laid out
     on their common pattern (710 of L_r's 10,000 entries at n_max 4, 3,986
-    of 234,256 at n_max 10). values adds them in a fixed field order, so the
-    result is bit-reproducible and the same for a row alone or in a stack;
-    assemble and liouvillians lay those values out as dense matrices. The
-    steady-state gates and the block kernel read this truncation's L_r
-    through that pattern, whether as the values of a stack
-    (steady_states_at) or as one dense matrix (steady_state).
+    of 234,256 at n_max 10). assemble, the one way a Liouvillian is built,
+    adds them in a fixed field order, so the result is bit-reproducible and
+    the same for a row alone or in a stack; liouvillians lays those values
+    out as dense matrices. The steady-state gates and the block kernel read
+    this truncation's L_r through that pattern, whether as the values of a
+    stack (steady_states_at) or as one dense matrix (steady_state).
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
 
     def __init__(self, h: HilbertConfig):
-        self.hilbert = h
         d = h.dim
         zero = SystemParams(g=0, kappa=0, gamma=0, eta=0, delta_a=0, delta=0)
         self._parts = {}
@@ -395,7 +394,7 @@ class LiouvillianBasis:
         idx, self._aligned = _align(list(self._parts.values()))
         self.pattern = _Pattern(idx, d * d)
 
-    def values(self, rows: np.ndarray) -> np.ndarray:
+    def assemble(self, rows: np.ndarray) -> np.ndarray:
         """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, pattern.idx.size) array.
 
         An entry that overflows is left non-finite, without a warning, for
@@ -404,10 +403,6 @@ class LiouvillianBasis:
         with np.errstate(over="ignore", invalid="ignore"):
             return _weighted_sum(self._aligned, rows[:, self._columns])
 
-    def assemble(self, p: SystemParams) -> np.ndarray:
-        """The real Liouvillian at p, as a new (n, n) array; an overflow is left as in values."""
-        return _dense(self.hilbert.dim, self.pattern.idx, self.values(p.row()))[0]
-
 
 @cache
 def _basis(h: HilbertConfig) -> LiouvillianBasis:
@@ -415,22 +410,19 @@ def _basis(h: HilbertConfig) -> LiouvillianBasis:
 
 
 def liouvillian(p: SystemParams, h: HilbertConfig) -> np.ndarray:
-    """Real superoperator L_r of the model at p on truncation h, as a new array.
-
-    Assembled from the basis built once per truncation and kept for the life
-    of the process, so every caller gets the same bits for the same point.
-    """
-    return _basis(h).assemble(p)
+    """Real superoperator L_r of the model at p on truncation h: the one row of liouvillians at p."""
+    return liouvillians(p.row(), h)[0]
 
 
 def liouvillians(rows: np.ndarray, h: HilbertConfig) -> np.ndarray:
     """Real Liouvillians of (N, 6) parameter rows on truncation h, as a new stack.
 
-    Row r of the result carries the bits of liouvillian at the parameters of
-    row r, so a sweep row and a point query agree bit for bit.
+    The nonzeros LiouvillianBasis.assemble gives for the rows, on the basis
+    built once per truncation and kept for the life of the process, laid out
+    dense; row r carries the bits it gets alone.
     """
     basis = _basis(h)
-    return _dense(h.dim, basis.pattern.idx, basis.values(rows))
+    return _dense(h.dim, basis.pattern.idx, basis.assemble(rows))
 
 
 class _BlockKernel:
@@ -968,17 +960,17 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
     Returns vecs, of shape (N, d^2), whose row r holds the coordinates that
     steady_state(L_r, coordinates=True) gives for the L_r of row r (NaN if
     it failed), and a dict from each failed row to the error steady_state
-    raises on it, with the same message. The nonzeros of each row's L_r are
-    written straight into the block kernel's buffer through the basis
-    pattern's slots, and the gates read them alone: max |L_r|, ||L_r||_F,
-    the diagonal, the antisymmetry test (each nonzero plus the one at its
-    transpose) and the product L_r x. No dense L is formed. steady_state
-    reads an assembled L_r through the same pattern, with the same passes
-    and gates. No pass mixes rows, so a row's bits do not depend on the rows
-    solved with it.
+    raises on it, with the same message. The nonzeros of each row's L_r, from
+    one LiouvillianBasis.assemble call, are written straight into the block
+    kernel's buffer through the basis pattern's slots, and the gates read
+    them alone: max |L_r|, ||L_r||_F, the diagonal, the antisymmetry test
+    (each nonzero plus the one at its transpose) and the product L_r x. No
+    dense L is formed. steady_state reads an assembled L_r through the same
+    pattern, with the same passes and gates. No pass mixes rows, so a row's
+    bits do not depend on the rows solved with it.
     """
     basis = _basis(h)
-    return _solve_stack(basis.pattern, basis.values(rows), _block_kernel(h.dim))
+    return _solve_stack(basis.pattern, basis.assemble(rows), _block_kernel(h.dim))
 
 
 def _solve_stack(pattern: _Pattern, values: np.ndarray,

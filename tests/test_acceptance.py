@@ -41,7 +41,7 @@ from blockade_lab import (
 )
 from blockade_lab.analytic import integrate_amplitude_odes
 from blockade_lab.correlations import atom_coherence_numeric, mean_photon
-from blockade_lab.lindblad import LiouvillianBasis, vectorize
+from blockade_lab.lindblad import vectorize
 from blockade_lab.sweep import locate_extrema
 from conftest import evolve
 
@@ -245,7 +245,6 @@ def test_c08_solver_invariants_randomized():
     """50 random parameter sets: steady-state structure, residual, regression
     consistency at zero delay, and the kappa decay-rate convention pin."""
     rng = np.random.default_rng(20260815)
-    basis = LiouvillianBasis(H4)
     for _ in range(50):
         g = rng.uniform(0.5, 20.0)
         p = SystemParams(
@@ -256,7 +255,7 @@ def test_c08_solver_invariants_randomized():
             delta_a=g * rng.uniform(-1.5, 1.5),
             delta=g * rng.uniform(-1.5, 1.5),
         )
-        liou = basis.assemble(p)
+        liou = liouvillian(p, H4)
         rho = steady_state(liou)
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10

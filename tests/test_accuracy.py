@@ -122,7 +122,7 @@ def test_the_refinement_step_recovers_what_the_top_down_order_loses_on_fig4():
     # to 7.5e-10 in g2; one refinement step brings it back to about 1e-11.
     rows, h = _grid(fig4_spec(grid=11))
     basis, kernel = _basis(h), _block_kernel(h.dim)
-    values = basis.values(rows)
+    values = basis.assemble(rows)
     want = reference_outputs(rows, h)["g2_numeric"]
     errors = []
     for pattern in (undrifted(basis.pattern), basis.pattern):

@@ -6,9 +6,11 @@ a closed stdout, and what a fresh interpreter imports.
 """
 
 import io
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,17 @@ from blockade_lab import Axis, SweepSpec, SystemParams, cli, g2_zero_analytic, r
 from blockade_lab.sweep import write_sweep_csv
 
 FIG1_POINT = ("point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict[str, str]:
+    """This environment with the absolute src first on PYTHONPATH: a child interpreter imports this checkout."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_process(*args):
-    return subprocess.run([sys.executable, "-m", "blockade_lab.cli", *args], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "blockade_lab.cli", *args], capture_output=True, text=True,
+                          env=child_env())
 
 
 @pytest.fixture
@@ -349,7 +358,7 @@ def test_a_closed_stdout_ends_quietly():
     # the reader goes away before anything is written, as `| head -1` does
     # once it has its line
     proc = subprocess.Popen([sys.executable, "-m", "blockade_lab.cli", "fig1", "--grid", "41"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
@@ -369,7 +378,7 @@ def test_check_in_a_fresh_process_does_not_import_numpy_ma(tmp_path):
               "print(status, 'numpy.ma' in sys.modules)\n"
               f"status = cli.main(['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'sweep.csv')!r}])\n"
               "print(status, 'numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.stdout.split() == ["0", "False", "0", "False"], proc.stderr
 
 
@@ -378,5 +387,5 @@ def test_importing_the_cli_imports_neither_logging_nor_concurrent_futures():
     script = ("import sys\n"
               "import blockade_lab.cli\n"
               "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert proc.stdout.split() == ["[]"], proc.stderr

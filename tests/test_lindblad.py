@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockade_lab import lindblad
+from blockade_lab import cli, lindblad
 from blockade_lab.analytic import _ode_matrix
 from blockade_lab.cli import fig1_spec, fig2_params, fig3_spec
 from blockade_lab.correlations import (
@@ -219,9 +219,8 @@ def test_certificate_accepts_every_preset_point(spec, monkeypatch):
         return dense_solve(pattern, values)
 
     monkeypatch.setattr(lindblad, "_dense_solve", counted)
-    basis = LiouvillianBasis(spec.hilbert)
     for row in _grid_rows(spec, _mesh(spec.axes)):
-        liou = basis.assemble(SystemParams(*row))
+        liou = liouvillian(SystemParams(*row), spec.hilbert)
         rho = steady_state(liou)
         assert np.max(np.abs(rho - bordered_solve_state(liou))) <= 1e-13
     # the bound of the block factors certified every row: none took the dense solve
@@ -678,11 +677,11 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     rows = np.concatenate([MIXED_ROWS[[0, 1, 4, 6]], _delta_line(FIG1, [-3.0, 0.0, 0.7])])
     liou = liouvillians(rows, h)
     # the dense solve scatters every nonzero to its own place
-    assert np.array_equal(lindblad._dense(h.dim, basis.pattern.idx, basis.values(rows)), liou)
+    assert np.array_equal(lindblad._dense(h.dim, basis.pattern.idx, basis.assemble(rows)), liou)
     kernel = lindblad._block_kernel(h.dim)
     take, at = basis.pattern.slots
     assert np.unique(at).size == at.size
-    kernel._load(basis.values(rows), (take, at))
+    kernel._load(basis.assemble(rows), (take, at))
     steps = kernel._buffers(len(rows)).steps
     spans = [kernel.order[span] for span in kernel.spans]
     for r, full in enumerate(liou):
@@ -802,7 +801,7 @@ def test_a_delta_line_loads_the_same_step_0_inputs_on_every_row(nmax):
     deltas = np.concatenate([fig1_spec().axis1.values()[::40], rng.uniform(-40.0, 40.0, 5)])
     h, rows = HilbertConfig(nmax), _delta_line(FIG1, deltas)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    kernel._load(basis.values(rows), basis.pattern.slots)
+    kernel._load(basis.assemble(rows), basis.pattern.slots)
     steps = kernel._buffers(len(rows)).steps
     for block in (steps[0].a, steps[0].u, steps[0].b):
         assert _bits(block) == _bits(block[:1]) * len(rows)
@@ -830,7 +829,7 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
     # by the kernel and by steady_states_at, as it is alone
     h, rows = HilbertConfig(nmax), _LINES[line]
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    pattern, values = basis.pattern, basis.values(rows)
+    pattern, values = basis.pattern, basis.assemble(rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vecs, beta, singular = kernel.solve(pattern, values)
         want = [outcome(vecs[r:r + 1], beta[r:r + 1], {0: singular[r]} if r in singular else {})
@@ -849,10 +848,10 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
 
 
 @pytest.mark.parametrize("nmax", [1, 4, 10])
-def test_step_0_is_not_shared_when_only_b0_differs(nmax, monkeypatch):
+def test_every_pivot_is_inverted_for_each_row_when_only_b0_differs(nmax, monkeypatch):
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
-    pattern, values = basis.pattern, basis.values(_delta_line(FIG1, [0.5, 1.0, 1.5]))
+    pattern, values = basis.pattern, basis.assemble(_delta_line(FIG1, [0.5, 1.0, 1.5]))
     unedited = values.copy()
     # one nonzero of B~_0, made larger in the last row
     take, at = pattern.slots
@@ -886,7 +885,7 @@ def test_a_stacked_solve_gives_each_row_the_solve_it_gets_alone(nmax, solve):
     h = HilbertConfig(nmax)
     kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
     rows = np.concatenate(list(_LINES.values()) + [MIXED_ROWS])
-    values = basis.values(rows)
+    values = basis.assemble(rows)
     pattern = undrifted(basis.pattern) if solve == "unrefined" else basis.pattern
     solved = lindblad._dense_solve if solve == "dense" else kernel.solve
 
@@ -1083,6 +1082,11 @@ def dense_weighted_sum(p, parts):
     return liou
 
 
+def dense_at(basis, p):
+    """The dense L_r at p from the nonzeros that basis itself assembles."""
+    return lindblad._dense(math.isqrt(basis.pattern.n), basis.pattern.idx, basis.assemble(p.row()))[0]
+
+
 def dense_fixed_order_sum(p, h):
     """Reference assembly: the real part of every dense unit superoperator, weighted."""
     return dense_weighted_sum(p, [(field, dense_real_part(part))
@@ -1166,19 +1170,51 @@ def test_sparse_basis_is_the_dense_sum_bit_for_bit(nmax):
         SystemParams(g=0.0, kappa=1.7, gamma=0.45, eta=0.0, delta_a=0.0, delta=-3.1),
         SystemParams(g=17.3, kappa=1e-9, gamma=0.6, eta=0.3, delta_a=-40.0, delta=12.5),
     ):
-        assert np.array_equal(basis.assemble(p), dense_fixed_order_sum(p, h))
+        assert np.array_equal(dense_at(basis, p), dense_fixed_order_sum(p, h))
 
 
 def test_liouvillian_is_the_basis_sum_in_a_fresh_array_each_call():
     h = HilbertConfig(5)
     first = liouvillian(FIG1, h)
-    assert np.array_equal(first, LiouvillianBasis(h).assemble(FIG1))
+    assert np.array_equal(first, dense_at(LiouvillianBasis(h), FIG1))
     assert first.flags.writeable
     kept = first.copy()
     first[:] = 7.0
     second = liouvillian(FIG1, h)
     assert second is not first
     assert np.array_equal(second, kept)
+
+
+def test_every_liouvillian_comes_from_one_assemble_call_per_stack(monkeypatch, tmp_path):
+    calls, assemble = [], LiouvillianBasis.assemble
+
+    def counted(basis, rows):
+        calls.append(len(rows))
+        return assemble(basis, rows)
+
+    monkeypatch.setattr(LiouvillianBasis, "assemble", counted)
+    # fig1's 201 distinct canonical rows, in chunks of 80
+    run_sweep(fig1_spec())
+    assert calls == [80, 80, 41]
+    calls.clear()
+    assert cli.main(["point", "--g", "1", "--kappa", "0.05", "--gamma", "0.05", "--eta", "0.01",
+                     "--out", str(tmp_path / "point.txt")]) == 0
+    assert calls == [1]
+    calls.clear()
+    assert cli.main(["fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    assert calls == [1]
+
+    rows = np.concatenate([MIXED_ROWS, _delta_line(FIG1, [-3.0, 0.0, 0.7])])
+    for nmax in (1, 4, 10):
+        h = HilbertConfig(nmax)
+        calls.clear()
+        steady_states_at(rows, h)
+        assert calls == [len(rows)], nmax
+        # a stacked assembly gives each row the bits it gets alone
+        basis = LiouvillianBasis(h)
+        stacked = assemble(basis, rows)
+        for r in range(len(rows)):
+            assert stacked[r:r + 1].tobytes() == assemble(basis, rows[r:r + 1]).tobytes(), (nmax, r)
 
 
 def test_cached_operators_are_read_only():
@@ -1200,11 +1236,11 @@ def test_liouvillian_basis_matches_direct_build():
     for p in (FIG1, SystemParams(g=2.0, kappa=0.7, gamma=0.0, eta=0.05,
                                  delta_a=-1.1, delta=0.3)):
         direct = build_liouvillian(model_for(p, H4))
-        assembled = basis.assemble(p)
+        assembled = dense_at(basis, p)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(assembled - direct)) < 1e-12 * scale
         # assembly is a fixed-order sum, so repeated calls are bit identical
-        assert np.array_equal(assembled, basis.assemble(p))
+        assert np.array_equal(assembled, dense_at(basis, p))
 
 
 def test_mismatched_channel_dimension_rejected():

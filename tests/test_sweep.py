@@ -332,7 +332,7 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         # k = 0), and the constants 1 and 0; none for a row of U_0
         assert mine.sums.shape[1] == 2 * s[0] + s[1] + (sum(s[1:-1]) + sum(s[1:]) + sum(s[2:])) // 2 + 2
         # the chunk's nonzero values, and no L stack
-        nbytes = lindblad._basis(h).values(rows).nbytes + sum(b.nbytes for b in buffers)
+        nbytes = lindblad._basis(h).assemble(rows).nbytes + sum(b.nbytes for b in buffers)
         assert nbytes == size * lindblad.steady_state_bytes(h)
         held[h.n_max] = size, {len(b) for b in buffers}, nbytes
 
