@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,15 +329,17 @@ class _Pattern:
 
     A stack of such matrices is held as its values at idx, one row a matrix.
     The pattern keeps the nonzeros on the diagonal, the nonzero at the
-    transpose position of each (-1 where there is none), and the column and
-    the row runs of the product L_r x; a basis pattern also keeps the slot of
-    each nonzero in the block kernel's buffer (slots). Every row must hold an
-    entry, as every row of a basis pattern and of the full pattern does:
-    product takes the i-th run of entries as row i.
+    transpose position of each (-1 where there is none), the column and row
+    runs of the product L_r x, and the kernel that solves a stack on it: a
+    basis pattern's block kernel, with the slot of each nonzero in its buffer
+    (slots), or None for the dense solve. Every row must hold an entry, as
+    every row of a basis pattern and of the full pattern does: product takes
+    the i-th run of entries as row i.
     """
 
-    def __init__(self, idx: np.ndarray, n: int):
-        self.idx, self.n = idx, n
+    def __init__(self, idx: np.ndarray, n: int, kernel: _BlockKernel | None = None):
+        self.idx, self.n, self.kernel = idx, n, kernel
+        self.slots = None if kernel is None else kernel.slots(idx)
         # idx ascends, so each row's nonzeros are one run, starting at _starts
         rows, self._cols = np.divmod(idx, n)
         self._diagonal = np.flatnonzero(rows == self._cols)
@@ -350,15 +352,10 @@ class _Pattern:
         """L_r x for each row of values and of the (N, n) coordinates vecs, from the nonzeros alone."""
         return np.add.reduceat(values * np.take(vecs, self._cols, axis=1), self._starts, axis=1)
 
-    @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where the block kernel of this dimension loads the nonzeros (_BlockKernel.slots), found once."""
-        return _block_kernel(math.isqrt(self.n)).slots(self.idx)
-
 
 @cache
 def _full_pattern(n: int) -> _Pattern:
-    """Every entry of an n x n matrix: how steady_state reads an L_r off its basis's pattern."""
+    """Every entry of an n x n matrix, with no kernel: how steady_state reads an L_r off its basis's pattern."""
     return _Pattern(np.arange(n * n), n)
 
 
@@ -373,9 +370,9 @@ class LiouvillianBasis:
     of 234,256 at n_max 10). assemble, the one way a Liouvillian is built,
     adds them in a fixed field order, so the result is bit-reproducible and
     the same for a row alone or in a stack; liouvillians lays those values
-    out as dense matrices. The steady-state gates and the block kernel read
-    this truncation's L_r through that pattern, whether as the values of a
-    stack (steady_states_at) or as one dense matrix (steady_state).
+    out as dense matrices. The gates and the block kernel the pattern
+    carries read L_r through it, as a stack's values (steady_states_at) or
+    as one dense matrix (steady_state).
     """
 
     _H_FIELDS = ("delta_a", "delta", "g", "eta")
@@ -392,7 +389,7 @@ class LiouvillianBasis:
         self._parts["gamma"] = _real_part(_dissipator_superop(sm), d)
         self._columns = [PARAM_FIELDS.index(field) for field in self._parts]
         idx, self._aligned = _align(list(self._parts.values()))
-        self.pattern = _Pattern(idx, d * d)
+        self.pattern = _Pattern(idx, d * d, _BlockKernel(d))
 
     def assemble(self, rows: np.ndarray) -> np.ndarray:
         """The nonzeros of the real Liouvillians of (N, 6) parameter rows, an (N, pattern.idx.size) array.
@@ -492,7 +489,7 @@ class _BlockKernel:
 
     One loader fills the kernel's factors buffer, and _factor solves it:
     _load writes the nonzeros of a stack of L_r at their slots (slots, found
-    once per basis pattern by _Pattern.slots), the other entries zero. Each block
+    once, when the basis pattern is built), the other entries zero. Each block
     is stored as its transpose, and block k >= 1 as complex numbers, one
     entry taken from the nonzero at [u_e, u_f] and one from [v_e, u_f]: the
     nonzeros in the columns v_f repeat them and are not written. A_0 and U_0
@@ -515,9 +512,9 @@ class _BlockKernel:
     their bits. A pattern read by the kernel lies on the block pattern; the
     basis pattern does, since only the drive changes the coherence order.
 
-    A kernel's layout (slot tables, norm runs) is read-only, built once per
-    dimension (_block_kernel) and shared by all threads; the buffers it
-    writes are held apart for each thread that solves on it (_buffers).
+    A kernel's layout (slot tables, norm runs) is read-only, built with its
+    basis pattern, once per truncation (_basis), and shared by all threads;
+    the buffers it writes are held apart for each thread (_buffers).
     """
 
     def __init__(self, dim: int):
@@ -842,12 +839,6 @@ def _dense_solve(pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, np.
     return inverse[:, :, 0].copy(), beta, singular
 
 
-@cache
-def _block_kernel(dim: int) -> _BlockKernel:
-    """The kernel of the even dimension dim, shared by all threads."""
-    return _BlockKernel(dim)
-
-
 def _require_real(liou: np.ndarray) -> None:
     if np.iscomplexobj(liou):
         raise ValueError("expected the real Liouvillian of liouvillian() or build_liouvillian()")
@@ -859,7 +850,7 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def steady_state_bytes(h: HilbertConfig) -> int:
-    """Bytes one row of a steady_states_at stack holds: its nonzeros and the block kernel's buffers.
+    """Bytes one row of a steady_states_at stack holds: its nonzeros and its pattern's kernel buffers.
 
     The buffers are the factors, work, state and sums rows that the kernel
     holds for the calling thread (_BlockKernel._buffers). The factors hold the blocks of q >= 1 as
@@ -869,7 +860,7 @@ def steady_state_bytes(h: HilbertConfig) -> int:
     on its calling thread; each further thread that solves on the kernel
     holds these rows once more.
     """
-    return 8 * _basis(h).pattern.idx.size + _block_kernel(h.dim).row_bytes
+    return 8 * _basis(h).pattern.idx.size + _basis(h).pattern.kernel.row_bytes
 
 
 def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
@@ -886,13 +877,13 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     the bordered matrix M, and the coordinates x of rho solve M x = e0.
 
     L_r is read as its values at a pattern of entries. For even d >= 4, if it
-    has no nonzero off the pattern of the LiouvillianBasis of that dimension, as
-    every L_r the library assembles, it is read through that pattern by the
-    block kernel (_BlockKernel), which takes its blocks from those values,
-    solves for x, refines it once with the residual of L_r x, and bounds
-    ||M^-1||_1 by beta; the gates judge the refined x. It leaves x and beta
-    NaN if it meets a singular pivot block, and a NaN bound fails the
-    certificate.
+    has no nonzero off the pattern of the LiouvillianBasis of that dimension,
+    as every L_r the library assembles, it is read through that pattern by
+    the block kernel the pattern carries (_BlockKernel), which takes its
+    blocks from those values, solves for x, refines it once with the
+    residual of L_r x, and bounds ||M^-1||_1 by beta; the gates judge the
+    refined x. It leaves x and beta NaN if it meets a singular pivot block,
+    and a NaN bound fails the certificate.
     The state is solved again by the dense solve (_dense_solve), column 0 of
     the LAPACK inverse of M, whose beta is ||M^-1||_1, if it fails the
     certificate or the residual gate, and not if the first two gates below
@@ -900,8 +891,8 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
     dense solve. It gets the state and the message of its row in
     steady_states_at, which runs the same passes and gates on the nonzeros
     of assembled Liouvillians. Any other L_r (odd d, a matrix built by hand)
-    is read through the full pattern of all n^2 entries, and the one pass is
-    the dense one.
+    is read through the full pattern of all n^2 entries, which carries no
+    kernel, and the one pass is the dense one.
 
     The certificate of a one-dimensional null space: T is unitary, so L_r
     and M have the singular values of L and of its bordered matrix. M
@@ -945,10 +936,9 @@ def steady_state(liou: np.ndarray, coordinates: bool = False) -> np.ndarray:
         pattern = _basis(HilbertConfig(d // 2 - 1)).pattern
         values = flat[:, pattern.idx]
         on_basis = np.count_nonzero(values) == np.count_nonzero(flat)
-    if on_basis:
-        vecs, failures = _solve_stack(pattern, values, _block_kernel(d))
-    else:
-        vecs, failures = _solve_stack(_full_pattern(n), flat, None)
+    if not on_basis:
+        pattern, values = _full_pattern(n), flat
+    vecs, failures = _solve_stack(pattern, values)
     if failures:
         raise failures[0]
     return vecs[0] if coordinates else unvectorize(vecs[0], d)
@@ -970,17 +960,17 @@ def steady_states_at(rows: np.ndarray, h: HilbertConfig) -> tuple[np.ndarray, di
     bits do not depend on the rows solved with it.
     """
     basis = _basis(h)
-    return _solve_stack(basis.pattern, basis.assemble(rows), _block_kernel(h.dim))
+    return _solve_stack(basis.pattern, basis.assemble(rows))
 
 
-def _solve_stack(pattern: _Pattern, values: np.ndarray,
-                 kernel: _BlockKernel | None) -> tuple[np.ndarray, dict]:
+def _solve_stack(pattern: _Pattern, values: np.ndarray) -> tuple[np.ndarray, dict]:
     """The passes and gates of steady_state on a stack of L_r, given by its values at pattern.
 
-    The block kernel, given, makes the first pass (_BlockKernel.solve), and
-    hands the rows its gates refuse to the dense solve, which does not
-    refine. Without a kernel the dense solve is the one pass. A stack of no
-    rows takes the same path and gives (0, n) states and no failures.
+    The pattern's block kernel, if it has one, makes the first pass
+    (_BlockKernel.solve) and hands the rows its gates refuse to the dense
+    solve, which does not refine; otherwise the dense solve is the one pass.
+    A stack of no rows takes the same path and gives (0, n) states and no
+    failures.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # max |L| of each matrix, without a stack-sized temporary for |L|;
@@ -998,10 +988,8 @@ def _solve_stack(pattern: _Pattern, values: np.ndarray,
             no_dissipation[r] = not np.any(np.where(transpose < 0, row, row + row[transpose]))
         refused = non_finite | no_dissipation
 
-        if kernel is None:
-            vecs, beta, reasons = _dense_solve(pattern, values)
-        else:
-            vecs, beta, reasons = kernel.solve(pattern, values)
+        kernel = pattern.kernel
+        vecs, beta, reasons = (_dense_solve if kernel is None else kernel.solve)(pattern, values)
         gates = _gates(pattern.product(values, vecs), vecs, beta, top_hi, scale)
         _, _, uncertified, _, unsettled = gates
         # a row the block kernel could not solve has a NaN bound, so it is uncertified

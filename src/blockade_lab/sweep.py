@@ -250,7 +250,17 @@ def evaluate(rows: np.ndarray, h: HilbertConfig,
     depend on N or on the chunk it falls in; and the solve is
     sign-equivariant, so they do not depend on whether the row or its mirror
     was solved.
+
+    Rows not of shape (N, 6) raise ValueError, and so does the first row
+    that SystemParams refuses (a field not finite, a rate negative), with
+    its message: such a row is the caller's error, not a failed point.
     """
+    if np.ndim(rows) != 2 or np.shape(rows)[1] != len(PARAM_FIELDS):
+        raise ValueError(f"expected (N, {len(PARAM_FIELDS)}) parameter rows, got shape {np.shape(rows)}")
+    # g, kappa, gamma and eta, the first fields, must be nonnegative
+    if not (np.isfinite(rows).all() and (rows[:, :4] >= 0).all()):
+        for row in rows:
+            SystemParams(*row)
     values, step_failed = {}, {}
     if any(name in outputs for name in _ANALYTIC_STEPS):
         g2, coh, g2_failed, coh_failed = closed_forms(rows)

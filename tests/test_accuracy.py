@@ -16,7 +16,7 @@ import pytest
 
 from blockade_lab.cli import fig1_spec, fig3_spec, fig4_spec
 from blockade_lab.correlations import _functionals, steady_observables
-from blockade_lab.lindblad import _basis, _block_kernel, liouvillians, vectorize
+from blockade_lab.lindblad import _basis, liouvillians, vectorize
 from blockade_lab.quantum_core import SystemParams
 from blockade_lab.sweep import _grid_rows, _mesh, evaluate
 from conftest import undrifted
@@ -121,7 +121,8 @@ def test_the_refinement_step_recovers_what_the_top_down_order_loses_on_fig4():
     # rounding of that Schur complement costs fig4's smallest populations up
     # to 7.5e-10 in g2; one refinement step brings it back to about 1e-11.
     rows, h = _grid(fig4_spec(grid=11))
-    basis, kernel = _basis(h), _block_kernel(h.dim)
+    basis = _basis(h)
+    kernel = basis.pattern.kernel
     values = basis.assemble(rows)
     want = reference_outputs(rows, h)["g2_numeric"]
     errors = []

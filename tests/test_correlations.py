@@ -134,6 +134,9 @@ def test_tau_grid_validation():
         g2_tau(rho, liou, H4, np.array([0.0, 0.2, 0.2]), dt)  # strictly ascending
     with pytest.raises(StepTooLargeError):
         g2_tau(rho, liou, H4, np.array([0.0, 0.2]), 10.0)
+    for grid in (np.zeros((2, 2)), np.array([])):  # 2-D, and empty
+        with pytest.raises(ValueError, match="tau_grid must be a 1d array"):
+            g2_tau(rho, liou, H4, grid, dt)
 
 
 @pytest.mark.parametrize("grid", [[0.0, 0.5, np.nan], [0.0, np.inf], [0.0, np.nan, 0.5]])
@@ -142,6 +145,15 @@ def test_tau_grid_must_be_finite(grid):
     rho = steady_state(liou)
     with pytest.raises(ValueError, match="tau_grid must be finite and ascend strictly from 0"):
         g2_tau(rho, liou, H4, np.array(grid), default_step(FIG2))
+
+
+def test_steady_state_and_g2_tau_refuse_a_complex_liouvillian():
+    liou = liouvillian(FIG2, H4)
+    rho = steady_state(liou)
+    for call in (lambda: steady_state(liou.astype(complex)),
+                 lambda: g2_tau(rho, liou.astype(complex), H4, np.array([0.0, 0.2]), default_step(FIG2))):
+        with pytest.raises(ValueError, match=r"expected the real Liouvillian of liouvillian\(\)"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,6 +1,7 @@
 """Master-equation engine: generator construction, steady states, propagation."""
 
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -312,7 +313,7 @@ def test_the_coherences_of_order_q_at_least_1_evolve_complex_linearly(nmax, g, k
     # M[u_e, u_f] and M[u_e, v_f] = -M[v_e, u_f] on q >= 1, so each block of
     # q >= 1 is the real form of a complex matrix of half its size
     h = HilbertConfig(nmax)
-    kernel = lindblad._block_kernel(h.dim)
+    kernel = lindblad._basis(h).pattern.kernel
     p = SystemParams(g=g, kappa=kappa, gamma=gamma, eta=eta, delta_a=delta_a, delta=delta)
     m = liouvillian(p, h)[np.ix_(kernel.order, kernel.order)][kernel.sizes[0]:, kernel.sizes[0]:]
     u, v = np.arange(0, len(m), 2), np.arange(1, len(m), 2)
@@ -343,7 +344,7 @@ def kernel_solve(stack, dense=False):
     assert np.count_nonzero(values) == np.count_nonzero(flat), "a matrix off the basis pattern"
     if dense:
         return lindblad._dense_solve(pattern, values)
-    return lindblad._block_kernel(d).solve(pattern, values)
+    return pattern.kernel.solve(pattern, values)
 
 
 def block_solve(liou, dense=False):
@@ -417,7 +418,7 @@ _SMALL_LAYOUTS = {
                          + [(spec, 1) for spec in _SMALL_LAYOUTS.values()],
                          ids=["fig1", "fig3_2x2_nmax10", *_SMALL_LAYOUTS])
 def test_beta_is_the_bound_of_the_block_factors(spec, every):
-    kernel = lindblad._block_kernel(spec.hilbert.dim)
+    kernel = lindblad._basis(spec.hilbert).pattern.kernel
     for row in _grid_rows(spec, _mesh(spec.axes))[::every]:
         liou = liouvillian(SystemParams(*row), spec.hilbert)
         want = block_factor_bound(liou, kernel)
@@ -569,13 +570,18 @@ def test_an_l_on_the_block_pattern_but_off_the_basis_pattern_gets_only_the_dense
     on_blocks = np.flatnonzero(np.abs(q[:, None] - q[None, :]) <= 1)
     spare = np.setdiff1d(on_blocks[on_blocks >= q.size], LiouvillianBasis(H4).pattern.idx)
     assert spare.size == 5235
-    built, solved, dense_solve = [], [], lindblad._dense_solve
+    blocked, solved = [], []
+    dense_solve, kernel_solve = lindblad._dense_solve, lindblad._BlockKernel.solve
 
     def counted(pattern, values):
         solved.append(len(values))
         return dense_solve(pattern, values)
 
-    monkeypatch.setattr(lindblad, "_block_kernel", built.append)
+    def block_counted(kernel, pattern, values):
+        blocked.append(len(values))
+        return kernel_solve(kernel, pattern, values)
+
+    monkeypatch.setattr(lindblad._BlockKernel, "solve", block_counted)
     monkeypatch.setattr(lindblad, "_dense_solve", counted)
     picked = spare[np.linspace(0, spare.size - 1, 9).astype(int)]
     for k in picked:
@@ -584,7 +590,10 @@ def test_an_l_on_the_block_pattern_but_off_the_basis_pattern_gets_only_the_dense
         want = dense_steady_state(hand)
         assert isinstance(want, np.ndarray), (k, want)
         assert np.array_equal(steady_state(hand, coordinates=True), want), k
-    assert built == [] and solved == [1] * picked.size
+    assert blocked == [] and solved == [1] * picked.size
+    # the L on the basis pattern is the block kernel's
+    steady_state(liou)
+    assert blocked == [1] and solved == [1] * picked.size
 
 
 def test_a_liouvillian_of_odd_dimension_gets_the_dense_solve():
@@ -678,7 +687,7 @@ def test_every_basis_nonzero_has_the_slot_the_dense_loader_gathers_it_to(nmax):
     liou = liouvillians(rows, h)
     # the dense solve scatters every nonzero to its own place
     assert np.array_equal(lindblad._dense(h.dim, basis.pattern.idx, basis.assemble(rows)), liou)
-    kernel = lindblad._block_kernel(h.dim)
+    kernel = basis.pattern.kernel
     take, at = basis.pattern.slots
     assert np.unique(at).size == at.size
     kernel._load(basis.assemble(rows), (take, at))
@@ -742,13 +751,14 @@ def _on_a_fresh_thread(call):
     return result[0]
 
 
-def test_a_fig1_sweep_builds_only_the_block_kernel():
+def test_a_fig1_sweep_fills_buffers_only_in_its_own_kernel():
     def sweep():
         run_sweep(fig1_spec())
         # the kernels that hold buffers for this thread, in their own thread-locals
-        return [d for d in range(4, 24, 2) if vars(lindblad._block_kernel(d)._local)]
+        return [nmax for nmax in range(1, 11)
+                if vars(lindblad._basis(HilbertConfig(nmax)).pattern.kernel._local)]
 
-    assert _on_a_fresh_thread(sweep) == [H4.dim]
+    assert _on_a_fresh_thread(sweep) == [H4.n_max]
 
 
 def test_a_thread_solves_no_rows_then_each_dimension_in_turn_as_it_does_alone():
@@ -800,7 +810,8 @@ def test_a_delta_line_loads_the_same_step_0_inputs_on_every_row(nmax):
     rng = np.random.default_rng(nmax)
     deltas = np.concatenate([fig1_spec().axis1.values()[::40], rng.uniform(-40.0, 40.0, 5)])
     h, rows = HilbertConfig(nmax), _delta_line(FIG1, deltas)
-    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    basis = LiouvillianBasis(h)
+    kernel = basis.pattern.kernel
     kernel._load(basis.assemble(rows), basis.pattern.slots)
     steps = kernel._buffers(len(rows)).steps
     for block in (steps[0].a, steps[0].u, steps[0].b):
@@ -828,7 +839,8 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
     # last, from blocks that keep Delta, so each row is solved on its own:
     # by the kernel and by steady_states_at, as it is alone
     h, rows = HilbertConfig(nmax), _LINES[line]
-    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    basis = LiouvillianBasis(h)
+    kernel = basis.pattern.kernel
     pattern, values = basis.pattern, basis.assemble(rows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vecs, beta, singular = kernel.solve(pattern, values)
@@ -850,7 +862,8 @@ def test_a_shared_step_0_gives_each_row_the_solve_it_gets_alone(line, nmax):
 @pytest.mark.parametrize("nmax", [1, 4, 10])
 def test_every_pivot_is_inverted_for_each_row_when_only_b0_differs(nmax, monkeypatch):
     h = HilbertConfig(nmax)
-    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    basis = LiouvillianBasis(h)
+    kernel = basis.pattern.kernel
     pattern, values = basis.pattern, basis.assemble(_delta_line(FIG1, [0.5, 1.0, 1.5]))
     unedited = values.copy()
     # one nonzero of B~_0, made larger in the last row
@@ -883,7 +896,8 @@ def test_a_stacked_solve_gives_each_row_the_solve_it_gets_alone(nmax, solve):
     # not batch rows, and of the dense solve, which steady_states_at gives
     # any subset of a stack's rows to retry
     h = HilbertConfig(nmax)
-    kernel, basis = lindblad._block_kernel(h.dim), LiouvillianBasis(h)
+    basis = LiouvillianBasis(h)
+    kernel = basis.pattern.kernel
     rows = np.concatenate(list(_LINES.values()) + [MIXED_ROWS])
     values = basis.assemble(rows)
     pattern = undrifted(basis.pattern) if solve == "unrefined" else basis.pattern
@@ -1125,6 +1139,12 @@ def test_vectorize_refuses_a_matrix_that_is_not_hermitian():
         vectorize(rho)
     with pytest.raises(ValueError, match="not Hermitian"):
         vectorize(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_vectorize_refuses_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        vectorize(np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", [(5,), (3,), (2, 2), (1, 4)])

@@ -320,7 +320,7 @@ def test_a_chunk_is_one_point_or_fits_the_budget_with_the_kernel_buffers():
         size = sweep._chunk_size(h)
         rows = np.repeat(BASE.row(), size, axis=0)
         lindblad.steady_states_at(rows, h)
-        kernel = lindblad._block_kernel(h.dim)
+        kernel = lindblad._basis(h).pattern.kernel
         mine = kernel._local  # read on this thread: its own buffers
         buffers = (mine.factors, mine.work, mine.state, mine.sums)
         # A_0, U_0 and B_0 real, each block of q >= 1 complex at half its
@@ -473,6 +473,26 @@ def test_an_error_in_a_later_chunk_is_raised_by_evaluate():
     assert not failed and np.isfinite(values["g2_numeric"]).all()
     assert {name: column.tobytes() for name, column in values.items()} == \
            {name: column.tobytes() for name, column in want.items()}
+
+
+_GOOD_ROW = [1.0, 0.05, 0.05, 0.01, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.ones((2, 5)), "expected (N, 6) parameter rows, got shape (2, 5)"),
+    (np.ones(6), "expected (N, 6) parameter rows, got shape (6,)"),
+    ([[1.0, 0.05, 0.05, -0.01, 1.0, 1.0]], "eta must be nonnegative, got -0.01"),
+    ([_GOOD_ROW, [1.0, -0.05, 0.05, 0.01, 1.0, 1.0], [1.0, 0.05, 0.05, 0.01, np.nan, 1.0]],
+     "kappa must be nonnegative, got -0.05"),
+    ([_GOOD_ROW, [1.0, 0.05, 0.05, 0.01, np.nan, 1.0]], "delta_a must be finite, got nan"),
+    ([[1.0, 0.05, 0.05, 0.01, 1.0, -np.inf]], "delta must be finite, got -inf"),
+], ids=["shape_2x5", "one_dimensional", "negative_eta", "first_bad_row", "nan_delta_a", "infinite_delta"])
+def test_evaluate_refuses_rows_that_are_not_parameters(rows, message):
+    # a row SystemParams refuses is the caller's error, raised up front with
+    # SystemParams's message, not a failed point of the result
+    with pytest.raises(ValueError) as raised:
+        evaluate(np.array(rows), HilbertConfig(), OUTPUT_COLUMNS)
+    assert str(raised.value) == message
 
 
 def test_evaluate_leaves_no_sweep_thread_running():
@@ -869,6 +889,16 @@ def test_correspondence_requires_extrema():
         check_correspondence(res)
 
 
+@pytest.mark.parametrize("axis, outputs, message", [
+    (Axis("kappa", 0.05, 0.5, 5), ("g2_analytic", "coh_analytic"), "needs a 1d sweep over Delta"),
+    (Axis("Delta", -2.0, 2.0, 21), ("g2_analytic", "coh_numeric"), "no complete \\(g2, coherence\\) column pair"),
+], ids=["over_kappa", "no_complete_pair"])
+def test_correspondence_refuses_a_result_it_cannot_pair(axis, outputs, message):
+    res = run_sweep(SweepSpec(base=BASE, axis1=axis, outputs=outputs))
+    with pytest.raises(ConfigError, match=message):
+        check_correspondence(res)
+
+
 def test_correspondence_falls_back_to_shallow_minima():
     # with no sub-unity minimum anywhere, the nearest minima still get paired
     # so that degraded systems produce a report instead of an error
@@ -971,6 +1001,8 @@ def test_csv_reader_rejects_malformed_input():
         read_sweep_csv(io.StringIO(header + "\n0.0,abc,ok\nxyz,1.0,ok\n"))
     with pytest.raises(ConfigError):
         read_sweep_csv(io.StringIO(header + "\n0.0,1.0\n"))  # ragged row
+    with pytest.raises(ConfigError, match="no coordinate column found"):
+        read_sweep_csv(io.StringIO("g2_numeric,status\n1.0,ok\n"))
 
 
 def test_csv_reader_rejects_a_header_without_rows():
@@ -1054,6 +1086,7 @@ def test_every_default_cutoff_is_hilbert_configs():
     "axis1 = Delta -2 2 81\ng = soup\n",           # bad float
     "axis1 = Delta -2 2 81\nkappa = -1\n",         # negative rate
     "axis1 = Delta -2 2 81\noutputs = g2_numeric wat\n",  # unknown output
+    "axis1 = Delta -2 2 81\noutputs =\n",          # no output
     "just some words\n",                           # no key = value shape
 ])
 def test_parse_config_rejects(text):
