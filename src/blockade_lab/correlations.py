@@ -131,12 +131,17 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
 
     G2(tau) = Tr[a'a exp(L tau)(a rho_ss a')], normalized by the stationary
     <a'a>^2. The collapsed state a rho_ss a' is Hermitian, so its real
-    coordinates are propagated by the real Liouvillian liou, and the trace
-    is their dot product with the coordinates of a'a. The state is propagated
-    once, sequentially through the ascending grid, each delay reusing the
-    segment before it; one RK4 propagator, and so one set of step-matrix
-    powers, serves the whole grid. Raises ValueError where g2_zero_numeric
-    does: for an empty cavity and for n_max < 2.
+    coordinates x are propagated by the real Liouvillian liou, and the trace
+    is their dot product with the coordinates c of a'a. exp(L tau) is taken
+    as RK4Propagator.advance takes it: n full steps of dt and one shortened
+    step r, split from tau by RK4Propagator.split. The state advances by
+    whole steps only, through the ascending grid, each delay reusing the
+    steps before it; the shortened step is never carried forward. Being the
+    Taylor polynomial sum_{j<=4} (r L)^j / j!, it is read off the state at
+    n dt as sum_j r^j (w_j . x), with the rows w_j = (L^T)^j c / j! formed
+    once per call. A delay's value therefore does not depend on the other
+    delays of the grid. Raises ValueError where g2_zero_numeric does: for an
+    empty cavity and for n_max < 2.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or tau_grid.size < 1:
@@ -151,10 +156,17 @@ def g2_tau(rho_ss: np.ndarray, liou: np.ndarray, h: HilbertConfig,
     a, _ = lowering_operators(h)
 
     propagator = RK4Propagator(liou, dt)
-    number = _functionals(h)[0]
+    rows = [_functionals(h)[0]]
+    for j in (1, 2, 3, 4):
+        rows.append(rows[-1] @ liou / j)
+    taylor = np.array(rows)
     vec = vectorize(a @ rho_ss @ a.conj().T)
     values = np.empty(tau_grid.size, dtype=float)
-    for k, step in enumerate(np.diff(tau_grid, prepend=0.0)):
-        vec = propagator.advance(vec, step)
-        values[k] = (number @ vec) / norm
+    done = 0
+    for k, tau in enumerate(tau_grid.tolist()):
+        n, r = propagator.split(tau)
+        vec = propagator.steps(vec, n - done)
+        done = n
+        w0, w1, w2, w3, w4 = (taylor @ vec).tolist()
+        values[k] = ((((w4 * r + w3) * r + w2) * r + w1) * r + w0) / norm
     return CorrelationCurve(tau=tau_grid, values=values, normalization=norm)

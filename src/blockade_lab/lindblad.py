@@ -1061,12 +1061,16 @@ def _rk4_step(gen: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of size h for x' = gen x, applied to x.
 
     For a constant linear generator the four stages collapse to the Taylor
-    polynomial sum_{k<=4} (h gen)^k / k!, evaluated here by Horner. x may be a
-    vector (one step of that vector) or the identity (the step matrix itself).
+    polynomial sum_{k<=4} (h gen)^k / k!, evaluated here by Horner with each
+    stage scaled and shifted in place. x may be a vector (one step of that
+    vector) or the identity (the step matrix itself).
     """
+    h = float(h)
     y = x
     for k in (4, 3, 2, 1):
-        y = x + (h / k) * (gen @ y)
+        y = gen @ y
+        y *= h / k
+        y += x
     return y
 
 
@@ -1074,12 +1078,14 @@ class RK4Propagator:
     """Fixed-step RK4 for a constant linear generator, as powers of its step matrix.
 
     n full steps of size dt are the matrix P^n, P = _rk4_step(gen, I, dt),
-    applied through the binary powers P^(2^j). Those are squared on demand,
-    only up to the bit length of the longest span asked for, and kept for the
-    life of the object, so one propagator serves every span of a delay grid.
-    This is the RK4 map itself, not a matrix exponential, so its step-size
-    error and its stability bound are those of RK4. dt must be positive and
-    finite, else ValueError; the stability bound is not checked here.
+    applied by `steps` through the binary powers P^(2^j) of the set bits of
+    n. Those are squared on demand, only up to the highest bit asked for,
+    and kept for the life of the object, so one propagator serves every span
+    of a delay grid. `advance` splits a duration by `split` into full steps
+    and one shortened step. This is the RK4 map itself, not a matrix
+    exponential, so its step-size error and its stability bound are those of
+    RK4. dt must be positive and finite, else ValueError; the stability
+    bound is not checked here.
     """
 
     def __init__(self, gen: np.ndarray, dt: float):
@@ -1089,23 +1095,38 @@ class RK4Propagator:
         self.dt = dt
         self._powers = [_rk4_step(gen, np.eye(gen.shape[0], dtype=gen.dtype), dt)]
 
+    def split(self, duration: float) -> tuple[int, float]:
+        """`duration` as n full steps of dt and the length of a shortened last step.
+
+        The shortened step is 0.0 where it would be shorter than 1e-9 dt, which
+        is skipped. A duration that is negative or not finite raises ValueError.
+        """
+        if not 0.0 <= duration < math.inf:
+            raise ValueError(f"duration must be >= 0 and finite, got {duration!r}")
+        n_full = int(duration / self.dt)
+        remainder = float(duration - n_full * self.dt)
+        return n_full, (remainder if remainder > 1e-9 * self.dt else 0.0)
+
+    def steps(self, vec: np.ndarray, n: int) -> np.ndarray:
+        """Advance vec by n >= 0 full steps: P^n vec, lowest set bit first; n = 0 returns vec itself."""
+        if n < 0:
+            raise ValueError(f"step count must be >= 0, got {n}")
+        powers = self._powers
+        while n:
+            j = (n & -n).bit_length() - 1
+            while len(powers) <= j:
+                powers.append(powers[-1] @ powers[-1])
+            vec = powers[j] @ vec
+            n &= n - 1
+        return vec
+
     def advance(self, vec: np.ndarray, duration: float) -> np.ndarray:
-        """Advance vec by `duration`: full steps of dt, then one shortened step.
+        """Advance vec by `duration`: the full steps of `split`, then its shortened step.
 
         The shortened final step lands exactly on the requested time; one
         shorter than 1e-9 dt is skipped, so a duration of 0 returns vec
         itself. A duration that is negative or not finite raises ValueError.
         """
-        if not 0.0 <= duration < math.inf:
-            raise ValueError(f"duration must be >= 0 and finite, got {duration!r}")
-        n_full = int(duration / self.dt)
-        remainder = duration - n_full * self.dt
-        for j in range(n_full.bit_length()):
-            if j == len(self._powers):
-                self._powers.append(self._powers[-1] @ self._powers[-1])
-            if (n_full >> j) & 1:
-                vec = self._powers[j] @ vec
-        if remainder > 1e-9 * self.dt:
-            vec = _rk4_step(self.gen, vec, remainder)
-        return vec
-
+        n_full, remainder = self.split(duration)
+        vec = self.steps(vec, n_full)
+        return _rk4_step(self.gen, vec, remainder) if remainder else vec

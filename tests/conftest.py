@@ -57,6 +57,24 @@ def evolve(liou: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.
     return rho
 
 
+def stage_loop_rk4(gen, vec, duration, dt, drive=0.0):
+    """Reference: the stage-by-stage RK4 loop for x' = gen x + drive.
+
+    Full steps of dt, then a shortened step landing on `duration` unless it
+    is shorter than 1e-9 dt.
+    """
+    n_full = int(duration / dt)
+    remainder = duration - n_full * dt
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-9 * dt else [])
+    for h in steps:
+        k1 = gen @ vec + drive
+        k2 = gen @ (vec + 0.5 * h * k1) + drive
+        k3 = gen @ (vec + 0.5 * h * k2) + drive
+        k4 = gen @ (vec + h * k3) + drive
+        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vec
+
+
 def _amplitude_rk4(p, t_final, dt):
     """(c1g, c0e, c2g, c1e) at t_final from the vacuum, with no gate.
 

@@ -13,8 +13,12 @@ from blockade_lab import (
     liouvillian,
     steady_state,
 )
-from blockade_lab.correlations import atom_coherence_numeric, mean_photon
+from blockade_lab.cli import fig2_params
+from blockade_lab.correlations import _functionals, atom_coherence_numeric, mean_photon
 from blockade_lab.errors import StepTooLargeError
+from blockade_lab.lindblad import vectorize
+from blockade_lab.quantum_core import lowering_operators
+from conftest import stage_loop_rk4
 
 H4 = HilbertConfig(4)
 FIG2 = SystemParams(g=20.0, kappa=1.0, gamma=1.0, eta=0.1, delta_a=-20.0, delta=-20.0)
@@ -122,6 +126,43 @@ def test_antibunched_envelope_after_beat_decay():
     tail = curve.values[curve.tau >= 2.0 / FIG2.kappa]
     assert np.all(tail >= curve.values[0])
     assert tail[-1] > tail[0]
+
+
+def collapsed_state(liou, h):
+    """The steady state of liou, and the coordinates of a rho a' that g2(tau) propagates."""
+    rho = steady_state(liou)
+    a, _ = lowering_operators(h)
+    return rho, vectorize(a @ rho @ a.conj().T)
+
+
+@pytest.mark.parametrize("nmax, n_points", [(4, 200), (2, 20)], ids=["fig2", "nmax2_20_delays"])
+def test_g2_tau_stays_within_1e_9_of_exact_propagation(nmax, n_points):
+    # the oracle propagates by expm instead of RK4; 1e-9 is the bench's
+    # G2_TAU_ATOL, and the worst errors are 7.0e-10 (fig2) and 6.3e-10
+    import scipy.linalg as sla
+
+    p, h = fig2_params(), HilbertConfig(nmax)
+    liou = liouvillian(p, h)
+    rho, vec0 = collapsed_state(liou, h)
+    curve = g2_tau(rho, liou, h, default_tau_grid(p, n_points), default_step(p))
+    number = _functionals(h)[0]
+    exact = np.array([number @ sla.expm(liou * tau) @ vec0 for tau in curve.tau]) / curve.normalization
+    assert np.abs(curve.values - exact).max() <= 1e-9
+
+
+def test_a_delay_is_its_whole_rk4_steps_then_one_shortened_step():
+    # the value at tau is the RK4 map of floor(tau / dt) full steps and one
+    # shortened step, whatever the other delays of the grid are
+    liou = liouvillian(FIG2, H4)
+    rho, vec0 = collapsed_state(liou, H4)
+    dt = default_step(FIG2)
+    grid = default_tau_grid(FIG2)[:60]
+    curve = g2_tau(rho, liou, H4, grid, dt)
+    number = _functionals(H4)[0]
+    want = np.array([number @ stage_loop_rk4(liou, vec0, tau, dt) for tau in grid]) / curve.normalization
+    assert np.max(np.abs(curve.values / want - 1.0)) <= 1e-12
+    sub = g2_tau(rho, liou, H4, grid[::3], dt)
+    assert np.max(np.abs(sub.values / curve.values[::3] - 1.0)) <= 1e-12
 
 
 def test_tau_grid_validation():
